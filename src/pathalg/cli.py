@@ -222,6 +222,17 @@ def _split_rule(line_no: int, rest: str) -> tuple[str, str]:
     return lhs.strip(), rhs.strip()
 
 
+def _setting(value: str, least: int, what: str, line: int) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise ParseError(f"{what} needs an integer, got {value.strip()!r}",
+                         line) from None
+    if n < least:
+        raise ParseError(f"{what} must be >= {least}", line)
+    return n
+
+
 def parse_problem(text: str) -> ProblemFile:
     """Parse a problem file into a ProblemFile, raising ParseError on errors."""
     vertices: list[str] = []
@@ -260,9 +271,9 @@ def parse_problem(text: str) -> ProblemFile:
         elif head == "set":
             key, _, value = rest.partition(" ")
             if key == "trunc":
-                trunc = int(value)
+                trunc = _setting(value, 0, "set trunc", line_no)
             elif key == "budget":
-                budget = int(value)
+                budget = _setting(value, 1, "set budget", line_no)
             else:
                 raise ParseError(f"unknown setting {key!r}", line_no)
         else:
@@ -354,13 +365,13 @@ def _cmd_reduce(problem: ProblemFile, args, flags, report: Report):
     parser = ElementParser(problem.quiver, problem.params, problem.unknowns,
                            trunc=None)
     elem = parser.parse_element(" ".join(args))
-    nf = reduce_full(elem, problem.system, flags.budget or problem.budget)
+    nf = reduce_full(elem, problem.system, problem.budget)
     report.say(f"normal form: {nf!r}")
     report.doc["normal_form"] = repr(nf)
 
 
 def _cmd_diamond(problem: ProblemFile, args, flags, report: Report):
-    result = check_diamond(problem.system, flags.budget or problem.budget)
+    result = check_diamond(problem.system, problem.budget)
     report.say(f"diamond: {result.verdict}")
     report.doc["verdict"] = result.verdict
     for amb, status, defect in result.statuses:
@@ -410,15 +421,13 @@ def _cmd_star(problem: ProblemFile, args, flags, report: Report):
                            trunc=cochain.trunc)
     a = parser.parse_element(args[0])
     b = parser.parse_element(args[1])
-    result = star(a, b, problem.system, cochain,
-                  flags.budget or problem.budget)
+    result = star(a, b, problem.system, cochain, problem.budget)
     report.say(f"star: {result!r}")
     report.doc["star"] = repr(result)
 
 
 def _cmd_mc(problem: ProblemFile, args, flags, report: Report):
-    result = mc_check(problem.system, problem.cochain(),
-                      flags.budget or problem.budget)
+    result = mc_check(problem.system, problem.cochain(), problem.budget)
     verdict = "pass" if result.verdict else "fail"
     report.say(f"maurer-cartan: {verdict}")
     report.doc["verdict"] = verdict
@@ -456,8 +465,7 @@ def _cmd_gauge(problem: ProblemFile, args, flags, report: Report):
     psi = GaugeOnArrows(problem.system, psi_values, trunc=cochain.trunc)
     primed = DeformationCochain(problem.system, primed_values,
                                 trunc=cochain.trunc)
-    ok = gauge_check(psi, problem.system, cochain, primed,
-                     flags.budget or problem.budget)
+    ok = gauge_check(psi, problem.system, cochain, primed, problem.budget)
     report.say(f"gauge: {'pass' if ok else 'fail'}")
     report.doc["verdict"] = "pass" if ok else "fail"
     if not ok:
@@ -465,8 +473,7 @@ def _cmd_gauge(problem: ProblemFile, args, flags, report: Report):
 
 
 def _cmd_hh2(problem: ProblemFile, args, flags, report: Report):
-    result = hh2(problem.system, bound=flags.cap,
-                 budget=flags.budget or problem.budget)
+    result = hh2(problem.system, bound=flags.cap, budget=problem.budget)
     report.say(f"dimension: {result.dimension}")
     report.doc["dimension"] = result.dimension
     report.doc["representatives"] = []
@@ -487,7 +494,7 @@ def _cmd_variety(problem: ProblemFile, args, flags, report: Report):
         cond = STRICT
     names = problem.unknowns or None
     eqs = mc_equations(problem.system, cond, names=names,
-                       budget=flags.budget or problem.budget)
+                       budget=problem.budget)
     report.doc["equations"] = [repr(p) for p in eqs.polys]
     if not eqs.polys:
         report.say("no equations (the variety is the whole space)")
@@ -510,7 +517,7 @@ def _cmd_complete(problem: ProblemFile, args, flags, report: Report):
                              line_no)
         generators.append(parser.parse_element(rest.strip(), line_no))
     system = complete(generators, problem.order,
-                      budget=flags.budget or problem.budget)
+                      budget=problem.budget)
     report.say(f"rules: {len(system.rules)}")
     report.doc["rules"] = []
     for rule in sorted(system.rules, key=lambda r: r.lhs.sort_key()):
@@ -536,7 +543,7 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
     d = _commutator_dimension(problem)
     if sub == "jacobi":
         eta = _bivector_from_deform(problem, d)
-        result = schouten_jacobi_check(eta, flags.budget or problem.budget)
+        result = schouten_jacobi_check(eta, problem.budget)
         verdict = "pass" if result.verdict else "fail"
         report.say(f"jacobi: {verdict}")
         report.doc["verdict"] = verdict
@@ -551,7 +558,7 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
     elif sub == "check":
         result = quantize_check(problem.cochain(), d,
                                 trunc=flags.trunc,
-                                budget=flags.budget or problem.budget)
+                                budget=problem.budget)
         verdict = "pass" if result.verdict else "fail"
         report.say(f"associativity: {verdict}")
         report.doc["verdict"] = verdict
@@ -567,9 +574,9 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
             for g in monos:
                 lhs = graphical_star(f, g, cochain, trunc=trunc,
                                      cap=flags.cap or 4,
-                                     budget=flags.budget or problem.budget)
+                                     budget=problem.budget)
                 rhs = star(f, g, problem.system, cochain,
-                           flags.budget or problem.budget).truncated(trunc)
+                           problem.budget).truncated(trunc)
                 if not (lhs - rhs).is_zero():
                     mismatches.append((repr(f), repr(g)))
         verdict = "pass" if not mismatches else "fail"
@@ -656,7 +663,13 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_PASS
     report = Report(flags.command)
     try:
+        if flags.budget is not None and flags.budget < 1:
+            raise UsageError("--budget must be >= 1")
+        if flags.trunc is not None and flags.trunc < 0:
+            raise UsageError("--trunc must be >= 0")
         problem = parse_problem(_read_input(flags.file))
+        if flags.budget is not None:
+            problem.budget = flags.budget
         _COMMANDS[flags.command](problem, flags.args, flags, report)
     except (ParseError, UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=out)

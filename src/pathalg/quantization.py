@@ -399,6 +399,15 @@ def _divided_derivative(a: Element, labels: tuple[int, ...]) -> Element:
     return out
 
 
+def _memo_derivative(memo: dict, key, a: Element,
+                     labels: tuple[int, ...]) -> Element:
+    """_divided_derivative(a, labels), memoised in ``memo`` under (key, labels)."""
+    slot = (key, labels)
+    if slot not in memo:
+        memo[slot] = _divided_derivative(a, labels)
+    return memo[slot]
+
+
 def _graph_operator(graph: KGraph, cochain: DeformationCochain,
                     budget: int = DEFAULT_BUDGET):
     """The bidifferential operator of a graph, as rows (coeff, df, dg).
@@ -412,6 +421,8 @@ def _graph_operator(graph: KGraph, cochain: DeformationCochain,
     quiver = cochain.system.quiver
     d = len(quiver.arrow_names())
     order_map = dict(graph.orders)
+    # derivatives of the cochain values, shared by all graphs of the cochain
+    memo = cochain.__dict__.setdefault("_value_derivatives", {})
     placements = [(tuple(graph.targets[v][0] if (mask >> v) & 1
                          else graph.targets[v][1] for v in range(graph.k)),
                    tuple(graph.targets[v][1] if (mask >> v) & 1
@@ -444,7 +455,8 @@ def _graph_operator(graph: KGraph, cochain: DeformationCochain,
             for v in range(graph.k):
                 j, i = labels[v]
                 value = cochain.value(quiver.path(f"x{j}", f"x{i}"))
-                coeff = _poly_mul(coeff, _divided_derivative(value, incoming.get(v, ())),
+                coeff = _poly_mul(coeff, _memo_derivative(
+                                      memo, (j, i), value, incoming.get(v, ())),
                                   cochain.system, budget)
                 if coeff.is_zero():
                     break
@@ -458,11 +470,14 @@ def _graph_operator(graph: KGraph, cochain: DeformationCochain,
 def _apply_operator(rows, cochain: DeformationCochain, f: Element, g: Element,
                     trunc: int | None, budget: int) -> Element:
     total = Element.zero(cochain.system.quiver)
+    memo: dict = {}  # rows repeat label multisets; f and g are fixed here
     for coeff, df, dg in rows:
-        term = _poly_mul(coeff, _divided_derivative(f, df), cochain.system, budget)
+        term = _poly_mul(coeff, _memo_derivative(memo, F_SLOT, f, df),
+                         cochain.system, budget)
         if term.is_zero():
             continue
-        term = _poly_mul(term, _divided_derivative(g, dg), cochain.system, budget)
+        term = _poly_mul(term, _memo_derivative(memo, G_SLOT, g, dg),
+                         cochain.system, budget)
         total = total + term
     return total.truncated(trunc)
 
@@ -480,24 +495,42 @@ def eval_graph(graph: KGraph, cochain: DeformationCochain, f: Element,
     return _apply_operator(cache[key], cochain, f, g, trunc, budget)
 
 
+def _star_operator(cochain: DeformationCochain, strata: int, cap: int,
+                   budget: int):
+    """The rows of all graphs of strata 1..strata summed by (df, dg).
+
+    Applying an operator is linear in its rows, so one merged table gives the
+    same sum as evaluating every graph on its own.  Cached on the cochain.
+    """
+    cache = cochain.__dict__.setdefault("_star_operators", {})
+    if strata not in cache:
+        rows: dict[tuple[tuple[int, ...], tuple[int, ...]], Element] = {}
+        for k in range(1, strata + 1):
+            for graph in enumerate_graphs(k, cap=cap):
+                for coeff, df, dg in _graph_operator(graph, cochain, budget):
+                    key = (df, dg)
+                    rows[key] = rows[key] + coeff if key in rows else coeff
+        cache[strata] = [(c, df, dg) for (df, dg), c in rows.items()
+                         if not c.is_zero()]
+    return cache[strata]
+
+
 def graphical_star(f: Element, g: Element, cochain: DeformationCochain,
                    trunc: int | None = None, cap: int = 4,
                    budget: int = DEFAULT_BUDGET) -> Element:
     """f * g as the graph expansion: sum over k and all graphs of stratum k.
 
     The deformation part has strictly positive parameter degree, so strata
-    beyond the truncation order cannot contribute.
+    beyond the truncation order cannot contribute.  The graphs are applied
+    as one merged bidifferential table (``_star_operator``).
     """
     if trunc is None:
         trunc = cochain.trunc
     if trunc is None:
         raise UsageError("graphical_star needs a finite truncation order")
     total = _poly_mul(f, g, cochain.system, budget)
-    for k in range(1, trunc + 1):
-        if k > cap:
-            break
-        for graph in enumerate_graphs(k, cap=cap):
-            total = total + eval_graph(graph, cochain, f, g, trunc, budget)
+    rows = _star_operator(cochain, min(trunc, cap), cap, budget)
+    total = total + _apply_operator(rows, cochain, f, g, trunc, budget)
     return total.truncated(trunc)
 
 

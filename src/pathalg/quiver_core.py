@@ -21,9 +21,6 @@ __all__ = [
     "Element",
     "AdmissibleOrder",
     "compose",
-    "multiply",
-    "deglex_less",
-    "truncate",
 ]
 
 
@@ -179,6 +176,10 @@ _ONE: Mono = ()
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
+    if not a:
+        return b
+    if not b:
+        return a
     d = dict(a)
     for name, e in b:
         d[name] = d.get(name, 0) + e
@@ -212,13 +213,30 @@ class PolyScalar:
             clean[m] = c
         self.terms = clean
 
+    @classmethod
+    def _exact(cls, terms: dict[Mono, Fraction], trunc: int | None,
+               params: frozenset[str]) -> "PolyScalar":
+        """Construct from Fraction coefficients without re-wrapping them.
+
+        Only zero coefficients and monomials over the truncation are dropped;
+        callers guarantee Fraction coefficients and a frozenset of params.
+        """
+        ps = object.__new__(cls)
+        ps.trunc = trunc
+        ps.params = params
+        if trunc is None:
+            ps.terms = {m: c for m, c in terms.items() if c}
+        else:
+            ps.terms = {m: c for m, c in terms.items() if c and ps._pdeg(m) <= trunc}
+        return ps
+
     def _pdeg(self, m: Mono) -> int:
         return sum(e for n, e in m if n in self.params)
 
     # -- constructors -----------------------------------------------------
     @staticmethod
     def rational(q, trunc: int | None = None, params: frozenset[str] = frozenset()) -> "PolyScalar":
-        return PolyScalar({_ONE: Fraction(q)}, trunc, params)
+        return PolyScalar._exact({_ONE: Fraction(q)}, trunc, frozenset(params))
 
     @staticmethod
     def zero(trunc: int | None = None, params: frozenset[str] = frozenset()) -> "PolyScalar":
@@ -269,14 +287,14 @@ class PolyScalar:
         tr, ps = self._merge_meta(other)
         d = dict(self.terms)
         for m, c in other.terms.items():
-            d[m] = d.get(m, Fraction(0)) + c
-        return PolyScalar(d, tr, ps)
+            d[m] = d[m] + c if m in d else c
+        return PolyScalar._exact(d, tr, ps)
 
     def __sub__(self, other: "PolyScalar") -> "PolyScalar":
         return self + (-other)
 
     def __neg__(self) -> "PolyScalar":
-        return PolyScalar({m: -c for m, c in self.terms.items()}, self.trunc, self.params)
+        return PolyScalar._exact({m: -c for m, c in self.terms.items()}, self.trunc, self.params)
 
     def __mul__(self, other: "PolyScalar") -> "PolyScalar":
         tr, ps = self._merge_meta(other)
@@ -284,12 +302,13 @@ class PolyScalar:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                d[m] = d.get(m, Fraction(0)) + c1 * c2
-        return PolyScalar(d, tr, ps)
+                c = c1 * c2
+                d[m] = d[m] + c if m in d else c
+        return PolyScalar._exact(d, tr, ps)
 
     def scale(self, q) -> "PolyScalar":
         q = Fraction(q)
-        return PolyScalar({m: c * q for m, c in self.terms.items()}, self.trunc, self.params)
+        return PolyScalar._exact({m: c * q for m, c in self.terms.items()}, self.trunc, self.params)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyScalar) and self.terms == other.terms
@@ -474,16 +493,6 @@ class Element:
         return out
 
 
-def multiply(a: Element, b: Element) -> Element:
-    """Bilinear extension of path concatenation."""
-    return a * b
-
-
-def truncate(a: Element, n: int | None) -> Element:
-    """Drop all terms of parameter total degree exceeding n."""
-    return a.truncated(n)
-
-
 # ---------------------------------------------------------------------------
 # Admissible orders
 # ---------------------------------------------------------------------------
@@ -509,8 +518,3 @@ class AdmissibleOrder:
     def __repr__(self):
         names = sorted(self.ranks, key=self.ranks.get)
         return f"AdmissibleOrder({' < '.join(names)})"
-
-
-def deglex_less(p: Path, q: Path, order: AdmissibleOrder) -> bool:
-    """True iff p strictly precedes q in the induced deglex order."""
-    return order.less(p, q)

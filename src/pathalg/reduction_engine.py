@@ -9,6 +9,8 @@ system from uniform relations.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,12 +47,20 @@ DEFAULT_BUDGET = 10**6
 
 
 class BudgetExceeded(RuntimeError):
-    """Reduction budget ran out; carries the partially reduced element."""
+    """Reduction budget ran out; carries the partially reduced element.
 
-    def __init__(self, partial: Element, steps: int):
-        super().__init__(f"reduction budget exceeded after {steps} steps")
+    ``word`` is the path that was about to be rewritten and ``lhs`` the left
+    side of the rule that would have fired (both None when unknown).
+    """
+
+    def __init__(self, partial: Element, steps: int, word: Path | None = None,
+                 lhs: Path | None = None):
+        where = "" if word is None else f" rewriting {word!r} by the rule for {lhs!r}"
+        super().__init__(f"reduction budget exceeded after {steps} steps{where}")
         self.partial = partial
         self.steps = steps
+        self.word = word
+        self.lhs = lhs
 
 
 class CompletionError(RuntimeError):
@@ -165,7 +175,12 @@ def rightmost_split(p: Path, S: list[Path]) -> SplitResult | None:
     if best is None:
         return None
     i, s = best
-    return SplitResult(p.subword(0, i), s, p.subword(i + len(s), len(w)))
+    j = i + len(s)
+    quiver = p.quiver
+    q = Path._trusted(quiver, w[:i], None) if i else Path._trusted(quiver, (), p.source)
+    r = (Path._trusted(quiver, w[j:], None) if j < len(w)
+         else Path._trusted(quiver, (), p.target))
+    return SplitResult(q, s, r)
 
 
 def _replacement_terms(quiver, split: SplitResult, rhs: Element, c: PolyScalar):
@@ -208,37 +223,61 @@ def reduce_step(a: Element, R: ReductionSystem) -> Element:
 
 
 def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET) -> Element:
-    """Iterate right-most reductions to the normal form (or raise BudgetExceeded)."""
+    """Iterate right-most reductions to the normal form (or raise BudgetExceeded).
+
+    Reducible words wait in ``pending`` with their right-most split, and a heap
+    hands them out longest first, first in first out within a length, so most
+    contributions to a word merge before it is rewritten.  The normal form is
+    linear in the pending terms, so it does not depend on this order whenever
+    rewriting terminates.  ``budget`` bounds the number of rewrite steps.
+    """
     if budget <= 0:
         raise UsageError("budget must be positive")
     S = R.lhs_set()
     quiver = a.quiver
     done: dict[Path, PolyScalar] = {}
-    pending = dict(a.terms)
+    pending: dict[Path, tuple[PolyScalar, SplitResult]] = {}
+    heap: list[tuple[int, int, Path]] = []  # (-length, arrival tick, word)
+    tick = itertools.count()
+
+    def add(p: Path, c: PolyScalar):
+        if p in pending:
+            cp, split = pending[p]
+            c = cp + c
+            if c.is_zero():
+                del pending[p]  # its heap entry is skipped when popped
+            else:
+                pending[p] = (c, split)
+        elif p in done:
+            c = done[p] + c
+            if c.is_zero():
+                del done[p]
+            else:
+                done[p] = c
+        else:
+            split = rightmost_split(p, S)
+            if split is None:
+                done[p] = c
+            else:
+                pending[p] = (c, split)
+                heapq.heappush(heap, (-len(p), next(tick), p))
+
+    for p, c in a.terms.items():
+        add(p, c)
     steps = 0
-    while pending:
-        p, c = pending.popitem()
-        split = rightmost_split(p, S)
-        if split is None:
-            if p in done:
-                c = done[p] + c
-                if c.is_zero():
-                    del done[p]
-                    continue
-            done[p] = c
+    while heap:
+        p = heapq.heappop(heap)[2]
+        if p not in pending:
             continue
+        c, split = pending.pop(p)
         steps += 1
         if steps > budget:
-            partial = Element(quiver, done) + Element(quiver, pending) + Element(quiver, {p: c})
-            raise BudgetExceeded(partial, steps - 1)
+            rest = {w: cw for w, (cw, _) in pending.items()}
+            partial = Element(quiver, done) + Element(quiver, rest) + Element(quiver, {p: c})
+            raise BudgetExceeded(partial, steps - 1, p, split.s)
         rhs = R.by_lhs[split.s].rhs
         for q, cq in _replacement_terms(quiver, split, rhs, c):
-            if q in pending:
-                cq = pending[q] + cq
-                if cq.is_zero():
-                    del pending[q]
-                    continue
-            pending[q] = cq
+            add(q, cq)
     return Element(quiver, done)
 
 
@@ -291,16 +330,18 @@ def ambiguities_n(S: list[Path], n: int) -> list[Ambiguity]:
         out.sort(key=lambda amb: (amb.word.sort_key(), tuple(len(f) for f in amb.factors)))
         return out
 
-    def extend(chain: list[Path]):
+    # depth-first over partial chains with an explicit stack: chains can be
+    # as long as n + 2 factors, far beyond the interpreter's recursion limit
+    stack = [[quiver.path(arrow)] for arrow, _, _ in quiver.arrows]
+    while stack:
+        chain = stack.pop()
         if len(chain) == n + 2:
-            word = chain[0]
-            for piece in chain[1:]:
-                word = compose(word, piece)
+            word = Path(quiver, arrows=tuple(a for piece in chain for a in piece.arrows))
             key = (word.arrows, tuple(len(c) for c in chain))
             if key not in seen:
                 seen.add(key)
                 out.append(Ambiguity(word, tuple(chain)))
-            return
+            continue
         last = chain[-1]
         w = last.arrows
         for s in S:
@@ -320,10 +361,7 @@ def ambiguities_n(S: list[Path], n: int) -> list[Ambiguity]:
                         ok = False
                         break
                 if ok:
-                    extend(chain + [u_next])
-
-    for arrow, _, _ in quiver.arrows:
-        extend([quiver.path(arrow)])
+                    stack.append(chain + [u_next])
     out.sort(key=lambda amb: (amb.word.sort_key(), tuple(len(f) for f in amb.factors)))
     return out
 

@@ -235,3 +235,52 @@ class TestCommands:
         code, out = run([str(p), "mc"])
         assert code == 0
         assert last_json(out)["verdict"] == "pass"
+
+
+class TestFlagValidation:
+    """Invalid flags and settings exit 2 instead of turning into defaults."""
+
+    @pytest.fixture
+    def deformed(self, tmp_path):
+        p = tmp_path / "deformed.txt"
+        p.write_text(POISSON)
+        return str(p)
+
+    @pytest.mark.parametrize("flag", [["--budget", "0"], ["--budget", "-4"],
+                                      ["--trunc", "-1"]])
+    def test_bad_flag_exits_2(self, deformed, flag):
+        code, out = run([deformed, "star", "x2*x2", "x1", *flag])
+        assert code == 2
+        assert "error" in last_json(out)
+
+    def test_budget_one_still_exhausts(self, deformed):
+        code, out = run([deformed, "star", "x3*x2", "x1", "--budget", "1"])
+        assert code == 3
+        assert last_json(out) == {"command": "star", "error": "budget exhausted",
+                                  "steps": 1}
+
+    def test_budget_flag_overrides_file(self, tmp_path):
+        p = tmp_path / "nf.txt"
+        p.write_text(NF_SYMBOLIC)
+        code, out = run([str(p), "star", "x", "y1*z", "--budget", "40"])
+        assert code == 3
+        assert last_json(out)["steps"] == 40
+
+    @pytest.mark.parametrize("setting", ["set trunc abc", "set trunc -1",
+                                         "set budget 0"])
+    def test_bad_setting_exits_2_with_line(self, tmp_path, setting):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"vertex 0\n{setting}\n")
+        code, out = run([str(p), "irr"])
+        assert code == 2
+        assert last_json(out)["error"].startswith("line 2: ")
+
+
+def test_deep_chain_ambiguities_exit_0(tmp_path):
+    p = tmp_path / "xx.txt"
+    p.write_text("vertex 0\narrow x : 0 -> 0\nrule x*x -> 0\n")
+    code, out = run([str(p), "ambiguities", "1500"])
+    assert code == 0
+    doc = last_json(out)
+    assert doc["count"] == 1
+    assert doc["words"] == ["*".join(["x"] * 1502)]

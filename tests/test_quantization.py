@@ -204,6 +204,20 @@ class TestGraphicalStar:
         for f, g in samples:
             assert graphical_star(f, g, cochain) == star(f, g, R, cochain)
 
+    def test_merged_table_equals_sum_over_graphs(self):
+        # graphical_star applies all strata as one merged table; graph by
+        # graph through eval_graph the expansion must come out the same
+        q, R = commutator_system(2)
+        eta = PoissonBivector(2, {(2, 1): monomial(q, (1, 0)) + monomial(q, (0, 2))})
+        cochain = poisson_to_cochain(eta, trunc=3)
+        f, g = monomial(q, (1, 2)), monomial(q, (2, 1))
+        expected = monomial(q, (3, 3))
+        for k in (1, 2, 3):
+            for graph in enumerate_graphs(k):
+                expected = expected + eval_graph(graph, cochain, f, g)
+        assert graphical_star(f, g, cochain) == expected.truncated(3)
+        assert graphical_star(f, g, cochain) == star(f, g, R, cochain)
+
 
 class TestMoyalAndGauge:
     def _eta(self):

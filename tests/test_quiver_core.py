@@ -99,6 +99,34 @@ class TestPolyScalar:
         assert repr(p) == "a + b"
 
 
+class TestExactArithmetic:
+    def test_products_drop_terms_above_trunc(self):
+        t = PolyScalar.var("t", is_param=True, trunc=3)
+        p = PolyScalar.rational(1, trunc=3, params=t.params) + t * t
+        assert p * p == PolyScalar.rational(1) + (t * t).scale(2)
+        assert max(p.param_degree(m) for m in (p * p * t).terms) <= 3
+
+    def test_sums_drop_terms_above_the_smaller_trunc(self):
+        t = PolyScalar.var("t", is_param=True)
+        t3 = t * t * t
+        assert not t3.is_zero()
+        low = PolyScalar.rational(1, trunc=2, params=t.params)
+        assert t3 + low == PolyScalar.rational(1)
+        assert (t3 + low).trunc == 2
+        assert -(t3 + low) == PolyScalar.rational(-1)
+
+    def test_cancellation_leaves_no_zero_terms(self):
+        t = PolyScalar.var("t", is_param=True, trunc=2)
+        assert (t - t).terms == {}
+        assert (t * PolyScalar.rational(0)).terms == {}
+        assert (t + t.scale(-1)).is_zero()
+
+    def test_coefficients_stay_fractions(self):
+        t = PolyScalar.var("t", is_param=True, trunc=4)
+        p = (t + PolyScalar.rational(Fraction(1, 3))) * t.scale(2) - t
+        assert p.terms and all(type(c) is Fraction for c in p.terms.values())
+
+
 class TestElement:
     def test_zero_terms_dropped(self, kronecker):
         a = Element.from_path(kronecker.path("a"))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import make_brauer
 from pathalg.quiver_core import (
     AdmissibleOrder,
     Element,
@@ -252,3 +253,28 @@ def test_confluence_oracle_on_random_invertible_rhs():
         expected = Element.from_path(q.path(*sorted_word),
                                      PolyScalar.rational(c ** inv))
         assert nf == expected
+
+
+class TestChainAmbiguityValues:
+    """Chain ambiguities for n <= 4 on fixed systems."""
+
+    def test_four_dim_chains_up_to_four(self, four_dim):
+        _, R = four_dim
+        for n in range(5):
+            words = [repr(a.word) for a in ambiguities_n(R.lhs_set(), n)]
+            # the chains are y^i x^(n+2-i), in deglex order
+            assert words == ["*".join("y" * i + "x" * (n + 2 - i)) for i in range(n + 3)]
+
+    def test_counts_up_to_four(self):
+        q = Quiver(["0"], [(f"x{i}", "0", "0") for i in range(1, 5)])
+        comm = ReductionSystem(q, [
+            Rule(q.path(f"x{j}", f"x{i}"), Element.from_path(q.path(f"x{i}", f"x{j}")))
+            for j in range(2, 5) for i in range(1, j)])
+        _, brauer = make_brauer(6)
+        counts = {"comm": [len(ambiguities_n(comm.lhs_set(), n)) for n in range(5)],
+                  "brauer": [len(ambiguities_n(brauer.lhs_set(), n)) for n in range(5)]}
+        assert counts == {"comm": [6, 4, 1, 0, 0], "brauer": [11, 14, 17, 21, 28]}
+        assert [repr(a.word) for a in ambiguities_n(comm.lhs_set(), 1)] == [
+            "x3*x2*x1", "x4*x2*x1", "x4*x3*x1", "x4*x3*x2"]
+        assert [repr(a.word) for a in ambiguities_n(comm.lhs_set(), 2)] == [
+            "x4*x3*x2*x1"]
