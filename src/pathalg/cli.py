@@ -356,7 +356,7 @@ def _bivector_from_deform(problem: ProblemFile, d: int) -> PoissonBivector:
     entries: dict[tuple[int, int], Element] = {}
     for s, v in problem.deform_values.items():
         j, i = int(s.arrows[0][1:]), int(s.arrows[1][1:])
-        entries[(j, i)] = v.coefficient_of(HBAR, 1).substitute({})
+        entries[(j, i)] = v.coefficient_of(HBAR, 1)
     return PoissonBivector(d, entries, quiver=problem.quiver,
                            system=problem.system)
 
@@ -531,10 +531,13 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
         raise UsageError("quantize needs a subcommand: "
                          "jacobi | check | graphs k | compare")
     sub = args[0]
+    cap = 4 if flags.cap is None else flags.cap
+    if cap < 1:
+        raise UsageError("--cap must be >= 1 for quantize")
     if sub == "graphs":
         if len(args) != 2:
             raise UsageError("quantize graphs takes the stratum k")
-        graphs = enumerate_graphs(int(args[1]), cap=flags.cap or 4)
+        graphs = enumerate_graphs(int(args[1]), cap=cap)
         report.say(f"count: {len(graphs)}")
         report.doc["count"] = len(graphs)
         report.doc["graphs"] = [
@@ -572,8 +575,7 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
         monos = _monomials_up_to(problem.quiver, d, 2)
         for f in monos:
             for g in monos:
-                lhs = graphical_star(f, g, cochain, trunc=trunc,
-                                     cap=flags.cap or 4,
+                lhs = graphical_star(f, g, cochain, trunc=trunc, cap=cap,
                                      budget=problem.budget)
                 rhs = star(f, g, problem.system, cochain,
                            problem.budget).truncated(trunc)

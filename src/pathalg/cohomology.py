@@ -5,7 +5,9 @@ element; a 1-cochain does the same for arrows.  Working modulo t^2, the
 associativity defects on overlap words are linear in the 2-cochain, and the
 gauge action T = id + psi*t linearizes to a map from 1-cochains to
 2-cochains.  HH^2 is the kernel of the first map modulo the image of the
-second, computed by exact rational elimination.
+second.  Each map is read off one pass with a generic cochain, one unknown
+per basis vector times t, and one incremental exact elimination
+(``Echelon``) gives the kernel, the image and the representatives.
 """
 
 from __future__ import annotations
@@ -14,17 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .quiver_core import Element, Path, PolyScalar, UsageError
-from .reduction_engine import (
-    DEFAULT_BUDGET,
-    ReductionSystem,
-    irreducible_paths,
-    overlaps,
-)
+from .reduction_engine import DEFAULT_BUDGET, ReductionSystem, irreducible_paths
 from .star_product import (
     DeformationCochain,
     GaugeOnArrows,
     _t_of_element,
-    star,
+    associator_defects,
 )
 
 __all__ = [
@@ -37,7 +34,6 @@ __all__ = [
     "cocycle_space",
     "coboundary_space",
     "hh2",
-    "representative_cochain",
 ]
 
 T_SYMBOL = "t"  # first-order deformation parameter
@@ -77,57 +73,62 @@ def one_cochain_basis(R: ReductionSystem, bound: int | None = None):
 # exact linear algebra over Q
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with first-nonzero pivoting; returns pivots."""
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    lead = 0
-    ncols = len(rows[0]) if rows else 0
-    for r in range(len(rows)):
-        while lead < ncols:
-            pivot = next((i for i in range(r, len(rows)) if rows[i][lead] != 0), None)
-            if pivot is None:
-                lead += 1
+class Echelon:
+    """A reduced row echelon basis over Q, grown one vector at a time.
+
+    ``rows`` maps each pivot column to its row {column: value}.  A row is 1 at
+    its pivot, 0 at every other pivot and 0 left of its pivot, so the rows
+    are the (unique) reduced row echelon form of the vectors absorbed so far.
+    """
+
+    def __init__(self, vectors=()):
+        self.rows: dict[int, dict[int, Fraction]] = {}
+        for vec in vectors:
+            self.absorb(vec)
+
+    def absorb(self, vec) -> bool:
+        """Add a dense vector to the span; False if it already lay in it."""
+        v = {j: c for j, c in enumerate(vec) if c}
+        for pivot, row in self.rows.items():
+            if pivot in v:
+                _axpy(v, -v[pivot], row)
+        if not v:
+            return False
+        pivot = min(v)
+        new = {j: c / v[pivot] for j, c in v.items()}
+        for row in self.rows.values():
+            if pivot in row:
+                _axpy(row, -row[pivot], new)
+        self.rows[pivot] = new
+        return True
+
+    def dense_rows(self, ncols: int) -> list[tuple[Fraction, ...]]:
+        """The rows as dense tuples, in pivot order."""
+        return [tuple(row.get(j, Fraction(0)) for j in range(ncols))
+                for _, row in sorted(self.rows.items())]
+
+    def kernel(self, ncols: int) -> list[tuple[Fraction, ...]]:
+        """Basis of the null space, one vector per free column."""
+        basis = []
+        for j in range(ncols):
+            if j in self.rows:
                 continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = Fraction(1) / rows[r][lead]
-            rows[r] = [c * inv for c in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][lead] != 0:
-                    f = rows[i][lead]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(lead)
-            lead += 1
-            break
+            vec = [Fraction(0)] * ncols
+            vec[j] = Fraction(1)
+            for pivot, row in self.rows.items():
+                vec[pivot] = -row.get(j, Fraction(0))
+            basis.append(tuple(vec))
+        return basis
+
+
+def _axpy(v: dict[int, Fraction], f: Fraction, row: dict[int, Fraction]):
+    """v += f * row in place, dropping entries that cancel."""
+    for j, a in row.items():
+        c = v.get(j, 0) + f * a
+        if c:
+            v[j] = c
         else:
-            break
-    rows = [r for r in rows if any(c != 0 for c in r)]
-    return rows, pivots
-
-
-def _kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the null space of the matrix, one vector per free column."""
-    rref, pivots = _rref(rows) if rows else ([], [])
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
-        for r, pj in enumerate(pivots):
-            vec[pj] = -rref[r][j]
-        basis.append(tuple(vec))
-    return basis
-
-
-def _row_space(rows: list[list[Fraction]]) -> list[tuple[Fraction, ...]]:
-    rref, _ = _rref(rows) if rows else ([], [])
-    return [tuple(r) for r in rref]
-
-
-def _in_span(rows: list[tuple[Fraction, ...]], vec: tuple[Fraction, ...]) -> bool:
-    before = len(_row_space([list(r) for r in rows]))
-    after = len(_row_space([list(r) for r in rows] + [list(vec)]))
-    return after == before
+            v.pop(j, None)
 
 
 # ---------------------------------------------------------------------------
@@ -155,36 +156,59 @@ class Hh2Result:
     representatives: list[dict[Path, Element]]
 
 
-def _basis_cochain(R: ReductionSystem, s: Path, u: Path) -> DeformationCochain:
+def _generic_values(R: ReductionSystem, basis, prefix: str):
+    """The generic cochain sum_i t*prefix[i]*(s_i -> u_i), and its unknowns.
+
+    A problem file cannot declare a symbol with brackets, so the unknowns
+    never meet a symbol of the rules.
+    """
     t = PolyScalar.var(T_SYMBOL, is_param=True, trunc=1)
-    return DeformationCochain(R, {s: Element.from_path(u, t)}, trunc=1)
+    unknowns = {f"{prefix}[{i}]": i for i in range(len(basis))}
+    values: dict[Path, Element] = {}
+    for name, (s, u) in zip(unknowns, basis):
+        term = Element.from_path(u, t * PolyScalar.var(name))
+        values[s] = values.get(s, Element.zero(R.quiver)) + term
+    return values, unknowns
 
 
-def _defect_coordinates(R: ReductionSystem, cochain: DeformationCochain,
-                        budget: int):
-    """Order-t parts of all S3 defects, as a map (overlap index, path) -> Q."""
-    coords: dict[tuple[int, Path], Fraction] = {}
-    for idx, amb in enumerate(overlaps(R.lhs_set())):
-        u, v, w = (Element.from_path(f) for f in amb.factors)
-        left = star(star(u, v, R, cochain, budget), w, R, cochain, budget)
-        right = star(u, star(v, w, R, cochain, budget), R, cochain, budget)
-        first_order = (left - right).coefficient_of(T_SYMBOL, 1)
-        for p, c in first_order.terms.items():
-            coords[(idx, p)] = c.as_rational()
-    return coords
+def _columns_at(first_order: Element, unknowns: dict[str, int]):
+    """Yield (path, column entries) of a generic pass read at order t.
+
+    The coefficient of the i-th unknown is column i.  A constant comes from
+    t in the rules, not from the cochain, so it belongs to every column; any
+    other monomial is not a rational coordinate.
+    """
+    for p, c in first_order.terms.items():
+        const, entries = Fraction(0), {}
+        for m, q in c.terms.items():
+            if not m:
+                const = q
+            elif len(m) == 1 and m[0][1] == 1 and m[0][0] in unknowns:
+                entries[unknowns[m[0][0]]] = q
+            else:
+                raise UsageError(f"not a rational constant: {c}")
+        yield p, tuple(const + entries.get(j, 0) for j in range(len(unknowns)))
 
 
 def cocycle_space(R: ReductionSystem, bound: int | None = None,
                   budget: int = DEFAULT_BUDGET) -> CocycleSpace:
-    """Kernel of the linearized defect map on 2-cochains."""
+    """Kernel of the linearized defect map on 2-cochains.
+
+    The map is the order-t part of the associator defects of one generic
+    cochain; the coefficient of its i-th unknown is column i.
+    """
     basis = two_cochain_basis(R, bound)
-    columns = [_defect_coordinates(R, _basis_cochain(R, s, u), budget)
-               for s, u in basis]
-    row_keys = sorted({k for col in columns for k in col},
-                      key=lambda k: (k[0], k[1].sort_key()))
-    matrix = [tuple(col.get(k, Fraction(0)) for col in columns) for k in row_keys]
-    kernel = _kernel_basis([list(r) for r in matrix], len(basis))
-    return CocycleSpace(basis=basis, matrix=matrix, kernel=kernel)
+    rows: dict[tuple[int, Path], tuple[Fraction, ...]] = {}
+    if basis:
+        values, unknowns = _generic_values(R, basis, "c")
+        cochain = DeformationCochain(R, values, trunc=1)
+        for idx, _, defect in associator_defects(R, cochain, budget):
+            for p, row in _columns_at(defect.coefficient_of(T_SYMBOL, 1), unknowns):
+                rows[(idx, p)] = row
+    keys = sorted(rows, key=lambda k: (k[0], k[1].sort_key()))
+    matrix = [rows[k] for k in keys if any(rows[k])]
+    return CocycleSpace(basis=basis, matrix=matrix,
+                        kernel=Echelon(matrix).kernel(len(basis)))
 
 
 def coboundary_space(R: ReductionSystem, bound: int | None = None,
@@ -193,33 +217,33 @@ def coboundary_space(R: ReductionSystem, bound: int | None = None,
 
     For T = id + psi*t and the undeformed star product the identity
     T(phi_s) + phitilde'(s)*t = T(s_1) * ... * T(s_m)  (mod t^2)
-    determines phitilde' uniquely; its coordinates give one column per
-    1-cochain basis vector.
+    determines phitilde' uniquely.  One generic psi gives it for every
+    1-cochain basis vector at once: the coefficient of its j-th unknown is
+    column j.
     """
     basis2 = two_cochain_basis(R, bound)
     index = {pair: i for i, pair in enumerate(basis2)}
     basis1 = one_cochain_basis(R, bound)
-    zero = DeformationCochain(R, {}, trunc=1)
-    t = PolyScalar.var(T_SYMBOL, is_param=True, trunc=1)
-    columns: list[tuple[Fraction, ...]] = []
-    for x, u in basis1:
-        psi = GaugeOnArrows(R, {x: Element.from_path(u, t)}, trunc=1)
-        col = [Fraction(0)] * len(basis2)
+    columns = [[Fraction(0)] * len(basis2) for _ in basis1]
+    if basis1:
+        zero = DeformationCochain(R, {}, trunc=1)
+        values, unknowns = _generic_values(R, basis1, "b")
+        psi = GaugeOnArrows(R, values, trunc=1)
         for rule in R.rules:
             s = rule.lhs
-            prod = _t_of_element(Element.from_path(s), psi, R, zero, budget)
-            induced = (prod - _t_of_element(rule.rhs, psi, R, zero, budget))
-            induced = induced.coefficient_of(T_SYMBOL, 1)
-            for p, c in induced.terms.items():
+            induced = _t_of_element(Element.from_path(s) - rule.rhs, psi, R, zero, budget)
+            for p, entries in _columns_at(induced.coefficient_of(T_SYMBOL, 1), unknowns):
                 if (s, p) not in index:
-                    raise UsageError(
-                        f"coboundary target {p!r} outside the capped basis; "
-                        "raise the bound")
-                col[index[(s, p)]] = c.as_rational()
-        columns.append(tuple(col))
-    image = _row_space([list(c) for c in columns])
+                    if any(entries):
+                        raise UsageError(
+                            f"coboundary target {p!r} outside the capped basis; "
+                            "raise the bound")
+                    continue
+                for col, c in zip(columns, entries):
+                    col[index[(s, p)]] = c
+    columns = [tuple(col) for col in columns]
     return CoboundarySpace(basis=basis2, domain=basis1, columns=columns,
-                           image=image)
+                           image=Echelon(columns).dense_rows(len(basis2)))
 
 
 def hh2(R: ReductionSystem, bound: int | None = None,
@@ -231,20 +255,17 @@ def hh2(R: ReductionSystem, bound: int | None = None,
     """
     cocycles = cocycle_space(R, bound, budget)
     coboundaries = coboundary_space(R, bound, budget)
-    matrix = [list(r) for r in cocycles.matrix]
     for vec in coboundaries.image:
-        residual = _matvec(matrix, vec)
-        if any(c != 0 for c in residual):
+        if any(sum(a * b for a, b in zip(row, vec)) for row in cocycles.matrix):
             raise RuntimeError("coboundary is not a cocycle: d^2 != 0 at first order")
     dim = len(cocycles.kernel) - len(coboundaries.image)
-    span = list(coboundaries.image)
+    span = Echelon(coboundaries.image)
     reps: list[tuple[Fraction, ...]] = []
     for vec in cocycles.kernel:
         if len(reps) == dim:
             break
-        if not _in_span(span, vec):
+        if span.absorb(vec):
             reps.append(vec)
-            span.append(vec)
     representatives = []
     for vec in reps:
         values: dict[Path, Element] = {}
@@ -255,15 +276,3 @@ def hh2(R: ReductionSystem, bound: int | None = None,
         representatives.append(values)
     return Hh2Result(dimension=dim, basis=cocycles.basis,
                      representatives=representatives)
-
-
-def _matvec(rows: list[list[Fraction]], vec: tuple[Fraction, ...]):
-    return [sum(a * b for a, b in zip(row, vec)) for row in rows]
-
-
-def representative_cochain(R: ReductionSystem, values: dict[Path, Element],
-                           param: str = T_SYMBOL) -> DeformationCochain:
-    """Scale a rational representative by the first-order parameter."""
-    t = PolyScalar.var(param, is_param=True, trunc=1)
-    scaled = {s: v.scale(t) for s, v in values.items()}
-    return DeformationCochain(R, scaled, trunc=1)

@@ -103,8 +103,7 @@ def poly_diff(a: Element, i: int) -> Element:
     return out
 
 
-def _poly_mul(a: Element, b: Element, R: ReductionSystem,
-              budget: int = DEFAULT_BUDGET) -> Element:
+def _poly_mul(a: Element, b: Element) -> Element:
     """Product of normal-form polynomials by exponent merging.
 
     Equivalent to multiplying in the path algebra and reducing with the
@@ -174,14 +173,13 @@ def schouten_jacobi_check(eta: PoissonBivector,
     For each i < j < k the component is
     sum_l pi^{li} d_l pi^{jk} + pi^{lj} d_l pi^{ki} + pi^{lk} d_l pi^{ij}.
     """
-    R = eta.system
     defects = []
     for i, j, k in itertools.combinations(range(1, eta.d + 1), 3):
         total = Element.zero(eta.quiver)
         for l in range(1, eta.d + 1):
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                 total = total + _poly_mul(eta.entry(l, a),
-                                          poly_diff(eta.entry(b, c), l), R, budget)
+                                          poly_diff(eta.entry(b, c), l))
         defects.append(((i, j, k), total))
     return JacobiReport(defects)
 
@@ -274,7 +272,6 @@ class KGraph:
 
 
 def _canonical_key(k, targets, orders):
-    nodes = list(range(k)) + [F_SLOT, G_SLOT]
     best = None
     for perm in itertools.permutations(range(k)):
         relabel = {i: perm[i] for i in range(k)}
@@ -287,13 +284,12 @@ def _canonical_key(k, targets, orders):
                              for n, srcs in orders))
         key = (enc_t, enc_o)
         if best is None or key < best:
-            best = (enc_t, enc_o)
-            best_perm = relabel
-    return best, best_perm
+            best = key
+    return best
 
 
 def _canonicalize(k, targets, orders) -> KGraph:
-    (enc_t, enc_o), _ = _canonical_key(k, targets, orders)
+    enc_t, enc_o = _canonical_key(k, targets, orders)
     return KGraph(k=k, targets=enc_t, orders=enc_o)
 
 
@@ -408,8 +404,7 @@ def _memo_derivative(memo: dict, key, a: Element,
     return memo[slot]
 
 
-def _graph_operator(graph: KGraph, cochain: DeformationCochain,
-                    budget: int = DEFAULT_BUDGET):
+def _graph_operator(graph: KGraph, cochain: DeformationCochain):
     """The bidifferential operator of a graph, as rows (coeff, df, dg).
 
     Sums over the insertion placements of the graph and over all index
@@ -456,8 +451,7 @@ def _graph_operator(graph: KGraph, cochain: DeformationCochain,
                 j, i = labels[v]
                 value = cochain.value(quiver.path(f"x{j}", f"x{i}"))
                 coeff = _poly_mul(coeff, _memo_derivative(
-                                      memo, (j, i), value, incoming.get(v, ())),
-                                  cochain.system, budget)
+                    memo, (j, i), value, incoming.get(v, ())))
                 if coeff.is_zero():
                     break
             if coeff.is_zero():
@@ -468,16 +462,14 @@ def _graph_operator(graph: KGraph, cochain: DeformationCochain,
 
 
 def _apply_operator(rows, cochain: DeformationCochain, f: Element, g: Element,
-                    trunc: int | None, budget: int) -> Element:
+                    trunc: int | None) -> Element:
     total = Element.zero(cochain.system.quiver)
     memo: dict = {}  # rows repeat label multisets; f and g are fixed here
     for coeff, df, dg in rows:
-        term = _poly_mul(coeff, _memo_derivative(memo, F_SLOT, f, df),
-                         cochain.system, budget)
+        term = _poly_mul(coeff, _memo_derivative(memo, F_SLOT, f, df))
         if term.is_zero():
             continue
-        term = _poly_mul(term, _memo_derivative(memo, G_SLOT, g, dg),
-                         cochain.system, budget)
+        term = _poly_mul(term, _memo_derivative(memo, G_SLOT, g, dg))
         total = total + term
     return total.truncated(trunc)
 
@@ -491,12 +483,11 @@ def eval_graph(graph: KGraph, cochain: DeformationCochain, f: Element,
     cache = cochain.__dict__.setdefault("_graph_operators", {})
     key = (graph.k, graph.targets, graph.orders)
     if key not in cache:
-        cache[key] = _graph_operator(graph, cochain, budget)
-    return _apply_operator(cache[key], cochain, f, g, trunc, budget)
+        cache[key] = _graph_operator(graph, cochain)
+    return _apply_operator(cache[key], cochain, f, g, trunc)
 
 
-def _star_operator(cochain: DeformationCochain, strata: int, cap: int,
-                   budget: int):
+def _star_operator(cochain: DeformationCochain, strata: int, cap: int):
     """The rows of all graphs of strata 1..strata summed by (df, dg).
 
     Applying an operator is linear in its rows, so one merged table gives the
@@ -507,7 +498,7 @@ def _star_operator(cochain: DeformationCochain, strata: int, cap: int,
         rows: dict[tuple[tuple[int, ...], tuple[int, ...]], Element] = {}
         for k in range(1, strata + 1):
             for graph in enumerate_graphs(k, cap=cap):
-                for coeff, df, dg in _graph_operator(graph, cochain, budget):
+                for coeff, df, dg in _graph_operator(graph, cochain):
                     key = (df, dg)
                     rows[key] = rows[key] + coeff if key in rows else coeff
         cache[strata] = [(c, df, dg) for (df, dg), c in rows.items()
@@ -528,9 +519,9 @@ def graphical_star(f: Element, g: Element, cochain: DeformationCochain,
         trunc = cochain.trunc
     if trunc is None:
         raise UsageError("graphical_star needs a finite truncation order")
-    total = _poly_mul(f, g, cochain.system, budget)
-    rows = _star_operator(cochain, min(trunc, cap), cap, budget)
-    total = total + _apply_operator(rows, cochain, f, g, trunc, budget)
+    total = _poly_mul(f, g)
+    rows = _star_operator(cochain, min(trunc, cap), cap)
+    total = total + _apply_operator(rows, cochain, f, g, trunc)
     return total.truncated(trunc)
 
 
@@ -548,13 +539,12 @@ def moyal(f: Element, g: Element, eta: PoissonBivector, trunc: int = 4,
           budget: int = DEFAULT_BUDGET) -> Element:
     """The Moyal product exp((hbar/2) sum eta_ji (d_j x d_i - d_i x d_j))."""
     consts = _constant_entries(eta)
-    R = eta.system
     hbar_half = PolyScalar.var(HBAR, is_param=True, trunc=trunc).scale(Fraction(1, 2))
     terms = [(PolyScalar.rational(1, trunc=trunc), f, g)]
     total = Element.zero(eta.quiver)
     for n in range(trunc + 1):
         for c, a, b in terms:
-            total = total + _poly_mul(a, b, R, budget).scale(
+            total = total + _poly_mul(a, b).scale(
                 c.scale(Fraction(1, factorial(n))))
         nxt = []
         for c, a, b in terms:

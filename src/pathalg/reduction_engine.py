@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**6
+INTERREDUCE_ROUNDS = 1000  # passes before inter-reduction counts as diverging
 
 
 class BudgetExceeded(RuntimeError):
@@ -441,7 +442,7 @@ def _interreduce(relations: list[Element], order: AdmissibleOrder,
                  budget: int) -> list[Element]:
     """Reduce each relation against the others until nothing changes."""
     rels = [r for r in relations if not r.is_zero()]
-    for _ in range(1000):
+    for _ in range(INTERREDUCE_ROUNDS):
         rels.sort(key=lambda r: order.key(_tip(r, order)))
         # merge relations sharing a tip
         merged: list[Element] = []
@@ -475,7 +476,7 @@ def _interreduce(relations: list[Element], order: AdmissibleOrder,
         rels = new_rels
         if not changed:
             return rels
-    raise UsageError("inter-reduction did not stabilize")
+    raise CompletionError("inter-reduction did not stabilize", [])
 
 
 def complete(generators: list[Element], order: AdmissibleOrder,

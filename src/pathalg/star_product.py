@@ -28,6 +28,7 @@ __all__ = [
     "McReport",
     "star",
     "star_k",
+    "associator_defects",
     "mc_check",
     "gauge_check",
 ]
@@ -146,16 +147,26 @@ class McReport:
         return all(d.is_zero() for _, d in self.defects)
 
 
-def mc_check(R: ReductionSystem, cochain: DeformationCochain,
-             budget: int = DEFAULT_BUDGET) -> McReport:
-    """Associativity of the star product on every overlap word uvw."""
-    report = McReport()
-    for amb in overlaps(R.lhs_set()):
+def associator_defects(R: ReductionSystem, cochain: DeformationCochain,
+                       budget: int = DEFAULT_BUDGET):
+    """Yield (overlap index, word, (u*v)*w - u*(v*w)) for every overlap uvw.
+
+    The one associator kernel behind the Maurer-Cartan checks, the cocycle
+    map and the variety equations.  It is lazy, so a caller that stops at
+    the first nonzero defect does no further star products.
+    """
+    for idx, amb in enumerate(overlaps(R.lhs_set())):
         u, v, w = (Element.from_path(f) for f in amb.factors)
         left = star(star(u, v, R, cochain, budget), w, R, cochain, budget)
         right = star(u, star(v, w, R, cochain, budget), R, cochain, budget)
-        report.defects.append((amb.word, left - right))
-    return report
+        yield idx, amb.word, left - right
+
+
+def mc_check(R: ReductionSystem, cochain: DeformationCochain,
+             budget: int = DEFAULT_BUDGET) -> McReport:
+    """Associativity of the star product on every overlap word uvw."""
+    return McReport([(word, defect) for _, word, defect
+                     in associator_defects(R, cochain, budget)])
 
 
 def _t_of_element(a: Element, psi: GaugeOnArrows, R: ReductionSystem,

@@ -22,13 +22,8 @@ from .quiver_core import (
     PolyScalar,
     UsageError,
 )
-from .reduction_engine import (
-    DEFAULT_BUDGET,
-    ReductionSystem,
-    irreducible_paths,
-    overlaps,
-)
-from .star_product import DeformationCochain, star
+from .reduction_engine import DEFAULT_BUDGET, ReductionSystem, irreducible_paths
+from .star_product import DeformationCochain, associator_defects
 
 __all__ = [
     "DegreeCondition",
@@ -186,12 +181,8 @@ def mc_equations(R: ReductionSystem, cond: DegreeCondition, names=None,
                 raise UsageError(f"basis pair ({s!r}, {u!r}) violates the "
                                  "degree condition")
     cochain, _ = symbolic_cochain(R, basis, names)
-    polys: list[PolyScalar] = []
-    for amb in overlaps(R.lhs_set()):
-        u, v, w = (Element.from_path(f) for f in amb.factors)
-        left = star(star(u, v, R, cochain, budget), w, R, cochain, budget)
-        right = star(u, star(v, w, R, cochain, budget), R, cochain, budget)
-        polys.extend(c for _, c in (left - right).sorted_terms())
+    polys = [c for _, _, defect in associator_defects(R, cochain, budget)
+             for _, c in defect.sorted_terms()]
     return canonical_set(polys)
 
 
@@ -212,10 +203,5 @@ def pbw_check(R: ReductionSystem, values: dict[Path, Element],
                 raise UsageError(f"cochain value {p!r} for {s!r} violates the "
                                  "strict degree condition")
     cochain = DeformationCochain(R, values, trunc=None, formal=False)
-    for amb in overlaps(R.lhs_set()):
-        u, v, w = (Element.from_path(f) for f in amb.factors)
-        left = star(star(u, v, R, cochain, budget), w, R, cochain, budget)
-        right = star(u, star(v, w, R, cochain, budget), R, cochain, budget)
-        if not (left - right).is_zero():
-            return False
-    return True
+    return all(defect.is_zero() for _, _, defect
+               in associator_defects(R, cochain, budget))

@@ -266,6 +266,20 @@ class TestFlagValidation:
         assert code == 3
         assert last_json(out)["steps"] == 40
 
+    @pytest.mark.parametrize("args", [["graphs", "2"], ["compare"]])
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_quantize_cap_below_one_exits_2(self, deformed, args, cap):
+        code, out = run([deformed, "quantize", *args, "--cap", cap])
+        assert code == 2
+        assert last_json(out)["error"] == "--cap must be >= 1 for quantize"
+
+    def test_hh2_cap_zero_is_a_length_bound(self, tmp_path):
+        p = tmp_path / "tc.txt"
+        p.write_text(TWO_CYCLE.format(ba="t*e2"))
+        code, out = run([str(p), "hh2", "--cap", "0"])
+        assert code == 0
+        assert last_json(out)["dimension"] == 1
+
     @pytest.mark.parametrize("setting", ["set trunc abc", "set trunc -1",
                                          "set budget 0"])
     def test_bad_setting_exits_2_with_line(self, tmp_path, setting):
@@ -284,3 +298,17 @@ def test_deep_chain_ambiguities_exit_0(tmp_path):
     doc = last_json(out)
     assert doc["count"] == 1
     assert doc["words"] == ["*".join(["x"] * 1502)]
+
+
+def test_unstable_interreduction_exits_3(tmp_path, monkeypatch):
+    """Inter-reduction that does not settle is non-convergence, not usage."""
+    monkeypatch.setattr("pathalg.reduction_engine.INTERREDUCE_ROUNDS", 1)
+    p = tmp_path / "xy.txt"
+    p.write_text("vertex 0\narrow x : 0 -> 0\narrow y : 0 -> 0\norder y < x\n")
+    rels = tmp_path / "rels.txt"
+    rels.write_text("rel x*x - y*y\nrel x*x*x - y*x\n")  # x^3 reduces by x^2
+    code, out = run([str(p), "complete", str(rels)])
+    assert code == 3
+    assert "inter-reduction did not stabilize" in out
+    assert last_json(out) == {"command": "complete",
+                              "error": "completion did not converge"}
