@@ -189,7 +189,12 @@ class ElementParser:
             if not factor:
                 raise ParseError(f"empty factor in term {chunk!r}", line)
             if _RATIONAL.match(factor):
-                coeff = coeff.scale(Fraction(factor))
+                try:
+                    q = Fraction(factor)
+                except ZeroDivisionError:
+                    raise ParseError(f"zero denominator in factor {factor!r}",
+                                     line) from None
+                coeff = coeff.scale(q)
                 continue
             m = _SYMBOL.match(factor)
             if not m:
@@ -231,6 +236,13 @@ def _setting(value: str, least: int, what: str, line: int) -> int:
     if n < least:
         raise ParseError(f"{what} must be >= {least}", line)
     return n
+
+
+def _int_arg(value: str, what: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"{what} needs an integer, got {value!r}") from None
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -388,7 +400,8 @@ def _cmd_diamond(problem: ProblemFile, args, flags, report: Report):
 
 def _cmd_ambiguities(problem: ProblemFile, args, flags, report: Report):
     S = problem.system.lhs_set()
-    ambs = ambiguities_n(S, int(args[0])) if args else overlaps(S)
+    ambs = (ambiguities_n(S, _int_arg(args[0], "ambiguities n")) if args
+            else overlaps(S))
     report.say(f"count: {len(ambs)}")
     report.doc["count"] = len(ambs)
     report.doc["words"] = []
@@ -537,7 +550,8 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
     if sub == "graphs":
         if len(args) != 2:
             raise UsageError("quantize graphs takes the stratum k")
-        graphs = enumerate_graphs(int(args[1]), cap=cap)
+        graphs = enumerate_graphs(_int_arg(args[1], "quantize graphs k"),
+                                  cap=cap)
         report.say(f"count: {len(graphs)}")
         report.doc["count"] = len(graphs)
         report.doc["graphs"] = [
@@ -546,7 +560,7 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
     d = _commutator_dimension(problem)
     if sub == "jacobi":
         eta = _bivector_from_deform(problem, d)
-        result = schouten_jacobi_check(eta, problem.budget)
+        result = schouten_jacobi_check(eta)
         verdict = "pass" if result.verdict else "fail"
         report.say(f"jacobi: {verdict}")
         report.doc["verdict"] = verdict
@@ -575,8 +589,7 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
         monos = _monomials_up_to(problem.quiver, d, 2)
         for f in monos:
             for g in monos:
-                lhs = graphical_star(f, g, cochain, trunc=trunc, cap=cap,
-                                     budget=problem.budget)
+                lhs = graphical_star(f, g, cochain, trunc=trunc, cap=cap)
                 rhs = star(f, g, problem.system, cochain,
                            problem.budget).truncated(trunc)
                 if not (lhs - rhs).is_zero():
@@ -632,8 +645,16 @@ def _read_input(source: str) -> str:
         return f.read()
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a usage error, with the JSON last line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pathalg",
         description="Exact deformations of path algebras via reduction "
                     "systems.")
@@ -659,12 +680,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
+    command = None
     try:
-        flags = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_PASS
-    report = Report(flags.command)
-    try:
+        try:
+            flags = _build_parser().parse_args(argv)
+        except SystemExit:  # --help; bad arguments raise UsageError
+            return EXIT_PASS
+        command = flags.command
+        report = Report(command)
         if flags.budget is not None and flags.budget < 1:
             raise UsageError("--budget must be >= 1")
         if flags.trunc is not None and flags.trunc < 0:
@@ -675,18 +698,18 @@ def main(argv: list[str] | None = None, out=None) -> int:
         _COMMANDS[flags.command](problem, flags.args, flags, report)
     except (ParseError, UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=out)
-        print(json.dumps({"command": flags.command, "error": str(exc)},
+        print(json.dumps({"command": command, "error": str(exc)},
                          sort_keys=True), file=out)
         return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"budget exhausted after {exc.steps} reductions", file=out)
-        print(json.dumps({"command": flags.command,
+        print(json.dumps({"command": command,
                           "error": "budget exhausted",
                           "steps": exc.steps}, sort_keys=True), file=out)
         return EXIT_BUDGET
     except CompletionError as exc:
         print(f"completion did not converge: {exc}", file=out)
-        print(json.dumps({"command": flags.command,
+        print(json.dumps({"command": command,
                           "error": "completion did not converge"},
                          sort_keys=True), file=out)
         return EXIT_BUDGET

@@ -21,9 +21,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, prod
 
-from .quiver_core import Element, Path, PolyScalar, Quiver, UsageError
+from .quiver_core import Element, PolyScalar, Quiver, UsageError
 from .reduction_engine import DEFAULT_BUDGET, ReductionSystem, Rule, reduce_full
 from .star_product import DeformationCochain
 
@@ -79,28 +79,48 @@ def monomial(quiver: Quiver, exponents: dict[int, int] | tuple[int, ...],
     return Element.from_path(path, coeff)
 
 
-def _exponents(p: Path) -> dict[str, int]:
-    exps: dict[str, int] = {}
-    for a in p.arrows:
-        exps[a] = exps.get(a, 0) + 1
-    return exps
+def _exponents(a: Element, d: int) -> dict[tuple[int, ...], PolyScalar]:
+    """A polynomial in x1..xd as {exponent tuple: coefficient}."""
+    out: dict[tuple[int, ...], PolyScalar] = {}
+    for p, c in a.terms.items():
+        e = tuple(p.arrows.count(f"x{i}") for i in range(1, d + 1))
+        out[e] = out[e] + c if e in out else c
+    return out
+
+
+def _element(quiver: Quiver, a: dict[tuple[int, ...], PolyScalar]) -> Element:
+    """The normal-form element of an exponent form."""
+    return Element(quiver, {
+        quiver.path(*[f"x{i}" for i, n in enumerate(e, 1) for _ in range(n)])
+        if any(e) else quiver.trivial("0"): c for e, c in a.items()})
+
+
+def _derive(a: dict, m: tuple[int, ...]) -> dict:
+    """The divided derivative prod_i (1/m_i!) d^{m_i}/dx_i^{m_i} of a: it
+    takes x^e to prod_i C(e_i, m_i) x^(e - m), and to 0 if some m_i > e_i."""
+    out = {}
+    for e, c in a.items():
+        if all(mi <= ei for mi, ei in zip(m, e)):
+            b = prod(comb(ei, mi) for ei, mi in zip(e, m))
+            out[tuple(ei - mi for ei, mi in zip(e, m))] = c.scale(b) if b != 1 else c
+    return out
+
+
+def _exp_mul(a: dict, b: dict) -> dict:
+    """The product of two exponent forms."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return {e: c for e, c in out.items() if not c.is_zero()}
 
 
 def poly_diff(a: Element, i: int) -> Element:
     """d/dx_i of a normal-form polynomial."""
-    name = f"x{i}"
-    quiver = a.quiver
-    out = Element.zero(quiver)
-    for p, c in a.terms.items():
-        exps = _exponents(p)
-        m = exps.get(name, 0)
-        if m == 0:
-            continue
-        arrows = list(p.arrows)
-        arrows.remove(name)
-        q = quiver.path(*arrows) if arrows else quiver.trivial("0")
-        out = out + Element.from_path(q, c.scale(m))
-    return out
+    d = len(a.quiver.arrow_names())
+    m = tuple(int(n == i) for n in range(1, d + 1))  # all 0 if i is no index
+    return _element(a.quiver, _derive(_exponents(a, d), m) if any(m) else {})
 
 
 def _poly_mul(a: Element, b: Element) -> Element:
@@ -109,15 +129,8 @@ def _poly_mul(a: Element, b: Element) -> Element:
     Equivalent to multiplying in the path algebra and reducing with the
     commutator rules, but without the rewriting detour.
     """
-    quiver = a.quiver
-    terms: dict[Path, PolyScalar] = {}
-    for p, c in a.terms.items():
-        for q, e in b.terms.items():
-            arrows = sorted(p.arrows + q.arrows, key=lambda n: int(n[1:]))
-            path = quiver.path(*arrows) if arrows else quiver.trivial("0")
-            coeff = c * e
-            terms[path] = terms[path] + coeff if path in terms else coeff
-    return Element(quiver, terms)
+    d = len(a.quiver.arrow_names())
+    return _element(a.quiver, _exp_mul(_exponents(a, d), _exponents(b, d)))
 
 
 class PoissonBivector:
@@ -166,8 +179,7 @@ class JacobiReport:
         return all(v.is_zero() for _, v in self.defects)
 
 
-def schouten_jacobi_check(eta: PoissonBivector,
-                          budget: int = DEFAULT_BUDGET) -> JacobiReport:
+def schouten_jacobi_check(eta: PoissonBivector) -> JacobiReport:
     """[eta, eta] = 0: the standard trivector formula, componentwise.
 
     For each i < j < k the component is
@@ -382,146 +394,136 @@ def _history_count(k: int, out_j: tuple[int, ...], out_i: tuple[int, ...],
 # graph evaluation
 
 
-def _divided_derivative(a: Element, labels: tuple[int, ...]) -> Element:
-    """prod_i (1/m_i!) d^{m_i}/dx_i^{m_i} over the label multiset."""
-    out = a
-    mult: dict[int, int] = {}
-    for i in labels:
-        mult[i] = mult.get(i, 0) + 1
-    for i, m in sorted(mult.items()):
-        for _ in range(m):
-            out = poly_diff(out, i)
-        out = out.scale(PolyScalar.rational(Fraction(1, factorial(m))))
-    return out
+@lru_cache(maxsize=None)
+def _label_weights(graph: KGraph, d: int) -> tuple:
+    """The integer part of a graph's operator in d variables.
+
+    Items ((factors, mf, mg), weight): mf and mg count the labels on the
+    edges into f and g, ``factors`` is the sorted ((j, i), incoming label
+    counts) of the internal vertices, and the weight sums the replay
+    multiplicities over the insertion placements and the index labelings
+    (i_v < j_v at each vertex, labels weakly increasing along each incoming
+    order) with that key.  It depends on no cochain.
+    """
+    k = graph.k
+    order_map = dict(graph.orders)
+    placements = [tuple(zip(*(pair if (mask >> v) & 1 else pair[::-1]
+                              for v, pair in enumerate(graph.targets))))
+                  for mask in range(2 ** k)]
+    weights: dict = {}
+    for pairs in itertools.product(
+            itertools.combinations(range(1, d + 1), 2), repeat=k):
+        labels = tuple((j, i) for i, j in pairs)
+        for out_j, out_i in placements:
+            counts: dict[int, tuple[int, ...]] = {}
+            for n, srcs in order_map.items():
+                seq = [labels[v][0] if out_j[v] == n else labels[v][1]
+                       for v in srcs]
+                if any(x > y for x, y in zip(seq, seq[1:])):
+                    break
+                counts[n] = tuple(seq.count(i) for i in range(1, d + 1))
+            else:
+                mult = _history_count(k, out_j, out_i, graph.orders, labels)
+                if mult:
+                    none = (0,) * d
+                    key = (tuple(sorted((labels[v], counts.get(v, none))
+                                        for v in range(k))),
+                           counts.get(F_SLOT, none), counts.get(G_SLOT, none))
+                    weights[key] = weights.get(key, 0) + mult
+    return tuple(weights.items())
 
 
-def _memo_derivative(memo: dict, key, a: Element,
-                     labels: tuple[int, ...]) -> Element:
-    """_divided_derivative(a, labels), memoised in ``memo`` under (key, labels)."""
-    slot = (key, labels)
-    if slot not in memo:
-        memo[slot] = _divided_derivative(a, labels)
-    return memo[slot]
+@lru_cache(maxsize=None)
+def _stratum_weights(d: int, strata: int, cap: int) -> tuple:
+    """The tables of all graphs of strata 1..strata, summed by key (the
+    operator is linear in its rows, so the sum over the graphs is kept)."""
+    weights: dict = {}
+    for k in range(1, strata + 1):
+        for graph in enumerate_graphs(k, cap=cap):
+            for key, w in _label_weights(graph, d):
+                weights[key] = weights.get(key, 0) + w
+    return tuple(weights.items())
 
 
-def _graph_operator(graph: KGraph, cochain: DeformationCochain):
-    """The bidifferential operator of a graph, as rows (coeff, df, dg).
+def _graph_operator(weights: tuple, cochain: DeformationCochain):
+    """The operator of an integer table for a cochain, as rows (coeff, mf, mg).
 
-    Sums over the insertion placements of the graph and over all index
-    labelings (i_v < j_v at each vertex, labels weakly increasing along each
-    incoming order), weighted by the replay multiplicity.  Each row applies
-    divided derivatives with label multisets df and dg to the two factors and
-    multiplies by the polynomial coefficient.
+    ``coeff`` is an exponent form: over the keys with label counts mf and mg,
+    the sum of the weight times the product of the divided derivatives of the
+    cochain values in ``factors``, taken once per distinct factor multiset.
     """
     quiver = cochain.system.quiver
     d = len(quiver.arrow_names())
-    order_map = dict(graph.orders)
-    # derivatives of the cochain values, shared by all graphs of the cochain
-    memo = cochain.__dict__.setdefault("_value_derivatives", {})
-    placements = [(tuple(graph.targets[v][0] if (mask >> v) & 1
-                         else graph.targets[v][1] for v in range(graph.k)),
-                   tuple(graph.targets[v][1] if (mask >> v) & 1
-                         else graph.targets[v][0] for v in range(graph.k)))
-                  for mask in range(2 ** graph.k)]
-    rows: dict[tuple[tuple[int, ...], tuple[int, ...]], Element] = {}
-    for pairs in itertools.product(
-            itertools.combinations(range(1, d + 1), 2), repeat=graph.k):
-        labels = {v: (j, i) for v, (i, j) in enumerate(pairs)}
-        for out_j, out_i in placements:
-
-            def edge_label(v: int, n: int) -> int:
-                return labels[v][0] if out_j[v] == n else labels[v][1]
-
-            ok = True
-            incoming: dict[int, tuple[int, ...]] = {}
-            for n, srcs in order_map.items():
-                seq = tuple(edge_label(v, n) for v in srcs)
-                if any(x > y for x, y in zip(seq, seq[1:])):
-                    ok = False
-                    break
-                incoming[n] = seq
-            if not ok:
-                continue
-            mult = _history_count(graph.k, out_j, out_i, graph.orders,
-                                  tuple(labels[v] for v in range(graph.k)))
-            if mult == 0:
-                continue
-            coeff = Element.unit(quiver).scale(PolyScalar.rational(mult))
-            for v in range(graph.k):
-                j, i = labels[v]
-                value = cochain.value(quiver.path(f"x{j}", f"x{i}"))
-                coeff = _poly_mul(coeff, _memo_derivative(
-                    memo, (j, i), value, incoming.get(v, ())))
-                if coeff.is_zero():
-                    break
-            if coeff.is_zero():
-                continue
-            key = (incoming.get(F_SLOT, ()), incoming.get(G_SLOT, ()))
-            rows[key] = rows.get(key, Element.zero(quiver)) + coeff
-    return [(c, df, dg) for (df, dg), c in rows.items() if not c.is_zero()]
+    values = {(j, i): _exponents(cochain.value(quiver.path(f"x{j}", f"x{i}")), d)
+              for j in range(2, d + 1) for i in range(1, j)}
+    prods: dict = {(): {(0,) * d: PolyScalar.rational(1)}}
+    rows: dict = {}
+    for (factors, mf, mg), w in weights:
+        for n in range(1, len(factors) + 1):  # sorted prefixes are shared
+            if factors[:n] not in prods:
+                (ji, m), head = factors[n - 1], prods[factors[:n - 1]]
+                prods[factors[:n]] = head and _exp_mul(
+                    head, _derive(values[ji], m))
+        row = rows.setdefault((mf, mg), {})
+        for e, c in prods[factors].items():
+            row[e] = row[e] + c.scale(w) if e in row else c.scale(w)
+    return [(coeff, mf, mg) for (mf, mg), row in rows.items()
+            if (coeff := {e: c for e, c in row.items() if not c.is_zero()})]
 
 
-def _apply_operator(rows, cochain: DeformationCochain, f: Element, g: Element,
+def _apply_operator(rows, quiver: Quiver, f: Element, g: Element,
                     trunc: int | None) -> Element:
-    total = Element.zero(cochain.system.quiver)
-    memo: dict = {}  # rows repeat label multisets; f and g are fixed here
-    for coeff, df, dg in rows:
-        term = _poly_mul(coeff, _memo_derivative(memo, F_SLOT, f, df))
-        if term.is_zero():
-            continue
-        term = _poly_mul(term, _memo_derivative(memo, G_SLOT, g, dg))
-        total = total + term
-    return total.truncated(trunc)
+    d = len(quiver.arrow_names())
+    fe, ge = _exponents(f, d), _exponents(g, d)
+    df: dict = {}  # rows repeat label counts; f and g are fixed here
+    dg: dict = {}
+    total: dict = {}
+    for coeff, mf, mg in rows:
+        if mf not in df:
+            df[mf] = _derive(fe, mf)
+        if df[mf]:
+            if mg not in dg:
+                dg[mg] = _derive(ge, mg)
+            for e, c in _exp_mul(coeff, _exp_mul(df[mf], dg[mg])).items():
+                total[e] = total[e] + c if e in total else c
+    return _element(quiver, total).truncated(trunc)
+
+
+def _operator(cochain: DeformationCochain, key, weights):
+    """The operator of the table ``weights()``, cached on the cochain."""
+    cache = cochain.__dict__.setdefault("_graph_operators", {})
+    if key not in cache:
+        cache[key] = _graph_operator(weights(), cochain)
+    return cache[key]
 
 
 def eval_graph(graph: KGraph, cochain: DeformationCochain, f: Element,
-               g: Element, trunc: int | None = None,
-               budget: int = DEFAULT_BUDGET) -> Element:
+               g: Element, trunc: int | None = None) -> Element:
     """The bidifferential operator of a graph applied to (f, g)."""
-    if trunc is None:
-        trunc = cochain.trunc
-    cache = cochain.__dict__.setdefault("_graph_operators", {})
-    key = (graph.k, graph.targets, graph.orders)
-    if key not in cache:
-        cache[key] = _graph_operator(graph, cochain)
-    return _apply_operator(cache[key], cochain, f, g, trunc)
-
-
-def _star_operator(cochain: DeformationCochain, strata: int, cap: int):
-    """The rows of all graphs of strata 1..strata summed by (df, dg).
-
-    Applying an operator is linear in its rows, so one merged table gives the
-    same sum as evaluating every graph on its own.  Cached on the cochain.
-    """
-    cache = cochain.__dict__.setdefault("_star_operators", {})
-    if strata not in cache:
-        rows: dict[tuple[tuple[int, ...], tuple[int, ...]], Element] = {}
-        for k in range(1, strata + 1):
-            for graph in enumerate_graphs(k, cap=cap):
-                for coeff, df, dg in _graph_operator(graph, cochain):
-                    key = (df, dg)
-                    rows[key] = rows[key] + coeff if key in rows else coeff
-        cache[strata] = [(c, df, dg) for (df, dg), c in rows.items()
-                         if not c.is_zero()]
-    return cache[strata]
+    quiver = cochain.system.quiver
+    d = len(quiver.arrow_names())
+    rows = _operator(cochain, graph, lambda: _label_weights(graph, d))
+    return _apply_operator(rows, quiver, f, g,
+                           cochain.trunc if trunc is None else trunc)
 
 
 def graphical_star(f: Element, g: Element, cochain: DeformationCochain,
-                   trunc: int | None = None, cap: int = 4,
-                   budget: int = DEFAULT_BUDGET) -> Element:
+                   trunc: int | None = None, cap: int = 4) -> Element:
     """f * g as the graph expansion: sum over k and all graphs of stratum k.
 
     The deformation part has strictly positive parameter degree, so strata
-    beyond the truncation order cannot contribute.  The graphs are applied
-    as one merged bidifferential table (``_star_operator``).
+    beyond the truncation order cannot contribute.  The graphs of strata
+    1..min(trunc, cap) are applied as one summed table.
     """
     if trunc is None:
         trunc = cochain.trunc
     if trunc is None:
         raise UsageError("graphical_star needs a finite truncation order")
-    total = _poly_mul(f, g)
-    rows = _star_operator(cochain, min(trunc, cap), cap)
-    total = total + _apply_operator(rows, cochain, f, g, trunc)
+    quiver = cochain.system.quiver
+    d, strata = len(quiver.arrow_names()), min(trunc, cap)
+    rows = _operator(cochain, strata,
+                     lambda: _stratum_weights(d, strata, cap))
+    total = _poly_mul(f, g) + _apply_operator(rows, quiver, f, g, trunc)
     return total.truncated(trunc)
 
 
@@ -535,8 +537,7 @@ def _constant_entries(eta: PoissonBivector) -> dict[tuple[int, int], PolyScalar]
     return {ji: next(iter(v.terms.values())) for ji, v in eta.entries.items()}
 
 
-def moyal(f: Element, g: Element, eta: PoissonBivector, trunc: int = 4,
-          budget: int = DEFAULT_BUDGET) -> Element:
+def moyal(f: Element, g: Element, eta: PoissonBivector, trunc: int = 4) -> Element:
     """The Moyal product exp((hbar/2) sum eta_ji (d_j x d_i - d_i x d_j))."""
     consts = _constant_entries(eta)
     hbar_half = PolyScalar.var(HBAR, is_param=True, trunc=trunc).scale(Fraction(1, 2))
@@ -561,8 +562,7 @@ def moyal(f: Element, g: Element, eta: PoissonBivector, trunc: int = 4,
     return total.truncated(trunc)
 
 
-def gauge_phi(f: Element, eta: PoissonBivector, trunc: int = 4,
-              budget: int = DEFAULT_BUDGET) -> Element:
+def gauge_phi(f: Element, eta: PoissonBivector, trunc: int = 4) -> Element:
     """Phi(f) = exp((hbar/2) sum eta_ji d^2/dx_i dx_j)(f)."""
     consts = _constant_entries(eta)
     hbar_half = PolyScalar.var(HBAR, is_param=True, trunc=trunc).scale(Fraction(1, 2))

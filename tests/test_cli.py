@@ -290,6 +290,47 @@ class TestFlagValidation:
         assert last_json(out)["error"].startswith("line 2: ")
 
 
+class TestNumericArguments:
+    """Zero denominators and non-integer arguments are usage errors."""
+
+    def test_zero_denominator_argument_exits_2(self, comm3):
+        code, out = run([comm3, "reduce", "1/0*x1"])
+        assert code == 2
+        assert last_json(out)["error"] == "zero denominator in factor '1/0'"
+
+    @pytest.mark.parametrize("rule, deform, args, error", [
+        ("1/0*x1*x2", "hbar*e0", ["diamond"], "line 5: zero denominator in "
+         "factor '1/0'"),
+        ("x1*x2", "3/0*hbar*x1", ["quantize", "compare"], "line 6: zero "
+         "denominator in factor '3/0'")])
+    def test_zero_denominator_in_file_exits_2(self, tmp_path, rule, deform,
+                                              args, error):
+        p = tmp_path / "zero.txt"
+        p.write_text("vertex 0\narrow x1 : 0 -> 0\narrow x2 : 0 -> 0\n"
+                     f"param hbar\nrule x2*x1 -> {rule}\n"
+                     f"deform x2*x1 -> {deform}\n")
+        code, out = run([str(p), *args])
+        assert code == 2
+        assert last_json(out)["error"] == error
+
+    @pytest.mark.parametrize("args, what", [
+        (["quantize", "graphs", "abc"], "quantize graphs k"),
+        (["ambiguities", "abc"], "ambiguities n"),
+        (["ambiguities", "1.5"], "ambiguities n")])
+    def test_integer_argument_exits_2(self, comm3, args, what):
+        code, out = run([comm3, *args])
+        assert code == 2
+        value = args[-1]
+        assert last_json(out)["error"] == \
+            f"{what} needs an integer, got '{value}'"
+
+    def test_bad_command_line_keeps_json_last_line(self, comm3):
+        code, out = run([comm3, "reduce", "-1*x1"])
+        assert code == 2
+        assert last_json(out) == {"command": None, "error":
+                                  "unrecognized arguments: -1*x1"}
+
+
 def test_deep_chain_ambiguities_exit_0(tmp_path):
     p = tmp_path / "xx.txt"
     p.write_text("vertex 0\narrow x : 0 -> 0\nrule x*x -> 0\n")

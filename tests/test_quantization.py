@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pathalg.quantization import (
+    _stratum_weights,
     F_SLOT,
     G_SLOT,
     HBAR,
@@ -25,6 +26,7 @@ from pathalg.quantization import (
     schouten_jacobi_check,
 )
 from pathalg.quiver_core import Element, PolyScalar, UsageError
+from pathalg.reduction_engine import reduce_full
 from pathalg.star_product import star
 
 
@@ -217,6 +219,60 @@ class TestGraphicalStar:
                 expected = expected + eval_graph(graph, cochain, f, g)
         assert graphical_star(f, g, cochain) == expected.truncated(3)
         assert graphical_star(f, g, cochain) == star(f, g, R, cochain)
+
+
+class TestWeightTables:
+    """The graph star applies one integer table per (d, strata), shared by
+    every cochain, to f and g in exponent space."""
+
+    def _cochains(self):
+        # a d=2 cochain first, so d=2 and d=3 tables live side by side, then
+        # two different non-constant d=3 cochains
+        q2, R2 = commutator_system(2)
+        q, R = commutator_system(3)
+        lam = PolyScalar.var("lam")
+        etas = [(R2, PoissonBivector(2, {(2, 1): monomial(q2, (2, 0))})),
+                (R, PoissonBivector(3, {(3, 2): -(monomial(q, (2, 0, 0))
+                                                  + monomial(q, (0, 1, 1), lam))})),
+                (R, PoissonBivector(3, {(2, 1): monomial(q, (0, 0, 2)),
+                                        (3, 1): monomial(q, (1, 1, 0))}))]
+        return [(R, poisson_to_cochain(eta, trunc=3)) for R, eta in etas]
+
+    def _graph_sum(self, f, g, cochain):
+        total = reduce_full(f * g, cochain.system)
+        for k in (1, 2, 3):
+            for graph in enumerate_graphs(k):
+                total = total + eval_graph(graph, cochain, f, g)
+        return total
+
+    def _check(self, pairs):
+        for R, cochain in self._cochains():
+            q = R.quiver
+            d = len(q.arrows)
+            for f, g in pairs(q, d):
+                expected = star(f, g, R, cochain)
+                assert graphical_star(f, g, cochain) == expected
+                assert self._graph_sum(f, g, cochain).truncated(3) == expected
+
+    def test_cochains_share_one_table(self):
+        self._check(lambda q, d: [(monomial(q, (1,) + (2,) * (d - 1)),
+                                   monomial(q, (2,) * (d - 1) + (1,)))])
+        # fresh cochains of the same dimensions build no new table
+        misses = _stratum_weights.cache_info().misses
+        for _, cochain in self._cochains():
+            x1x2 = monomial(cochain.system.quiver, (1, 1))
+            graphical_star(x1x2, x1x2, cochain)
+        assert _stratum_weights.cache_info().misses == misses
+
+    def test_non_monomial_factors_with_parameter(self):
+        # f = x1 + hbar*x2, g = x_d^2 + 2*x1*x2: coefficients and binomials
+        # go through the exponent-space apply
+        def pairs(q, d):
+            f = monomial(q, {1: 1}) + monomial(q, {2: 1}, _hbar(3))
+            g = (monomial(q, {d: 2})
+                 + monomial(q, {1: 1, 2: 1}, PolyScalar.rational(2)))
+            return [(f, g), (g, f)]
+        self._check(pairs)
 
 
 class TestMoyalAndGauge:
