@@ -261,29 +261,49 @@ class KGraph:
                 raise UsageError(f"order at node {n} does not list its incoming edges")
         if set(order_map) != {n for n in incoming}:
             raise UsageError("orders must cover exactly the nodes with incoming edges")
-        if self._has_cycle():
+        if _has_cycle(self.targets):
             raise UsageError("graph has an oriented cycle")
-
-    def _has_cycle(self) -> bool:
-        state: dict[int, int] = {}
-
-        def visit(v: int) -> bool:
-            state[v] = 1
-            for t in self.targets[v]:
-                if t < 0:
-                    continue
-                if state.get(t) == 1 or (state.get(t) is None and visit(t)):
-                    return True
-            state[v] = 2
-            return False
-
-        return any(visit(v) for v in range(self.k) if state.get(v) is None)
 
     def order_at(self, n: int) -> tuple[int, ...]:
         return dict(self.orders).get(n, ())
 
 
-def _canonical_key(k, targets, orders):
+def _has_cycle(targets) -> bool:
+    """Whether the edges v -> targets[v] close an oriented cycle: placing,
+    round by round, every vertex whose targets are slots or placed vertices
+    then leaves some vertex unplaced."""
+    placed: set[int] = set()
+    while len(placed) < len(targets):
+        ready = {v for v, pair in enumerate(targets) if v not in placed
+                 and all(t < 0 or t in placed for t in pair)}
+        if not ready:
+            return True
+        placed |= ready
+    return False
+
+
+def _discovery_key(orders) -> tuple:
+    """A complete isomorphism key of an acyclic graph, in O(k): each node's
+    incoming order, vertices numbered as a breadth-first walk from F_SLOT,
+    then G_SLOT, meets them.  Every internal vertex reaches F or G, and the
+    ordered incoming edges leave the walk no choice."""
+    order_map = dict(orders)
+    number = {F_SLOT: F_SLOT, G_SLOT: G_SLOT}
+    queue = [F_SLOT, G_SLOT]
+    key = []
+    for n in queue:  # the queue grows while the walk runs
+        srcs = order_map.get(n, ())
+        for v in srcs:
+            if v not in number:
+                number[v] = len(queue) - 2
+                queue.append(v)
+        key.append(tuple(number[v] for v in srcs))
+    return tuple(key)
+
+
+def _canonicalize(k, targets, orders) -> KGraph:
+    """The graph relabeled to its least (targets, orders) over all k!
+    permutations."""
     best = None
     for perm in itertools.permutations(range(k)):
         relabel = {i: perm[i] for i in range(k)}
@@ -297,12 +317,7 @@ def _canonical_key(k, targets, orders):
         key = (enc_t, enc_o)
         if best is None or key < best:
             best = key
-    return best
-
-
-def _canonicalize(k, targets, orders) -> KGraph:
-    enc_t, enc_o = _canonical_key(k, targets, orders)
-    return KGraph(k=k, targets=enc_t, orders=enc_o)
+    return KGraph(k=k, targets=best[0], orders=best[1])
 
 
 def enumerate_graphs(k: int, cap: int = 4) -> list[KGraph]:
@@ -317,26 +332,26 @@ def enumerate_graphs(k: int, cap: int = 4) -> list[KGraph]:
 @lru_cache(maxsize=None)
 def _enumerate_graphs_cached(k: int) -> tuple[KGraph, ...]:
     nodes = list(range(k)) + [F_SLOT, G_SLOT]
-    seen: dict = {}
+    seen: dict = {}  # discovery key -> canonical graph
     target_choices = [list(itertools.combinations([n for n in nodes if n != v], 2))
                       for v in range(k)]
     for combo in itertools.product(*target_choices):
         targets = tuple(tuple(sorted(pair)) for pair in combo)
+        if _has_cycle(targets):
+            continue
         incoming: dict[int, list[int]] = {}
         for v, pair in enumerate(targets):
             for t in pair:
                 incoming.setdefault(t, []).append(v)
-        try:
-            order_space = [
-                [(n, perm) for perm in itertools.permutations(srcs)]
-                for n, srcs in sorted(incoming.items())
-            ]
-            for orders in itertools.product(*order_space):
-                graph = _canonicalize(k, targets, tuple(orders))
-                seen.setdefault((graph.targets, graph.orders), graph)
-        except UsageError:
-            continue
-    return tuple(seen[key] for key in sorted(seen))
+        order_space = [
+            [(n, perm) for perm in itertools.permutations(srcs)]
+            for n, srcs in sorted(incoming.items())
+        ]
+        for orders in itertools.product(*order_space):
+            key = _discovery_key(orders)
+            if key not in seen:  # one k! canonical form per class
+                seen[key] = _canonicalize(k, targets, orders)
+    return tuple(sorted(seen.values(), key=lambda g: (g.targets, g.orders)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +449,12 @@ def _label_weights(graph: KGraph, d: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _stratum_weights(d: int, strata: int, cap: int) -> tuple:
+def _stratum_weights(d: int, strata: int) -> tuple:
     """The tables of all graphs of strata 1..strata, summed by key (the
     operator is linear in its rows, so the sum over the graphs is kept)."""
     weights: dict = {}
     for k in range(1, strata + 1):
-        for graph in enumerate_graphs(k, cap=cap):
+        for graph in enumerate_graphs(k, cap=strata):
             for key, w in _label_weights(graph, d):
                 weights[key] = weights.get(key, 0) + w
     return tuple(weights.items())
@@ -521,8 +536,7 @@ def graphical_star(f: Element, g: Element, cochain: DeformationCochain,
         raise UsageError("graphical_star needs a finite truncation order")
     quiver = cochain.system.quiver
     d, strata = len(quiver.arrow_names()), min(trunc, cap)
-    rows = _operator(cochain, strata,
-                     lambda: _stratum_weights(d, strata, cap))
+    rows = _operator(cochain, strata, lambda: _stratum_weights(d, strata))
     total = _poly_mul(f, g) + _apply_operator(rows, quiver, f, g, trunc)
     return total.truncated(trunc)
 

@@ -467,9 +467,6 @@ class Element:
     def truncated(self, n: int | None) -> "Element":
         return Element(self.quiver, {p: c.truncated(n) for p, c in self.terms.items()})
 
-    def substitute(self, values: Mapping[str, PolyScalar]) -> "Element":
-        return Element(self.quiver, {p: c.substitute(values) for p, c in self.terms.items()})
-
     def coefficient_of(self, name: str, power: int) -> "Element":
         return Element(self.quiver, {p: c.coefficient_of(name, power) for p, c in self.terms.items()})
 

@@ -373,14 +373,18 @@ def irreducible_paths(S: list[Path], quiver: Quiver, max_len: int | None = None,
 
     Every subpath of an irreducible path is irreducible, so the enumeration
     stops as soon as some length has no irreducible paths.  An unbounded
-    request on a system with infinitely many irreducibles hits the safety cap
-    and raises a usage error.
+    request on an infinite basis raises a usage error once an irreducible
+    path of length L-1+V exists (L the longest left side, V the number of
+    irreducible paths of length L-1): the last L-1 arrows decide which arrow
+    may follow, so such a path repeats a state and can be pumped.
     """
     if max_len is not None and max_len < 0:
         raise UsageError("max_len must be >= 0")
     out: list[Path] = list(quiver.idempotents())
     layer: list[Path] = list(out)
     length = 0
+    span = max([len(s) for s in S] + [1]) - 1
+    states = len(layer) if span == 0 else None
     while max_len is None or length < max_len:
         nxt = []
         for p in layer:
@@ -393,7 +397,10 @@ def irreducible_paths(S: list[Path], quiver: Quiver, max_len: int | None = None,
         out.extend(nxt)
         layer = nxt
         length += 1
-        if max_len is None and len(out) > safety_cap:
+        if length == span:
+            states = len(layer)
+        if max_len is None and (len(out) > safety_cap or (
+                states is not None and length >= span + states)):
             raise UsageError("cannot certify a finite irreducible basis; pass max_len")
     out.sort(key=lambda p: p.sort_key())
     return out

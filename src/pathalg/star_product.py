@@ -1,10 +1,11 @@
 """The combinatorial star product, Maurer-Cartan checks and gauge verification.
 
 The star product of two normal forms is computed by multiplying them in the
-path algebra and rewriting with the deformed rules s -> phi_s + z*phitilde_s,
-where z is an internal bookkeeping symbol counting how often the deformation
-part was used.  Setting z = 1 gives the full product; the coefficient of z^k
-is the k-th stratum.
+path algebra and rewriting with the deformed rules s -> phi_s + phitilde_s.
+The strata are read off a second system s -> phi_s + z*phitilde_s, built only
+when ``star_k`` asks for it, where z is an internal bookkeeping symbol
+counting how often the deformation part was used: the coefficient of z^k is
+the k-th stratum, and setting z = 1 gives the full product.
 """
 
 from __future__ import annotations
@@ -71,15 +72,17 @@ class DeformationCochain:
         if formal and trunc is None:
             raise UsageError("formal deformations need a finite truncation order")
         self._deformed = self._build_deformed()
+        self._tagged: ReductionSystem | None = None  # built by star_k
 
     def value(self, s: Path) -> Element:
         return self.values.get(s, Element.zero(self.system.quiver))
 
-    def _build_deformed(self) -> ReductionSystem:
-        z = PolyScalar.var(Z_SYMBOL)
+    def _build_deformed(self, tag: PolyScalar | None = None) -> ReductionSystem:
+        """The rules s -> phi_s + phitilde_s, each value scaled by ``tag`` if given."""
         rules = []
         for rule in self.system.rules:
-            rhs = rule.rhs + self.value(rule.lhs).scale(z)
+            value = self.value(rule.lhs)
+            rhs = rule.rhs + (value if tag is None else value.scale(tag))
             rules.append(Rule(rule.lhs, rhs.truncated(self.trunc)))
         return ReductionSystem(self.system.quiver, rules)
 
@@ -114,18 +117,13 @@ class GaugeOnArrows:
         return Element.from_path(x) + self.values.get(x, Element.zero(self.system.quiver))
 
 
-def _strip_z(a: Element) -> Element:
-    return a.substitute({Z_SYMBOL: PolyScalar.rational(1)})
-
-
 def star(a: Element, b: Element, R: ReductionSystem, cochain: DeformationCochain,
          budget: int = DEFAULT_BUDGET) -> Element:
     """a * b followed by deformed reduction to normal form, all strata summed."""
     if cochain.system is not R and cochain.system.by_lhs.keys() != R.by_lhs.keys():
         raise UsageError("cochain does not belong to this reduction system")
     prod = (a * b).truncated(cochain.trunc)
-    red = reduce_full(prod, cochain._deformed, budget)
-    return _strip_z(red).truncated(cochain.trunc)
+    return reduce_full(prod, cochain._deformed, budget).truncated(cochain.trunc)
 
 
 def star_k(a: Element, b: Element, R: ReductionSystem, cochain: DeformationCochain,
@@ -133,8 +131,10 @@ def star_k(a: Element, b: Element, R: ReductionSystem, cochain: DeformationCocha
     """The stratum of the star product using the deformation part exactly k times."""
     if k < 0:
         raise UsageError("k must be >= 0")
+    if cochain._tagged is None:
+        cochain._tagged = cochain._build_deformed(PolyScalar.var(Z_SYMBOL))
     prod = (a * b).truncated(cochain.trunc)
-    red = reduce_full(prod, cochain._deformed, budget)
+    red = reduce_full(prod, cochain._tagged, budget)
     return red.coefficient_of(Z_SYMBOL, k).truncated(cochain.trunc)
 
 
@@ -202,7 +202,7 @@ def gauge_check(psi: GaugeOnArrows, R: ReductionSystem,
         prod = psi.t_of_arrow(s.subword(0, 1))
         for i in range(1, len(s)):
             prod = prod * psi.t_of_arrow(s.subword(i, i + 1))
-        red = _strip_z(reduce_full(prod.truncated(trunc), cochain._deformed, budget))
+        red = reduce_full(prod.truncated(trunc), cochain._deformed, budget)
         if not (lhs - red).truncated(trunc).is_zero():
             return False
     return True

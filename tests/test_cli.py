@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
@@ -329,6 +330,20 @@ class TestNumericArguments:
         assert code == 2
         assert last_json(out) == {"command": None, "error":
                                   "unrecognized arguments: -1*x1"}
+
+
+@pytest.mark.parametrize("command", ["irr", "hh2"])
+def test_infinite_basis_exits_2_at_once(tmp_path, command):
+    # the commutator algebra in 2 variables has infinitely many irreducible
+    # paths; without --max-len / --cap it is rejected without listing them
+    p = tmp_path / "comm2.txt"
+    p.write_text("vertex 0\narrow x1 : 0 -> 0\narrow x2 : 0 -> 0\n"
+                 "rule x2*x1 -> x1*x2\n")
+    start = time.perf_counter()
+    code, out = run([str(p), command])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "finite irreducible basis" in last_json(out)["error"]
 
 
 def test_deep_chain_ambiguities_exit_0(tmp_path):

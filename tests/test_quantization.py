@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,57 @@ class TestGraphEnumeration:
             assert all(len(pair) == 2 for pair in g.targets)
 
 
+def _min_permutation_form(k, targets, orders):
+    """Reference: the least relabeled (targets, orders) over all k! relabelings."""
+    best = None
+    for perm in itertools.permutations(range(k)):
+        relabel = dict(enumerate(perm)) | {F_SLOT: F_SLOT, G_SLOT: G_SLOT}
+        enc_t = tuple(pair for _, pair in sorted(
+            (relabel[v], tuple(sorted((relabel[a], relabel[b]))))
+            for v, (a, b) in enumerate(targets)))
+        enc_o = tuple(sorted((relabel[n], tuple(relabel[s] for s in srcs))
+                             for n, srcs in orders))
+        best = min(best or (enc_t, enc_o), (enc_t, enc_o))
+    return best
+
+
+def _brute_force_graphs(k):
+    """Reference: every acyclic candidate, deduplicated by its k! min form."""
+    nodes = list(range(k)) + [F_SLOT, G_SLOT]
+    forms = set()
+    for combo in itertools.product(*[
+            itertools.combinations([n for n in nodes if n != v], 2)
+            for v in range(k)]):
+        incoming = {}
+        for v, pair in enumerate(combo):
+            for t in pair:
+                incoming.setdefault(t, []).append(v)
+        for orders in itertools.product(*[
+                [(n, perm) for perm in itertools.permutations(srcs)]
+                for n, srcs in sorted(incoming.items())]):
+            try:
+                KGraph(k, combo, orders)
+            except UsageError:  # an oriented cycle
+                continue
+            forms.add(_min_permutation_form(k, combo, orders))
+    return sorted(forms)
+
+
+class TestGraphEnumerationReference:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_brute_force(self, k):
+        assert [(g.targets, g.orders) for g in enumerate_graphs(k)] == \
+            _brute_force_graphs(k)
+
+    def test_stratum_four(self):
+        graphs = enumerate_graphs(4)
+        assert len(graphs) == 1754
+        assert len({(g.targets, g.orders) for g in graphs}) == 1754
+        for g in graphs:
+            assert _min_permutation_form(4, g.targets, g.orders) == \
+                (g.targets, g.orders)
+
+
 class TestKGraphValidation:
     def test_loop_rejected(self):
         with pytest.raises(UsageError):
@@ -262,6 +314,17 @@ class TestWeightTables:
         for _, cochain in self._cochains():
             x1x2 = monomial(cochain.system.quiver, (1, 1))
             graphical_star(x1x2, x1x2, cochain)
+        assert _stratum_weights.cache_info().misses == misses
+
+    def test_cap_above_strata_builds_no_table(self):
+        # strata = min(trunc, cap) is 3 for every cap >= 3 at trunc 3
+        _, cochain = self._cochains()[1]
+        x1x2 = monomial(cochain.system.quiver, (1, 1))
+        expected = graphical_star(x1x2, x1x2, cochain)
+        misses = _stratum_weights.cache_info().misses
+        for cap in (4, 5, 7):
+            _, fresh = self._cochains()[1]
+            assert graphical_star(x1x2, x1x2, fresh, cap=cap) == expected
         assert _stratum_weights.cache_info().misses == misses
 
     def test_non_monomial_factors_with_parameter(self):

@@ -115,6 +115,24 @@ class TestIrreducible:
         with pytest.raises(UsageError):
             irreducible_paths(R.lhs_set(), q, safety_cap=100)
 
+    def test_infinite_basis_raises_before_the_safety_cap(self, commutator2):
+        # L = 2 and 2 irreducible arrows: a length-3 irreducible path repeats
+        # a state, long before the default safety cap
+        q, R = commutator2
+        with pytest.raises(UsageError):
+            irreducible_paths(R.lhs_set(), q, safety_cap=10 ** 9)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_finite_bases_at_the_pumping_length(self, n):
+        # x^n -> 0: the longest irreducible path x^(n-1) is one short of it
+        q = Quiver(["0"], [("x", "0", "0")])
+        R = ReductionSystem(q, [Rule(q.path(*["x"] * n), Element.zero(q))])
+        assert len(irreducible_paths(R.lhs_set(), q)) == n
+        # no rules on the linear quiver 1 -> ... -> n: paths of length < n
+        q = Quiver([str(i) for i in range(1, n + 1)],
+                   [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)])
+        assert len(irreducible_paths([], q)) == n * (n + 1) // 2
+
     def test_max_len_bound(self, commutator2):
         q, R = commutator2
         paths = irreducible_paths(R.lhs_set(), q, max_len=2)

@@ -7,9 +7,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pathalg.quiver_core import Element, Path, PolyScalar, UsageError
-from pathalg.reduction_engine import BudgetExceeded, irreducible_paths, reduce_full
+from conftest import make_brauer
+from pathalg.quantization import commutator_system
+from pathalg.quiver_core import Element, Path, PolyScalar, Quiver, UsageError
+from pathalg.reduction_engine import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    ReductionSystem,
+    Rule,
+    irreducible_paths,
+    reduce_full,
+)
 from pathalg.star_product import (
     DeformationCochain,
     GaugeOnArrows,
@@ -19,6 +29,8 @@ from pathalg.star_product import (
     star,
     star_k,
 )
+from pathalg.variety import STRICT, cochain_basis, symbolic_cochain
+from test_reduce_order import _walk
 
 
 def _t(trunc=4):
@@ -194,3 +206,142 @@ class TestNonFormal:
         x = Element.from_path(q.path("x"))
         y1z = Element.from_path(q.path("y1", "z"))
         assert star(x, y1z, R0, coc).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# star on the untagged deformed system against the z-tagged reference
+
+
+def _tagged_system(R, cochain):
+    """Reference: the rules s -> phi_s + z*phitilde_s, z counting strata."""
+    z = PolyScalar.var(Z_SYMBOL)
+    return ReductionSystem(R.quiver, [
+        Rule(rule.lhs, (rule.rhs + cochain.value(rule.lhs).scale(z))
+             .truncated(cochain.trunc)) for rule in R.rules])
+
+
+def _set_z_to_one(a):
+    one = {Z_SYMBOL: PolyScalar.rational(1)}
+    return Element(a.quiver, {p: c.substitute(one) for p, c in a.terms.items()})
+
+
+def reference_star(a, b, R, cochain, budget=DEFAULT_BUDGET):
+    """Reduce a*b on the z-tagged system, then set z = 1."""
+    red = reduce_full((a * b).truncated(cochain.trunc),
+                      _tagged_system(R, cochain), budget)
+    return _set_z_to_one(red).truncated(cochain.trunc)
+
+
+def reference_gauge_check(psi, R, cochain, cochain_prime):
+    """gauge_check with every product taken by the tagged reference."""
+    trunc = cochain.trunc
+
+    def t_of(a):
+        out = Element.zero(a.quiver)
+        for p, c in a.terms.items():
+            if p.is_trivial:
+                term = Element.from_path(p)
+            else:
+                term = psi.t_of_arrow(p.subword(0, 1))
+                for i in range(1, len(p)):
+                    term = reference_star(
+                        term, psi.t_of_arrow(p.subword(i, i + 1)), R, cochain)
+            out = out + term.scale(c)
+        return out.truncated(trunc)
+
+    for rule in R.rules:
+        s = rule.lhs
+        lhs = t_of(rule.rhs + cochain_prime.value(s))
+        prod = psi.t_of_arrow(s.subword(0, 1))
+        for i in range(1, len(s)):
+            prod = prod * psi.t_of_arrow(s.subword(i, i + 1))
+        red = _set_z_to_one(reduce_full(prod.truncated(trunc),
+                                        _tagged_system(R, cochain)))
+        if not (lhs - red).truncated(trunc).is_zero():
+            return False
+    return True
+
+
+def _deformed_commutator(d, trunc=3):
+    """k[x1..xd] with phitilde(x_j x_i) = hbar*(x1^2 + (j-i)*x_i) - 2*hbar^2*x_i^2."""
+    q, R = commutator_system(d)
+    h = PolyScalar.var("hbar", is_param=True, trunc=trunc)
+    values = {}
+    for j in range(2, d + 1):
+        for i in range(1, j):
+            values[q.path(f"x{j}", f"x{i}")] = (
+                Element.from_path(q.path("x1", "x1"), h)
+                + Element.from_path(q.path(f"x{i}"), h.scale(j - i))
+                + Element.from_path(q.path(f"x{i}", f"x{i}"), h * h.scale(-2)))
+    return q, R, DeformationCochain(R, values, trunc=trunc), "hbar"
+
+
+def _brauer_generic(n=5):
+    """A Brauer zigzag algebra with one unknown per strictly shorter target."""
+    q, R = make_brauer(n)
+    cochain, _ = symbolic_cochain(R, cochain_basis(R, STRICT))
+    return q, R, cochain, None
+
+
+def _formal_lam_mu(trunc=8):
+    """x y1 -> lam x y2, y2 z -> mu y1 z on the 4-vertex quiver (formal)."""
+    q = Quiver(["1", "2", "3", "4"],
+               [("x", "1", "2"), ("y1", "2", "3"), ("y2", "2", "3"),
+                ("z", "3", "4"), ("w", "2", "4")])
+    R = ReductionSystem(q, [Rule(q.path("x", "y1"), Element.zero(q)),
+                            Rule(q.path("y2", "z"), Element.zero(q))])
+    lam = PolyScalar.var("lam", is_param=True, trunc=trunc)
+    mu = PolyScalar.var("mu", is_param=True, trunc=trunc)
+    values = {q.path("x", "y1"): Element.from_path(q.path("x", "y2"), lam),
+              q.path("y2", "z"): Element.from_path(q.path("y1", "z"), mu)}
+    return q, R, DeformationCochain(R, values, trunc=trunc), "lam"
+
+
+DEFORMED = {
+    "commutator-2": _deformed_commutator(2),
+    "commutator-3": _deformed_commutator(3),
+    "brauer-5-generic": _brauer_generic(),
+    "formal-lam-mu": _formal_lam_mu(),
+}
+
+
+def _element(q, param, terms):
+    a = Element.zero(q)
+    for start, choices, c, pdeg in terms:
+        coeff = PolyScalar.rational(c)
+        if param is not None:
+            for _ in range(pdeg):
+                coeff = coeff * PolyScalar.var(param, is_param=True)
+        a = a + Element.from_path(_walk(q, start, choices), coeff)
+    return a
+
+
+_terms = st.lists(
+    st.tuples(st.integers(0, 5), st.lists(st.integers(0, 3), max_size=4),
+              st.sampled_from([-2, -1, 1, 3]), st.integers(0, 2)),
+    min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("name", sorted(DEFORMED))
+@settings(max_examples=40, deadline=None)
+@given(left=_terms, right=_terms)
+def test_star_matches_tagged_reference(name, left, right):
+    q, R, cochain, param = DEFORMED[name]
+    a, b = _element(q, param, left), _element(q, param, right)
+    assert star(a, b, R, cochain) == reference_star(a, b, R, cochain)
+
+
+def test_gauge_verdicts_match_reference(deformed_two_cycle):
+    q, R, coc = deformed_two_cycle
+    t = _t()
+    scaled = {q.path("a"): Element.from_path(q.path("a"), t)}
+    # T(a) = (1+t)*a carries phitilde' = (t+t^2)*e onto phitilde = t*e
+    primed = DeformationCochain(R, {
+        q.path("a", "b"): Element.from_path(Path(q, vertex="1"), t + t * t),
+        q.path("b", "a"): Element.from_path(Path(q, vertex="2"), t + t * t)},
+        trunc=coc.trunc)
+    for values, cochain_prime, verdict in [({}, coc, True), (scaled, coc, False),
+                                           (scaled, primed, True)]:
+        psi = GaugeOnArrows(R, values, trunc=coc.trunc)
+        assert gauge_check(psi, R, coc, cochain_prime) is verdict
+        assert reference_gauge_check(psi, R, coc, cochain_prime) is verdict
