@@ -255,8 +255,9 @@ def hh2(R: ReductionSystem, bound: int | None = None,
     """
     cocycles = cocycle_space(R, bound, budget)
     coboundaries = coboundary_space(R, bound, budget)
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cocycles.matrix]
     for vec in coboundaries.image:
-        if any(sum(a * b for a, b in zip(row, vec)) for row in cocycles.matrix):
+        if any(sum(a * vec[j] for j, a in row if vec[j]) for row in rows):
             raise RuntimeError("coboundary is not a cocycle: d^2 != 0 at first order")
     dim = len(cocycles.kernel) - len(coboundaries.image)
     span = Echelon(coboundaries.image)

@@ -9,6 +9,7 @@ which never get truncated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -186,6 +187,11 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted((n, e) for n, e in d.items() if e))
 
 
+def _mono_deg(m: Mono, params: frozenset[str]) -> int:
+    """Total degree of m in the given parameters."""
+    return sum(e for n, e in m if n in params)
+
+
 def _mono_key(m: Mono):
     return (sum(e for _, e in m), m)
 
@@ -208,7 +214,7 @@ class PolyScalar:
             c = Fraction(c)
             if c == 0:
                 continue
-            if trunc is not None and self._pdeg(m) > trunc:
+            if trunc is not None and _mono_deg(m, self.params) > trunc:
                 continue
             clean[m] = c
         self.terms = clean
@@ -218,25 +224,27 @@ class PolyScalar:
                params: frozenset[str]) -> "PolyScalar":
         """Construct from Fraction coefficients without re-wrapping them.
 
-        Only zero coefficients and monomials over the truncation are dropped;
-        callers guarantee Fraction coefficients and a frozenset of params.
+        Only zero coefficients are dropped; callers guarantee Fraction
+        coefficients, a frozenset of params and no monomial over the truncation.
         """
         ps = object.__new__(cls)
         ps.trunc = trunc
         ps.params = params
-        if trunc is None:
-            ps.terms = {m: c for m, c in terms.items() if c}
-        else:
-            ps.terms = {m: c for m, c in terms.items() if c and ps._pdeg(m) <= trunc}
+        ps.terms = {m: c for m, c in terms.items() if c}
         return ps
 
-    def _pdeg(self, m: Mono) -> int:
-        return sum(e for n, e in m if n in self.params)
+    @classmethod
+    def _cut(cls, terms: dict[Mono, Fraction], trunc: int | None,
+             params: frozenset[str]) -> "PolyScalar":
+        """``_exact`` for terms that may lie over the truncation: drops them."""
+        if trunc is not None:
+            terms = {m: c for m, c in terms.items() if _mono_deg(m, params) <= trunc}
+        return cls._exact(terms, trunc, params)
 
     # -- constructors -----------------------------------------------------
     @staticmethod
     def rational(q, trunc: int | None = None, params: frozenset[str] = frozenset()) -> "PolyScalar":
-        return PolyScalar._exact({_ONE: Fraction(q)}, trunc, frozenset(params))
+        return PolyScalar._cut({_ONE: Fraction(q)}, trunc, frozenset(params))
 
     @staticmethod
     def zero(trunc: int | None = None, params: frozenset[str] = frozenset()) -> "PolyScalar":
@@ -264,11 +272,12 @@ class PolyScalar:
 
     def param_degree(self, m: Mono | None = None) -> int:
         if m is not None:
-            return self._pdeg(m)
-        return max((self._pdeg(m) for m in self.terms), default=0)
+            return _mono_deg(m, self.params)
+        return max((_mono_deg(m, self.params) for m in self.terms), default=0)
 
     def min_param_degree(self) -> int:
-        return min((self._pdeg(m) for m in self.terms), default=0)
+        ps = self.params
+        return min((_mono_deg(m, ps) for m in self.terms), default=0) if ps else 0
 
     def symbols(self) -> set[str]:
         return {n for m in self.terms for n, _ in m}
@@ -288,7 +297,7 @@ class PolyScalar:
         d = dict(self.terms)
         for m, c in other.terms.items():
             d[m] = d[m] + c if m in d else c
-        return PolyScalar._exact(d, tr, ps)
+        return PolyScalar._cut(d, tr, ps)
 
     def __sub__(self, other: "PolyScalar") -> "PolyScalar":
         return self + (-other)
@@ -298,9 +307,18 @@ class PolyScalar:
 
     def __mul__(self, other: "PolyScalar") -> "PolyScalar":
         tr, ps = self._merge_meta(other)
+        if tr is not None:
+            # pair two monomials only if their parameter degrees, counted with
+            # the merged params, sum to at most the truncation
+            graded = [(_mono_deg(m, ps), m, c) for m, c in other.terms.items()]
         d: dict[Mono, Fraction] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            if tr is None:
+                partners = other.terms.items()
+            else:
+                room = tr - _mono_deg(m1, ps)
+                partners = [(m2, c2) for k, m2, c2 in graded if k <= room]
+            for m2, c2 in partners:
                 m = _mono_mul(m1, m2)
                 c = c1 * c2
                 d[m] = d[m] + c if m in d else c
@@ -318,8 +336,9 @@ class PolyScalar:
 
     # -- extraction / substitution ----------------------------------------
     def truncated(self, n: int | None) -> "PolyScalar":
-        return PolyScalar(self.terms, n if self.trunc is None else
-                          (n if n is not None and n < self.trunc else self.trunc), self.params)
+        return PolyScalar._cut(self.terms, n if self.trunc is None else
+                               (n if n is not None and n < self.trunc else self.trunc),
+                               self.params)
 
     def coefficient_of(self, name: str, power: int) -> "PolyScalar":
         """The coefficient of name**power (the symbol is removed)."""
@@ -366,6 +385,13 @@ class PolyScalar:
         for s in bits[1:]:
             out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
         return out
+
+
+def _grade(c: PolyScalar) -> tuple[int, float]:
+    """(lowest parameter degree, truncation minus it): a factor whose lowest
+    degree exceeds the second entry multiplies ``c`` to zero."""
+    low = c.min_param_degree()
+    return low, math.inf if c.trunc is None else c.trunc - low
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +470,15 @@ class Element:
     def __mul__(self, other: "Element") -> "Element":
         if self.quiver is not other.quiver:
             raise UsageError("elements from different quivers")
+        # skip a pair whose lowest parameter degrees (each counted with its own
+        # params) already sum over either truncation: its product is zero
+        right = [(q, cq, *_grade(cq)) for q, cq in other.terms.items()]
         d: dict[Path, PolyScalar] = {}
         for p, cp in self.terms.items():
-            for q, cq in other.terms.items():
+            lp, rp = _grade(cp)
+            for q, cq, lq, rq in right:
+                if lq > rp or lp > rq:
+                    continue
                 pq = compose(p, q)
                 if pq is None:
                     continue

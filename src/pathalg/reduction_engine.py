@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -132,6 +133,10 @@ class ReductionSystem:
             if rule.lhs in self.by_lhs:
                 raise UsageError(f"duplicate rule for {rule.lhs!r}")
             self.by_lhs[rule.lhs] = rule
+        # each right side as (lowest parameter degree, path, coefficient) terms
+        # sorted by degree, so that rewriting stops before a term over the trunc
+        self.graded = {r.lhs: sorted(((c.min_param_degree(), p, c) for p, c in r.rhs.terms.items()),
+                                     key=lambda term: term[0]) for r in self.rules}
         if validate:
             words = [r.lhs.arrows for r in self.rules]
             for i, w in enumerate(words):
@@ -184,14 +189,19 @@ def rightmost_split(p: Path, S: list[Path]) -> SplitResult | None:
     return SplitResult(q, s, r)
 
 
-def _replacement_terms(quiver, split: SplitResult, rhs: Element, c: PolyScalar):
+def _replacement_terms(quiver, split: SplitResult, rhs: list, c: PolyScalar):
     """Terms of q * rhs * r scaled by c, built by direct concatenation.
 
-    The factors are composable by construction (every rhs term is parallel to
+    ``rhs`` is graded (``ReductionSystem.graded``): the walk stops at the
+    first term whose lowest parameter degree exceeds c.trunc - low(c).  The
+    factors are composable by construction (every rhs term is parallel to
     the reducible word it replaces), so validation is skipped.
     """
+    room = math.inf if c.trunc is None else c.trunc - c.min_param_degree()
     q, r = split.q, split.r
-    for m, cm in rhs.terms.items():
+    for low, m, cm in rhs:
+        if low > room:
+            break
         coeff = cm * c
         if coeff.is_zero():
             continue
@@ -211,8 +221,7 @@ def reduce_step(a: Element, R: ReductionSystem) -> Element:
         if split is None:
             items = [(p, c)]
         else:
-            rhs = R.by_lhs[split.s].rhs
-            items = _replacement_terms(a.quiver, split, rhs, c)
+            items = _replacement_terms(a.quiver, split, R.graded[split.s], c)
         for q, cq in items:
             if q in out:
                 cq = out[q] + cq
@@ -276,8 +285,7 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET) ->
             rest = {w: cw for w, (cw, _) in pending.items()}
             partial = Element(quiver, done) + Element(quiver, rest) + Element(quiver, {p: c})
             raise BudgetExceeded(partial, steps - 1, p, split.s)
-        rhs = R.by_lhs[split.s].rhs
-        for q, cq in _replacement_terms(quiver, split, rhs, c):
+        for q, cq in _replacement_terms(quiver, split, R.graded[split.s], c):
             add(q, cq)
     return Element(quiver, done)
 

@@ -83,7 +83,7 @@ class DeformationCochain:
         for rule in self.system.rules:
             value = self.value(rule.lhs)
             rhs = rule.rhs + (value if tag is None else value.scale(tag))
-            rules.append(Rule(rule.lhs, rhs.truncated(self.trunc)))
+            rules.append(Rule(rule.lhs, rhs))
         return ReductionSystem(self.system.quiver, rules)
 
     def __repr__(self):
@@ -123,7 +123,7 @@ def star(a: Element, b: Element, R: ReductionSystem, cochain: DeformationCochain
     if cochain.system is not R and cochain.system.by_lhs.keys() != R.by_lhs.keys():
         raise UsageError("cochain does not belong to this reduction system")
     prod = (a * b).truncated(cochain.trunc)
-    return reduce_full(prod, cochain._deformed, budget).truncated(cochain.trunc)
+    return reduce_full(prod, cochain._deformed, budget)
 
 
 def star_k(a: Element, b: Element, R: ReductionSystem, cochain: DeformationCochain,

@@ -99,7 +99,7 @@ class TestHh2:
 
 
 class TestHkrOracle:
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_commutator_dimension(self, d, n):
         """HKR: HH^2(k[x1..xd]) in cochain lengths <= n is the bivectors

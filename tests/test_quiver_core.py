@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pathalg.quiver_core import (
     AdmissibleOrder,
@@ -194,3 +194,83 @@ def test_order_is_well_founded_below_length(w):
     # deglex: strictly smaller paths never have greater length
     p = _Q.path(*w) if w else Path(_Q, vertex="0")
     assert not _ORDER.less(p, Path(_Q, vertex="0")) or len(p) == 0
+
+
+# -- graded products against form-everything-then-truncate ----------------
+
+_SYMBOLS = ("t", "h", "lam", "mu")
+_CYCLE = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+_CYCLE_PATHS = [Path(_CYCLE, vertex="1"), Path(_CYCLE, vertex="2"),
+                _CYCLE.path("a"), _CYCLE.path("b"), _CYCLE.path("a", "b"),
+                _CYCLE.path("b", "a"), _CYCLE.path("a", "b", "a")]
+
+
+def _reference_mul(a: PolyScalar, b: PolyScalar) -> dict:
+    """Every monomial pair formed, then the terms over the merged
+    truncation (degrees counted with the merged params) dropped."""
+    truncs = [t for t in (a.trunc, b.trunc) if t is not None]
+    trunc = min(truncs) if truncs else None
+    params = a.params | b.params
+    d: dict = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            exps = dict(m1)
+            for n, e in m2:
+                exps[n] = exps.get(n, 0) + e
+            m = tuple(sorted(exps.items()))
+            d[m] = d.get(m, 0) + c1 * c2
+    return {m: c for m, c in d.items() if c and (
+        trunc is None or sum(e for n, e in m if n in params) <= trunc)}
+
+
+monomial = st.lists(st.integers(0, 3), min_size=4, max_size=4).map(
+    lambda exps: tuple(sorted((n, e) for n, e in zip(_SYMBOLS, exps) if e)))
+coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# one truncation order and one set of params per side, as for the
+# coefficients of one computation; either may differ between the sides
+side = st.tuples(st.one_of(st.none(), st.integers(0, 3)),
+                 st.frozensets(st.sampled_from(["t", "h"])))
+
+
+@st.composite
+def _poly(draw, meta):
+    trunc, params = meta
+    terms = draw(st.dictionaries(monomial, coefficient, max_size=4))
+    return PolyScalar(terms, trunc, params)
+
+
+@st.composite
+def _element(draw, meta):
+    paths = draw(st.lists(st.sampled_from(_CYCLE_PATHS), max_size=4, unique=True))
+    return Element(_CYCLE, {p: draw(_poly(meta)) for p in paths})
+
+
+def _pair(operand):
+    """Two operands, each drawn with its own side's trunc and params."""
+    return st.tuples(side, side).flatmap(
+        lambda metas: st.tuples(operand(metas[0]), operand(metas[1])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pair(_poly))
+def test_graded_scalar_product_matches_reference(pair):
+    a, b = pair
+    assert (a * b).terms == _reference_mul(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pair(_element))
+def test_graded_element_product_matches_reference(pair):
+    a, b = pair
+    want: dict = {}
+    for p, cp in a.terms.items():
+        for q, cq in b.terms.items():
+            pq = compose(p, q)
+            if pq is None:
+                continue
+            acc = want.setdefault(pq, {})
+            for m, c in _reference_mul(cp, cq).items():
+                acc[m] = acc.get(m, 0) + c
+    want = {p: {m: c for m, c in d.items() if c} for p, d in want.items()}
+    assert {p: c.terms for p, c in (a * b).terms.items()} == \
+        {p: d for p, d in want.items() if d}
