@@ -137,6 +137,8 @@ class ReductionSystem:
         # sorted by degree, so that rewriting stops before a term over the trunc
         self.graded = {r.lhs: sorted(((c.min_param_degree(), p, c) for p, c in r.rhs.terms.items()),
                                      key=lambda term: term[0]) for r in self.rules}
+        # word -> (rank, right-most split), filled by reduce_full (see _rank)
+        self.ranks: dict[Path, tuple[int, SplitResult | None]] = {}
         if validate:
             words = [r.lhs.arrows for r in self.rules]
             for i, w in enumerate(words):
@@ -189,27 +191,27 @@ def rightmost_split(p: Path, S: list[Path]) -> SplitResult | None:
     return SplitResult(q, s, r)
 
 
+def _splice(quiver, split: SplitResult, m: Path) -> Path:
+    """q * m * r, unvalidated: every rhs term is parallel to the left side it replaces."""
+    arrows = split.q.arrows + m.arrows + split.r.arrows
+    if arrows:
+        return Path._trusted(quiver, arrows, None)
+    return Path._trusted(quiver, (), split.q.vertex)
+
+
 def _replacement_terms(quiver, split: SplitResult, rhs: list, c: PolyScalar):
-    """Terms of q * rhs * r scaled by c, built by direct concatenation.
+    """Terms of q * rhs * r scaled by c.
 
     ``rhs`` is graded (``ReductionSystem.graded``): the walk stops at the
-    first term whose lowest parameter degree exceeds c.trunc - low(c).  The
-    factors are composable by construction (every rhs term is parallel to
-    the reducible word it replaces), so validation is skipped.
+    first term whose lowest parameter degree exceeds c.trunc - low(c).
     """
     room = math.inf if c.trunc is None else c.trunc - c.min_param_degree()
-    q, r = split.q, split.r
     for low, m, cm in rhs:
         if low > room:
             break
         coeff = cm * c
-        if coeff.is_zero():
-            continue
-        arrows = q.arrows + m.arrows + r.arrows
-        if arrows:
-            yield Path._trusted(quiver, arrows, None), coeff
-        else:
-            yield Path._trusted(quiver, (), q.vertex), coeff
+        if not coeff.is_zero():
+            yield _splice(quiver, split, m), coeff
 
 
 def reduce_step(a: Element, R: ReductionSystem) -> Element:
@@ -232,32 +234,71 @@ def reduce_step(a: Element, R: ReductionSystem) -> Element:
     return Element(a.quiver, out)
 
 
+def _rank(p: Path, R: ReductionSystem, S: list[Path], limit: int):
+    """Rank p and, until ``R.ranks`` and the walk hold ``limit`` words, every
+    unranked word its degree-0 rule terms reach, in depth-first post-order: ranks
+    fall along every rewrite that keeps the parameter degree.  A word on the
+    walk's stack closes a cycle and is skipped."""
+    ranks = R.ranks
+    stack = []  # (word, its split, iterator over its degree-0 replacements)
+    on_stack: set[Path] = set()
+
+    def enter(w: Path):
+        split = rightmost_split(w, S)
+        kids = []
+        if split is not None and len(ranks) + len(stack) < limit:
+            kids = [_splice(w.quiver, split, m) for low, m, _ in R.graded[split.s] if low == 0]
+        stack.append((w, split, iter(kids)))
+        on_stack.add(w)
+
+    enter(p)
+    while stack:
+        w, split, kids = stack[-1]
+        for u in kids:
+            if u not in ranks and u not in on_stack:
+                enter(u)
+                break
+        else:
+            stack.pop()
+            on_stack.discard(w)
+            ranks[w] = (len(ranks), split)
+    return ranks[p]
+
+
 def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET) -> Element:
     """Iterate right-most reductions to the normal form (or raise BudgetExceeded).
 
-    Reducible words wait in ``pending`` with their right-most split, and a heap
-    hands them out longest first, first in first out within a length, so most
-    contributions to a word merge before it is rewritten.  The normal form is
-    linear in the pending terms, so it does not depend on this order whenever
-    rewriting terminates.  ``budget`` bounds the number of rewrite steps.
+    Reducible words wait in ``pending`` with their lowest parameter degree,
+    and a heap hands them out lowest degree first and, within a degree, by
+    descending rank (``_rank``).  Degree-0 rule terms lead to lower ranks and
+    the other terms to higher degrees, so when the degree-0 rules terminate,
+    every (word, degree) state is rewritten once, after all its mass has
+    arrived.  The normal form is linear in the pending terms, so it does not
+    depend on this order whenever rewriting terminates.  ``budget`` bounds the
+    number of rewrite steps; the ranking walk goes deep for at most ``budget``
+    new words per call, so a growing system still ends in BudgetExceeded.
     """
     if budget <= 0:
         raise UsageError("budget must be positive")
     S = R.lhs_set()
     quiver = a.quiver
+    ranks = R.ranks
+    limit = len(ranks) + budget
     done: dict[Path, PolyScalar] = {}
-    pending: dict[Path, tuple[PolyScalar, SplitResult]] = {}
-    heap: list[tuple[int, int, Path]] = []  # (-length, arrival tick, word)
+    pending: dict[Path, tuple[PolyScalar, int]] = {}  # word -> (coefficient, level)
+    heap: list[tuple[int, int, int, Path]] = []  # (level, -rank, arrival tick, word)
     tick = itertools.count()
 
     def add(p: Path, c: PolyScalar):
         if p in pending:
-            cp, split = pending[p]
-            c = cp + c
+            c = pending[p][0] + c
             if c.is_zero():
-                del pending[p]  # its heap entry is skipped when popped
-            else:
-                pending[p] = (c, split)
+                del pending[p]  # its heap entries are skipped when popped
+                return
+            level = c.min_param_degree()
+            if level != pending[p][1]:
+                heapq.heappush(heap, (level, -ranks[p][0], next(tick), p))
+            pending[p] = (c, level)
         elif p in done:
             c = done[p] + c
             if c.is_zero():
@@ -265,21 +306,24 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET) ->
             else:
                 done[p] = c
         else:
-            split = rightmost_split(p, S)
+            rank, split = ranks.get(p) or _rank(p, R, S, limit)
             if split is None:
                 done[p] = c
             else:
-                pending[p] = (c, split)
-                heapq.heappush(heap, (-len(p), next(tick), p))
+                level = c.min_param_degree()
+                pending[p] = (c, level)
+                heapq.heappush(heap, (level, -rank, next(tick), p))
 
     for p, c in a.terms.items():
         add(p, c)
     steps = 0
     while heap:
-        p = heapq.heappop(heap)[2]
-        if p not in pending:
-            continue
-        c, split = pending.pop(p)
+        level, _, _, p = heapq.heappop(heap)
+        entry = pending.get(p)
+        if entry is None or entry[1] != level:
+            continue  # stale: the word was rewritten or its level changed
+        del pending[p]
+        c, split = entry[0], ranks[p][1]
         steps += 1
         if steps > budget:
             rest = {w: cw for w, (cw, _) in pending.items()}
@@ -474,20 +518,27 @@ def _interreduce(relations: list[Element], order: AdmissibleOrder,
                 by_tip[tip] = len(merged)
                 merged.append(r)
         rels = sorted(merged, key=lambda r: order.key(_tip(r, order)))
+        # orient each relation once per round, when another relation's reduction
+        # first needs it: rels[1:] now, a reduced relation before the next one
+        oriented = [None] + [_orient(r, order) for r in rels[1:]]
         changed = False
         new_rels: list[Element] = []
+        new_rules: list[Rule | None] = []
         for idx, r in enumerate(rels):
-            others = new_rels + rels[idx + 1:]
+            if new_rules and new_rules[-1] is None:
+                new_rules[-1] = _orient(new_rels[-1], order)
             rules = {}
-            for o in others:
-                rule = _orient(o, order)
+            for rule in new_rules + oriented[idx + 1:]:
                 rules.setdefault(rule.lhs, rule)
             system = ReductionSystem(r.quiver, list(rules.values()), validate=False)
             rr = reduce_full(r, system, budget)
-            if rr != r:
-                changed = True
+            if rr == r:
+                rule = oriented[idx]
+            else:
+                changed, rule = True, None
             if not rr.is_zero():
                 new_rels.append(rr)
+                new_rules.append(rule)
         rels = new_rels
         if not changed:
             return rels

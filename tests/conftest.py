@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from pathalg.quiver_core import Element, Quiver
+from pathalg.quiver_core import Element, PolyScalar, Quiver
 from pathalg.reduction_engine import ReductionSystem, Rule
 
 
@@ -55,3 +55,17 @@ def make_brauer(n: int):
     rules.append(Rule(q.path("x1", "y1", "x1"), Element.zero(q)))
     rules.append(Rule(q.path("y1", "x1", "y1"), Element.zero(q)))
     return q, ReductionSystem(q, rules)
+
+
+def make_deformed3(trunc: int):
+    """The d=3 commutator rules deformed by x_j x_i -> hbar x_k x_k, {i, j, k} = {1, 2, 3}.
+
+    The deformed word graph has cycles at positive degree: x1*x1*x3*x2*x2*x3
+    rewrites back to itself, and only the truncation ends the reduction.
+    """
+    q = Quiver(["0"], [(f"x{i}", "0", "0") for i in (1, 2, 3)])
+    h = PolyScalar.var("hbar", is_param=True, trunc=trunc)
+    return q, ReductionSystem(q, [
+        Rule(q.path(f"x{j}", f"x{i}"), Element.from_path(q.path(f"x{i}", f"x{j}"))
+             + Element.from_path(q.path(f"x{k}", f"x{k}"), h))
+        for j, i, k in ((2, 1, 3), (3, 1, 2), (3, 2, 1))])

@@ -1,8 +1,9 @@
-"""The ordered worklist in reduce_full: same normal forms, bounded work.
+"""The ranked worklist in reduce_full: same normal forms, bounded work.
 
-``reduce_full`` rewrites the longest pending word first.  Whenever rewriting
-terminates the normal form does not depend on that order, so it must agree
-with the plain last-in first-out loop kept below as a reference.
+``reduce_full`` rewrites pending words lowest parameter degree first and,
+within a degree, in topological order of the degree-0 rewrites.  Whenever
+rewriting terminates the normal form does not depend on that order, so it must
+agree with the plain last-in first-out loop kept below as a reference.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_brauer
+from conftest import make_brauer, make_deformed3
 from pathalg.quiver_core import Element, Path, PolyScalar, Quiver
 from pathalg.reduction_engine import (
     BudgetExceeded,
@@ -80,6 +81,7 @@ def _formal_lam_mu(trunc: int = 8):
 SYSTEMS = {
     "commutator-2": _deformed_commutator(2),
     "commutator-3": _deformed_commutator(3),
+    "deep-deformed-3": make_deformed3(4),
     "brauer-6": make_brauer(6),
     "formal-lam-mu": _formal_lam_mu(),
 }
@@ -123,7 +125,7 @@ def test_worklist_matches_lifo_reference(name, terms):
 
 
 def test_degree_five_star_fits_a_small_budget():
-    # LIFO needs 67,800 rewrite steps here; longest-first needs under 1,000
+    # LIFO needs 67,800 rewrite steps here; the ordered worklist under 1,000
     q = Quiver(["0"], [("x1", "0", "0"), ("x2", "0", "0")])
     R = ReductionSystem(q, [Rule(q.path("x2", "x1"),
                                  Element.from_path(q.path("x1", "x2")))])
@@ -137,6 +139,25 @@ def test_degree_five_star_fits_a_small_budget():
     out = star(a, b, R, cochain, budget=2000)
     assert out.truncated(0) == Element.from_path(q.path(*["x1"] * 5, *["x2"] * 5))
     assert out.max_trunc() == 3
+    assert len(out.terms) > 1
+
+
+def test_deep_star_fits_its_rewrite_count():
+    # longest-first needed 182,450 rewrite steps here; the ranked worklist 16,269
+    q = Quiver(["0"], [(f"x{i}", "0", "0") for i in (1, 2, 3)])
+    R = ReductionSystem(q, [Rule(q.path(f"x{j}", f"x{i}"),
+                                 Element.from_path(q.path(f"x{i}", f"x{j}")))
+                            for j, i in ((2, 1), (3, 1), (3, 2))])
+    h = _hbar(4)
+    cochain = DeformationCochain(R, {q.path(f"x{j}", f"x{i}"):
+                                     Element.from_path(q.path(f"x{k}", f"x{k}"), h)
+                                     for j, i, k in ((2, 1, 3), (3, 1, 2), (3, 2, 1))},
+                                 trunc=4)
+    a = Element.from_path(q.path(*["x3"] * 4, *["x2"] * 4))
+    b = Element.from_path(q.path(*["x1"] * 4, "x3", "x2", "x1"))
+    out = star(a, b, R, cochain, budget=20_000)
+    assert out.truncated(0) == Element.from_path(q.path(*["x1"] * 5, *["x2"] * 5, *["x3"] * 5))
+    assert out.max_trunc() == 4
     assert len(out.terms) > 1
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import make_brauer
+from conftest import make_brauer, make_deformed3
+from pathalg.cli import main
 from pathalg.quiver_core import (
     AdmissibleOrder,
     Element,
@@ -78,6 +81,53 @@ class TestReduce:
         q, R = commutator2
         with pytest.raises(UsageError):
             reduce_full(Element.unit(q), R, budget=0)
+
+
+def _growing():
+    """a*a -> a*b, b*b -> a*b*a: every rewrite makes a new word, forever."""
+    q = Quiver(["0"], [("a", "0", "0"), ("b", "0", "0")])
+    return q, ReductionSystem(q, [
+        Rule(q.path("a", "a"), Element.from_path(q.path("a", "b"))),
+        Rule(q.path("b", "b"), Element.from_path(q.path("a", "b", "a")))])
+
+
+class TestRankedWorklist:
+    """The rank memo on ReductionSystem and the bound on its walk."""
+
+    def test_growing_system_ends_at_the_budget(self):
+        q, R = _growing()
+        with pytest.raises(BudgetExceeded) as info:
+            reduce_full(Element.from_path(q.path("a", "a", "a")), R, budget=300)
+        assert info.value.steps == 300
+
+    def test_growing_system_exits_3_from_the_cli(self, tmp_path):
+        p = tmp_path / "grow.txt"
+        p.write_text("vertex 0\narrow a : 0 -> 0\narrow b : 0 -> 0\n"
+                     "rule a*a -> a*b\nrule b*b -> a*b*a\n")
+        buf = io.StringIO()
+        code = main([str(p), "reduce", "a*a*a", "--budget", "300"], out=buf)
+        assert code == 3
+        assert json.loads(buf.getvalue().strip().splitlines()[-1])["steps"] == 300
+
+    def test_exhausted_call_leaves_a_usable_memo(self):
+        q, R = make_deformed3(3)
+        a = Element.from_path(q.path("x3", "x3", "x2", "x2", "x1", "x1", "x3", "x1"))
+        with pytest.raises(BudgetExceeded):
+            reduce_full(a, R, budget=5)
+        assert reduce_full(a, R) == reduce_full(a, make_deformed3(3)[1])
+
+    @pytest.mark.parametrize("make", [lambda: make_deformed3(3), lambda: make_brauer(6)],
+                             ids=["deformed-3", "brauer-6"])
+    def test_call_order_does_not_change_results(self, make):
+        # each system's memo is filled in the order of its own calls
+        q, R = make()
+        _, R2 = make()
+        words = [p for p in irreducible_paths([], q, 4) if len(p) >= 2][::7]
+        forward = [reduce_full(Element.from_path(p), R) for p in words]
+        backward = [reduce_full(Element.from_path(p), R2) for p in reversed(words)]
+        assert forward == backward[::-1]
+        assert forward == [reduce_full(Element.from_path(p), R2) for p in words]
+        assert any(nf != Element.from_path(p) for p, nf in zip(words, forward))
 
 
 class TestAmbiguities:
