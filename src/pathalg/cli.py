@@ -20,15 +20,17 @@ comment; the Unicode symbols λ, μ, ν and ħ are read as ``lam``, ``mu``,
 
 Every run prints a plain-text report followed by one JSON document on the
 last line.  Exit codes: 0 verdict-pass, 1 verdict-fail, 2 usage/parse error,
-3 budget exhausted or inconclusive.
+3 budget exhausted or inconclusive, 4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -76,6 +78,9 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
+_VERDICT_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL,
+                 "inconclusive": EXIT_BUDGET}
 
 _UNICODE_ALIASES = {"λ": "lam", "μ": "mu", "ν": "nu", "ħ": "hbar"}
 
@@ -104,15 +109,20 @@ class ProblemFile:
     budget: int
     deform_values: dict[Path, Element] = field(default_factory=dict)
 
-    def cochain(self) -> DeformationCochain:
+    def cochain(self, trunc: int | None = None) -> DeformationCochain:
+        """The deform block as a cochain, re-truncated at ``trunc`` if given."""
         if not self.deform_values:
             raise UsageError("this command needs a deform block")
         formal = all(c.min_param_degree() >= 1
                      for v in self.deform_values.values()
                      for c in v.terms.values())
+        if trunc is None and formal:
+            trunc = self.trunc
         return DeformationCochain(self.system, self.deform_values,
-                                  trunc=self.trunc if formal else None,
-                                  formal=formal)
+                                  trunc=trunc, formal=formal)
+
+    def parser(self, trunc: int | None) -> "ElementParser":
+        return ElementParser(self.quiver, self.params, self.unknowns, trunc)
 
 
 def _ascii(text: str) -> str:
@@ -134,7 +144,7 @@ class ElementParser:
     def __init__(self, quiver: Quiver, params: list[str], unknowns: list[str],
                  trunc: int | None):
         self.quiver = quiver
-        self.params = set(params)
+        self.params = frozenset(params)
         self.unknowns = set(unknowns)
         self.trunc = trunc
 
@@ -151,16 +161,9 @@ class ElementParser:
         except UsageError as exc:
             raise ParseError(str(exc), line) from exc
 
-    def _scalar_one(self) -> PolyScalar:
-        return PolyScalar.rational(1, trunc=self.trunc,
-                                   params=frozenset(self.params))
-
     def _symbol(self, name: str, power: int) -> PolyScalar:
-        out = self._scalar_one()
-        v = PolyScalar.var(name, is_param=name in self.params, trunc=self.trunc)
-        for _ in range(power):
-            out = out * v
-        return out
+        return PolyScalar({((name, power),): 1} if power else {(): 1},
+                          self.trunc, self.params)
 
     def parse_element(self, text: str, line: int | None = None) -> Element:
         text = _ascii(text).strip()
@@ -182,24 +185,19 @@ class ElementParser:
             chunk = chunk[1:]
         if not chunk:
             raise ParseError("empty term", line)
-        coeff = self._scalar_one().scale(sign)
+        coeff = PolyScalar.rational(sign, self.trunc, self.params)
         arrows: list[str] = []
         vertex: str | None = None
         for factor in chunk.split("*"):
             if not factor:
                 raise ParseError(f"empty factor in term {chunk!r}", line)
             if _RATIONAL.match(factor):
-                try:
-                    q = Fraction(factor)
-                except ZeroDivisionError:
-                    raise ParseError(f"zero denominator in factor {factor!r}",
-                                     line) from None
-                coeff = coeff.scale(q)
+                coeff = coeff.scale(_number(Fraction, factor, line))
                 continue
             m = _SYMBOL.match(factor)
             if not m:
                 raise ParseError(f"bad factor {factor!r}", line)
-            name, power = m.group(1), int(m.group(3) or 1)
+            name, power = m.group(1), _number(int, m.group(3) or "1", line)
             if name in self.quiver._src:
                 arrows.extend([name] * power)
             elif name in self.params or name in self.unknowns:
@@ -218,6 +216,17 @@ class ElementParser:
             raise ParseError(f"term {chunk!r} has no path part "
                              "(use e<vertex> for scalars)", line)
         return Element.from_path(path, coeff)
+
+
+def _number(kind, text: str, line: int | None):
+    """kind(text) for a digit string, with its failures as ParseErrors."""
+    try:
+        return kind(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in factor {text!r}", line) from None
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"number of {len(text)} characters is too long",
+                         line) from None
 
 
 def _split_rule(line_no: int, rest: str) -> tuple[str, str]:
@@ -335,6 +344,15 @@ class Report:
     def say(self, text: str):
         self.lines.append(text)
 
+    def verdict(self, label: str, verdict: str | bool):
+        """Report ``label: verdict``: the one place a verdict ("pass", "fail",
+        "inconclusive", or a bool for pass/fail) becomes an exit code."""
+        if isinstance(verdict, bool):
+            verdict = "pass" if verdict else "fail"
+        self.say(f"{label}: {verdict}")
+        self.doc["verdict"] = verdict
+        self.exit_code = _VERDICT_EXIT[verdict]
+
     def emit(self, out) -> int:
         for line in self.lines:
             print(line, file=out)
@@ -374,9 +392,7 @@ def _bivector_from_deform(problem: ProblemFile, d: int) -> PoissonBivector:
 
 
 def _cmd_reduce(problem: ProblemFile, args, flags, report: Report):
-    parser = ElementParser(problem.quiver, problem.params, problem.unknowns,
-                           trunc=None)
-    elem = parser.parse_element(" ".join(args))
+    elem = problem.parser(None).parse_element(" ".join(args))
     nf = reduce_full(elem, problem.system, problem.budget)
     report.say(f"normal form: {nf!r}")
     report.doc["normal_form"] = repr(nf)
@@ -384,18 +400,13 @@ def _cmd_reduce(problem: ProblemFile, args, flags, report: Report):
 
 def _cmd_diamond(problem: ProblemFile, args, flags, report: Report):
     result = check_diamond(problem.system, problem.budget)
-    report.say(f"diamond: {result.verdict}")
-    report.doc["verdict"] = result.verdict
+    report.verdict("diamond", result.verdict)
     for amb, status, defect in result.statuses:
         report.doc.setdefault("ambiguities", []).append(
             {"word": repr(amb.word), "status": status,
              "defect": None if defect is None else repr(defect)})
         if status == "failed":
             report.say(f"  {amb.word!r}: defect {defect!r}")
-    if result.verdict == "fail":
-        report.exit_code = EXIT_FAIL
-    elif result.verdict == "inconclusive":
-        report.exit_code = EXIT_BUDGET
 
 
 def _cmd_ambiguities(problem: ProblemFile, args, flags, report: Report):
@@ -424,14 +435,8 @@ def _cmd_irr(problem: ProblemFile, args, flags, report: Report):
 def _cmd_star(problem: ProblemFile, args, flags, report: Report):
     if len(args) != 2:
         raise UsageError("star takes exactly two element arguments")
-    cochain = problem.cochain()
-    if flags.trunc is not None:
-        cochain = DeformationCochain(
-            problem.system,
-            {s: v.truncated(flags.trunc) for s, v in cochain.values.items()},
-            trunc=flags.trunc, formal=cochain.formal)
-    parser = ElementParser(problem.quiver, problem.params, problem.unknowns,
-                           trunc=cochain.trunc)
+    cochain = problem.cochain(flags.trunc)
+    parser = problem.parser(cochain.trunc)
     a = parser.parse_element(args[0])
     b = parser.parse_element(args[1])
     result = star(a, b, problem.system, cochain, problem.budget)
@@ -441,48 +446,34 @@ def _cmd_star(problem: ProblemFile, args, flags, report: Report):
 
 def _cmd_mc(problem: ProblemFile, args, flags, report: Report):
     result = mc_check(problem.system, problem.cochain(), problem.budget)
-    verdict = "pass" if result.verdict else "fail"
-    report.say(f"maurer-cartan: {verdict}")
-    report.doc["verdict"] = verdict
-    report.doc["defects"] = [
-        {"word": repr(w), "defect": repr(d)}
-        for w, d in result.defects if not d.is_zero()]
+    report.verdict("maurer-cartan", result.verdict)
+    report.doc["defects"] = []
     for w, d in result.defects:
         if not d.is_zero():
             report.say(f"  {w!r}: defect {d!r}")
-    if not result.verdict:
-        report.exit_code = EXIT_FAIL
+            report.doc["defects"].append({"word": repr(w), "defect": repr(d)})
 
 
 def _cmd_gauge(problem: ProblemFile, args, flags, report: Report):
     if len(args) != 1:
         raise UsageError("gauge takes one psi-file argument")
     text = _read_input(args[0])
-    parser = ElementParser(problem.quiver, problem.params, problem.unknowns,
-                           trunc=problem.trunc)
-    psi_values: dict[Path, Element] = {}
-    primed_values: dict[Path, Element] = {}
+    parser = problem.parser(problem.trunc)
+    values: dict[str, dict[Path, Element]] = {"gauge": {}, "deform": {}}
     for line_no, line in _logical_lines(text):
         head, _, rest = line.partition(" ")
         lhs, rhs = _split_rule(line_no, rest.strip())
-        if head == "gauge":
-            psi_values[parser.parse_path(lhs, line_no)] = \
-                parser.parse_element(rhs, line_no)
-        elif head == "deform":
-            primed_values[parser.parse_path(lhs, line_no)] = \
-                parser.parse_element(rhs, line_no)
-        else:
+        if head not in values:
             raise ParseError(f"unknown directive {head!r} in psi file",
                              line_no)
+        values[head][parser.parse_path(lhs, line_no)] = \
+            parser.parse_element(rhs, line_no)
     cochain = problem.cochain()
-    psi = GaugeOnArrows(problem.system, psi_values, trunc=cochain.trunc)
-    primed = DeformationCochain(problem.system, primed_values,
+    psi = GaugeOnArrows(problem.system, values["gauge"], trunc=cochain.trunc)
+    primed = DeformationCochain(problem.system, values["deform"],
                                 trunc=cochain.trunc)
-    ok = gauge_check(psi, problem.system, cochain, primed, problem.budget)
-    report.say(f"gauge: {'pass' if ok else 'fail'}")
-    report.doc["verdict"] = "pass" if ok else "fail"
-    if not ok:
-        report.exit_code = EXIT_FAIL
+    report.verdict("gauge", gauge_check(psi, problem.system, cochain, primed,
+                                        problem.budget))
 
 
 def _cmd_hh2(problem: ProblemFile, args, flags, report: Report):
@@ -520,8 +511,7 @@ def _cmd_complete(problem: ProblemFile, args, flags, report: Report):
         raise UsageError("complete takes one relations-file argument")
     if problem.order is None:
         raise UsageError("complete needs an order block in the file")
-    parser = ElementParser(problem.quiver, problem.params, problem.unknowns,
-                           trunc=None)
+    parser = problem.parser(None)
     generators = []
     for line_no, line in _logical_lines(_read_input(args[0])):
         head, _, rest = line.partition(" ")
@@ -561,26 +551,17 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
     if sub == "jacobi":
         eta = _bivector_from_deform(problem, d)
         result = schouten_jacobi_check(eta)
-        verdict = "pass" if result.verdict else "fail"
-        report.say(f"jacobi: {verdict}")
-        report.doc["verdict"] = verdict
-        report.doc["defects"] = [
-            {"indices": list(ijk), "defect": repr(v)}
-            for ijk, v in result.defects if not v.is_zero()]
+        report.verdict("jacobi", result.verdict)
+        report.doc["defects"] = []
         for ijk, v in result.defects:
             if not v.is_zero():
                 report.say(f"  {ijk}: {v!r}")
-        if not result.verdict:
-            report.exit_code = EXIT_FAIL
+                report.doc["defects"].append({"indices": list(ijk),
+                                              "defect": repr(v)})
     elif sub == "check":
-        result = quantize_check(problem.cochain(), d,
-                                trunc=flags.trunc,
+        result = quantize_check(problem.cochain(flags.trunc), d,
                                 budget=problem.budget)
-        verdict = "pass" if result.verdict else "fail"
-        report.say(f"associativity: {verdict}")
-        report.doc["verdict"] = verdict
-        if not result.verdict:
-            report.exit_code = EXIT_FAIL
+        report.verdict("associativity", result.verdict)
     elif sub == "compare":
         cochain = problem.cochain()
         trunc = flags.trunc if flags.trunc is not None else min(
@@ -594,33 +575,18 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
                            problem.budget).truncated(trunc)
                 if not (lhs - rhs).is_zero():
                     mismatches.append((repr(f), repr(g)))
-        verdict = "pass" if not mismatches else "fail"
-        report.say(f"compare ({len(monos) ** 2} pairs, order {trunc}): "
-                   f"{verdict}")
-        report.doc["verdict"] = verdict
+        report.verdict(f"compare ({len(monos) ** 2} pairs, order {trunc})",
+                       not mismatches)
         report.doc["pairs"] = len(monos) ** 2
         report.doc["mismatches"] = [list(m) for m in mismatches]
-        if mismatches:
-            report.exit_code = EXIT_FAIL
     else:
         raise UsageError(f"unknown quantize subcommand {sub!r}")
 
 
 def _monomials_up_to(quiver: Quiver, d: int, degree: int) -> list[Element]:
-    out = []
-    exps = [0] * d
-
-    def walk(i: int, left: int):
-        if i == d:
-            out.append(monomial(quiver, tuple(exps)))
-            return
-        for e in range(left + 1):
-            exps[i] = e
-            walk(i + 1, left - e)
-        exps[i] = 0
-
-    walk(0, degree)
-    return out
+    return [monomial(quiver, e)
+            for e in itertools.product(range(degree + 1), repeat=d)
+            if sum(e) <= degree]
 
 
 _COMMANDS = {
@@ -639,10 +605,14 @@ _COMMANDS = {
 
 
 def _read_input(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    with open(source, encoding="utf-8") as f:
-        return f.read()
+    try:
+        if source == "-":
+            return sys.stdin.read()
+        with open(source, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{source}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -696,24 +666,23 @@ def main(argv: list[str] | None = None, out=None) -> int:
         if flags.budget is not None:
             problem.budget = flags.budget
         _COMMANDS[flags.command](problem, flags.args, flags, report)
-    except (ParseError, UsageError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=out)
-        print(json.dumps({"command": command, "error": str(exc)},
-                         sort_keys=True), file=out)
-        return EXIT_USAGE
+    except (ParseError, UsageError, OSError) as exc:
+        code, text, doc = EXIT_USAGE, f"error: {exc}", {"error": str(exc)}
     except BudgetExceeded as exc:
-        print(f"budget exhausted after {exc.steps} reductions", file=out)
-        print(json.dumps({"command": command,
-                          "error": "budget exhausted",
-                          "steps": exc.steps}, sort_keys=True), file=out)
-        return EXIT_BUDGET
+        code, text = EXIT_BUDGET, f"budget exhausted after {exc.steps} reductions"
+        doc = {"error": "budget exhausted", "steps": exc.steps}
     except CompletionError as exc:
-        print(f"completion did not converge: {exc}", file=out)
-        print(json.dumps({"command": command,
-                          "error": "completion did not converge"},
-                         sort_keys=True), file=out)
-        return EXIT_BUDGET
-    return report.emit(out)
+        code, text = EXIT_BUDGET, f"completion did not converge: {exc}"
+        doc = {"error": "completion did not converge"}
+    except Exception as exc:  # a bug in pathalg, not in the input
+        traceback.print_exc(file=sys.stderr)
+        text = f"internal error: {type(exc).__name__}: {exc}"
+        code, doc = EXIT_INTERNAL, {"error": text}
+    else:
+        return report.emit(out)
+    print(text, file=out)
+    print(json.dumps({"command": command, **doc}, sort_keys=True), file=out)
+    return code
 
 
 if __name__ == "__main__":

@@ -16,12 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .quiver_core import Element, Path, PolyScalar, UsageError
-from .reduction_engine import DEFAULT_BUDGET, ReductionSystem, irreducible_paths
+from .reduction_engine import DEFAULT_BUDGET, ReductionSystem
 from .star_product import (
     DeformationCochain,
     GaugeOnArrows,
     _t_of_element,
     associator_defects,
+    generic_values,
+    one_cochain_basis,
+    two_cochain_basis,
 )
 
 __all__ = [
@@ -37,36 +40,6 @@ __all__ = [
 ]
 
 T_SYMBOL = "t"  # first-order deformation parameter
-
-
-def _parallel_irreducibles(R: ReductionSystem, bound: int | None):
-    """All irreducible paths, grouped by (source, target)."""
-    irr = irreducible_paths(R.lhs_set(), R.quiver, max_len=bound)
-    grouped: dict[tuple[str, str], list[Path]] = {}
-    for u in sorted(irr, key=Path.sort_key):
-        grouped.setdefault((u.source, u.target), []).append(u)
-    return grouped
-
-
-def two_cochain_basis(R: ReductionSystem, bound: int | None = None):
-    """Ordered basis (s, u): rule left sides paired with parallel irreducibles."""
-    grouped = _parallel_irreducibles(R, bound)
-    basis: list[tuple[Path, Path]] = []
-    for rule in R.rules:
-        s = rule.lhs
-        basis.extend((s, u) for u in grouped.get((s.source, s.target), []))
-    return basis
-
-
-def one_cochain_basis(R: ReductionSystem, bound: int | None = None):
-    """Ordered basis (x, u): arrows paired with parallel irreducibles."""
-    grouped = _parallel_irreducibles(R, bound)
-    quiver = R.quiver
-    basis: list[tuple[Path, Path]] = []
-    for name in quiver.arrow_names():
-        x = quiver.path(name)
-        basis.extend((x, u) for u in grouped.get((x.source, x.target), []))
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +137,7 @@ def _generic_values(R: ReductionSystem, basis, prefix: str):
     """
     t = PolyScalar.var(T_SYMBOL, is_param=True, trunc=1)
     unknowns = {f"{prefix}[{i}]": i for i in range(len(basis))}
-    values: dict[Path, Element] = {}
-    for name, (s, u) in zip(unknowns, basis):
-        term = Element.from_path(u, t * PolyScalar.var(name))
-        values[s] = values.get(s, Element.zero(R.quiver)) + term
-    return values, unknowns
+    return generic_values(R, basis, unknowns, t), unknowns
 
 
 def _columns_at(first_order: Element, unknowns: dict[str, int]):

@@ -25,7 +25,7 @@ from math import comb, factorial, prod
 
 from .quiver_core import Element, PolyScalar, Quiver, UsageError
 from .reduction_engine import DEFAULT_BUDGET, ReductionSystem, Rule, reduce_full
-from .star_product import DeformationCochain
+from .star_product import DeformationCochain, mc_check
 
 __all__ = [
     "HBAR",
@@ -207,19 +207,12 @@ def poisson_to_cochain(eta: PoissonBivector, trunc: int = 4) -> DeformationCocha
 
 
 def quantize_check(cochain: DeformationCochain, d: int,
-                   trunc: int | None = None,
                    budget: int = DEFAULT_BUDGET):
     """Associativity on all strictly decreasing generator triples x_k, x_j, x_i.
 
     This is the Maurer-Cartan check for the commutator system: its overlap
     words are exactly x_k x_j x_i with k > j > i.
     """
-    from .star_product import mc_check
-
-    if trunc is not None and trunc != cochain.trunc:
-        values = {s: v.truncated(trunc) for s, v in cochain.values.items()}
-        cochain = DeformationCochain(cochain.system, values, trunc=trunc,
-                                     formal=cochain.formal)
     return mc_check(cochain.system, cochain, budget)
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "CompletionError",
     "is_irreducible",
     "rightmost_split",
-    "reduce_step",
     "reduce_full",
     "overlaps",
     "ambiguities_n",
@@ -212,26 +211,6 @@ def _replacement_terms(quiver, split: SplitResult, rhs: list, c: PolyScalar):
         coeff = cm * c
         if not coeff.is_zero():
             yield _splice(quiver, split, m), coeff
-
-
-def reduce_step(a: Element, R: ReductionSystem) -> Element:
-    """One right-most basic reduction applied to every reducible basis path."""
-    S = R.lhs_set()
-    out: dict[Path, PolyScalar] = {}
-    for p, c in a.terms.items():
-        split = rightmost_split(p, S)
-        if split is None:
-            items = [(p, c)]
-        else:
-            items = _replacement_terms(a.quiver, split, R.graded[split.s], c)
-        for q, cq in items:
-            if q in out:
-                cq = out[q] + cq
-                if cq.is_zero():
-                    del out[q]
-                    continue
-            out[q] = cq
-    return Element(a.quiver, out)
 
 
 def _rank(p: Path, R: ReductionSystem, S: list[Path], limit: int):

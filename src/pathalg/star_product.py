@@ -6,6 +6,10 @@ The strata are read off a second system s -> phi_s + z*phitilde_s, built only
 when ``star_k`` asks for it, where z is an internal bookkeeping symbol
 counting how often the deformation part was used: the coefficient of z^k is
 the k-th stratum, and setting z = 1 gives the full product.
+
+The cochain bases and the generic cochain live here too: HH^2 (``cohomology``)
+and the Maurer-Cartan variety (``variety``) are both read off one generic
+2-cochain on the left sides with values in parallel irreducible paths.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .reduction_engine import (
     DEFAULT_BUDGET,
     ReductionSystem,
     Rule,
+    irreducible_paths,
     is_irreducible,
     overlaps,
     reduce_full,
@@ -24,6 +29,9 @@ from .reduction_engine import (
 
 __all__ = [
     "Z_SYMBOL",
+    "two_cochain_basis",
+    "one_cochain_basis",
+    "generic_values",
     "DeformationCochain",
     "GaugeOnArrows",
     "McReport",
@@ -35,6 +43,38 @@ __all__ = [
 ]
 
 Z_SYMBOL = "_z"  # reserved internal bookkeeping symbol
+
+
+def _parallel_pairs(R: ReductionSystem, bound: int | None, sides):
+    """Pairs (s, u): each path s of ``sides`` with every parallel irreducible
+    u of length at most ``bound``, in the order of sides, then of u."""
+    grouped: dict[tuple[str, str], list[Path]] = {}
+    for u in sorted(irreducible_paths(R.lhs_set(), R.quiver, max_len=bound),
+                    key=Path.sort_key):
+        grouped.setdefault((u.source, u.target), []).append(u)
+    return [(s, u) for s in sides for u in grouped.get((s.source, s.target), ())]
+
+
+def two_cochain_basis(R: ReductionSystem, bound: int | None = None):
+    """Ordered basis (s, u): rule left sides paired with parallel irreducibles."""
+    return _parallel_pairs(R, bound, [rule.lhs for rule in R.rules])
+
+
+def one_cochain_basis(R: ReductionSystem, bound: int | None = None):
+    """Ordered basis (x, u): arrows paired with parallel irreducibles."""
+    return _parallel_pairs(R, bound, [R.quiver.path(name)
+                                      for name in R.quiver.arrow_names()])
+
+
+def generic_values(R: ReductionSystem, basis, names,
+                   scale: PolyScalar | None = None) -> dict[Path, Element]:
+    """The values of the generic cochain sum_i scale*names[i]*(s_i -> u_i)."""
+    values: dict[Path, Element] = {}
+    for name, (s, u) in zip(names, basis):
+        c = PolyScalar.var(name)
+        term = Element.from_path(u, c if scale is None else scale * c)
+        values[s] = values.get(s, Element.zero(R.quiver)) + term
+    return values
 
 
 class DeformationCochain:
@@ -66,8 +106,9 @@ class DeformationCochain:
                 if formal and c.min_param_degree() < 1:
                     raise UsageError(
                         f"cochain value for {s!r} has a parameter-degree-0 term")
+            v = v.truncated(trunc)
             if not v.is_zero():
-                vals[s] = v.truncated(trunc)
+                vals[s] = v
         self.values = vals
         if formal and trunc is None:
             raise UsageError("formal deformations need a finite truncation order")

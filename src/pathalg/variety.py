@@ -22,8 +22,13 @@ from .quiver_core import (
     PolyScalar,
     UsageError,
 )
-from .reduction_engine import DEFAULT_BUDGET, ReductionSystem, irreducible_paths
-from .star_product import DeformationCochain, associator_defects
+from .reduction_engine import DEFAULT_BUDGET, ReductionSystem
+from .star_product import (
+    DeformationCochain,
+    associator_defects,
+    generic_values,
+    two_cochain_basis,
+)
 
 __all__ = [
     "DegreeCondition",
@@ -73,18 +78,11 @@ def cochain_basis(R: ReductionSystem, cond: DegreeCondition):
     if cond.kind == "weak":
         raise UsageError("the weak condition does not guarantee termination; "
                          "use strict or an admissible order")
-    max_len = max(len(rule.lhs) for rule in R.rules)
+    max_len = max((len(rule.lhs) for rule in R.rules), default=1)
     if cond.kind == "strict":
         max_len -= 1
-    irr = sorted(irreducible_paths(R.lhs_set(), R.quiver, max_len=max_len),
-                 key=Path.sort_key)
-    basis: list[tuple[Path, Path]] = []
-    for rule in R.rules:
-        s = rule.lhs
-        basis.extend((s, u) for u in irr
-                     if (u.source, u.target) == (s.source, s.target)
-                     and cond.admits(s, u))
-    return basis
+    return [(s, u) for s, u in two_cochain_basis(R, max_len)
+            if cond.admits(s, u)]
 
 
 def symbolic_cochain(R: ReductionSystem, basis, names=None):
@@ -99,11 +97,8 @@ def symbolic_cochain(R: ReductionSystem, basis, names=None):
         names = [names[pair] for pair in basis]
     if len(names) != len(set(names)) or len(names) != len(basis):
         raise UsageError("unknown names must be distinct, one per basis pair")
-    values: dict[Path, Element] = {}
-    for name, (s, u) in zip(names, basis):
-        term = Element.from_path(u, PolyScalar.var(name))
-        values[s] = values.get(s, Element.zero(R.quiver)) + term
-    cochain = DeformationCochain(R, values, trunc=None, formal=False)
+    cochain = DeformationCochain(R, generic_values(R, basis, names),
+                                 trunc=None, formal=False)
     return cochain, list(names)
 
 

@@ -8,7 +8,9 @@ import time
 
 import pytest
 
-from pathalg.cli import main
+from pathalg import cli
+from pathalg.cli import ElementParser, main
+from pathalg.quiver_core import PolyScalar, Quiver
 
 COMM3 = """
 vertex 0
@@ -368,3 +370,133 @@ def test_unstable_interreduction_exits_3(tmp_path, monkeypatch):
     assert "inter-reduction did not stabilize" in out
     assert last_json(out) == {"command": "complete",
                               "error": "completion did not converge"}
+
+
+COMM3_DEFORMED = COMM3 + "param hbar\nset trunc 3\n"
+NON_CONFLUENT = "vertex 0\narrow x : 0 -> 0\narrow y : 0 -> 0\nrule x*x -> y\n"
+LIE = COMM3_DEFORMED + "deform x3*x2 -> -hbar*x1*x1\n"
+# the first-order part of a quadratic bracket: associative only below t^3
+FIRST_ORDER = COMM3_DEFORMED + (
+    "deform x2*x1 -> hbar*x1*x2\ndeform x3*x1 -> -hbar*x1*x3\n"
+    "deform x3*x2 -> hbar*x2*x3 + hbar*x1*x1\n")
+NON_JACOBI = COMM3_DEFORMED + (
+    "deform x2*x1 -> hbar*x3\ndeform x3*x1 -> hbar*x3\n"
+    "deform x3*x2 -> hbar*x1\n")
+GAUGE_SAME = "deform a*b -> t*e1\ndeform b*a -> t*e2\n"
+GAUGE_OTHER = "deform a*b -> t*e1\ndeform b*a -> 2*t*e2\n"
+
+
+VERDICT_CASES = [
+    (COMM3, ["diamond"], None, 0, "diamond: pass"),
+    (NON_CONFLUENT, ["diamond"], None, 1, "diamond: fail"),
+    (COMM3, ["diamond", "--budget", "1"], None, 3, "diamond: inconclusive"),
+    (TWO_CYCLE.format(ba="t*e2"), ["mc"], None, 0, "maurer-cartan: pass"),
+    (TWO_CYCLE.format(ba="0"), ["mc"], None, 1, "maurer-cartan: fail"),
+    (TWO_CYCLE.format(ba="t*e2"), ["gauge"], GAUGE_SAME, 0, "gauge: pass"),
+    (TWO_CYCLE.format(ba="t*e2"), ["gauge"], GAUGE_OTHER, 1, "gauge: fail"),
+    (LIE, ["quantize", "jacobi"], None, 0, "jacobi: pass"),
+    (NON_JACOBI, ["quantize", "jacobi"], None, 1, "jacobi: fail"),
+    (LIE, ["quantize", "check"], None, 0, "associativity: pass"),
+    (FIRST_ORDER, ["quantize", "check"], None, 1, "associativity: fail"),
+    (FIRST_ORDER, ["quantize", "check", "--trunc", "2"], None, 0,
+     "associativity: pass"),
+    (LIE, ["quantize", "compare"], None, 0,
+     "compare (100 pairs, order 3): pass"),
+    (LIE, ["quantize", "compare", "--cap", "1"], None, 1,
+     "compare (100 pairs, order 3): fail"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, args, side, code, line", VERDICT_CASES,
+    ids=[" ".join([*args, line.rpartition(": ")[2]])
+         for _, args, _, _, line in VERDICT_CASES])
+def test_verdict_sets_line_document_and_exit_code(tmp_path, text, args, side,
+                                                  code, line):
+    """One verdict gives one exit code: pass 0, fail 1, inconclusive 3."""
+    p = tmp_path / "problem.txt"
+    p.write_text(text)
+    argv = [str(p), *args]
+    if side is not None:
+        (tmp_path / "side.txt").write_text(side)
+        argv.insert(2, str(tmp_path / "side.txt"))
+    got, out = run(argv)
+    assert got == code
+    assert line in out.splitlines()
+    assert last_json(out)["verdict"] == line.rpartition(": ")[2]
+
+
+class TestInternalErrors:
+    """Bad input exits 2; only a fault in pathalg itself exits 4."""
+
+    def test_non_utf8_problem_file_exits_2(self, tmp_path):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(COMM3.encode() + b"# caf\xe9\n")
+        code, out = run([str(p), "irr"])
+        assert code == 2
+        at = len(COMM3.encode()) + len("# caf")
+        assert last_json(out)["error"] == \
+            f"{p}: not UTF-8 text (invalid continuation byte at byte {at})"
+
+    def test_non_utf8_side_file_exits_2(self, tmp_path):
+        p = tmp_path / "xy.txt"
+        p.write_text("vertex 0\narrow x : 0 -> 0\narrow y : 0 -> 0\n"
+                     "order y < x\n")
+        rels = tmp_path / "rels.txt"
+        rels.write_bytes(b"\xffrel x*x - y*y\n")
+        code, out = run([str(p), "complete", str(rels)])
+        assert code == 2
+        assert "not UTF-8 text" in last_json(out)["error"]
+
+    @pytest.mark.parametrize("element", ["1" * 5000 + "*x1",
+                                         "x1^" + "1" * 5000],
+                             ids=["rational", "exponent"])
+    def test_number_over_the_digit_limit_exits_2(self, comm3, element):
+        code, out = run([comm3, "reduce", element])
+        assert code == 2
+        assert last_json(out)["error"] == \
+            "number of 5000 characters is too long"
+
+    def test_variety_without_rules_has_no_equations(self, tmp_path):
+        p = tmp_path / "free.txt"
+        p.write_text("vertex 0\narrow x : 0 -> 0\n")
+        code, out = run([str(p), "variety"])
+        assert code == 0
+        assert "no equations (the variety is the whole space)" in out
+        assert last_json(out)["equations"] == []
+
+    def test_unexpected_exception_exits_4(self, comm3, monkeypatch):
+        def broken(problem, args, flags, report):
+            raise KeyError("x9")
+
+        monkeypatch.setitem(cli._COMMANDS, "irr", broken)
+        code, out = run([comm3, "irr"])
+        assert code == 4
+        assert out.splitlines()[0] == "internal error: KeyError: 'x9'"
+        assert last_json(out) == {"command": "irr", "error":
+                                  "internal error: KeyError: 'x9'"}
+
+
+class TestSymbolPowers:
+    def test_large_power_is_one_monomial(self, tmp_path):
+        p = tmp_path / "nf.txt"
+        p.write_text(NF_SYMBOLIC)
+        start = time.perf_counter()
+        code, out = run([str(p), "reduce", "lam^1000000*x"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert last_json(out)["normal_form"] == "lam^1000000*x"
+
+    @pytest.mark.parametrize("name", ["hbar", "lam"])
+    @pytest.mark.parametrize("power", [0, 1, 2, 3])
+    def test_power_equals_repeated_product(self, name, power):
+        trunc = 2  # hbar^3 lies above it and is 0
+        parser = ElementParser(Quiver(["0"], []), ["hbar"], ["lam"], trunc)
+        want = PolyScalar.rational(1, trunc=trunc, params=frozenset(["hbar"]))
+        v = PolyScalar.var(name, is_param=name == "hbar", trunc=trunc)
+        for _ in range(power):
+            want = want * v
+        got = parser._symbol(name, power)
+        assert got == want
+        assert (got.trunc, got.params) == (want.trunc, want.params)
+        assert got.is_zero() == (name == "hbar" and power > trunc)

@@ -30,7 +30,6 @@ from pathalg.reduction_engine import (
     is_irreducible,
     overlaps,
     reduce_full,
-    reduce_step,
     rightmost_split,
 )
 
@@ -48,11 +47,6 @@ class TestReduce:
         q, R = commutator2
         split = rightmost_split(q.path("y", "x", "y", "x"), R.lhs_set())
         assert split.q == q.path("y", "x")
-
-    def test_reduce_step_is_one_pass(self, commutator2):
-        q, R = commutator2
-        a = Element.from_path(q.path("y", "x"))
-        assert reduce_step(a, R) == Element.from_path(q.path("x", "y"))
 
     def test_reduce_full_sorts_word(self, commutator2):
         q, R = commutator2
