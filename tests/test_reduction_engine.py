@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_brauer, make_deformed3
 from pathalg.cli import main
@@ -21,6 +22,7 @@ from pathalg.quiver_core import (
 )
 from pathalg.reduction_engine import (
     BudgetExceeded,
+    CompletionError,
     ReductionSystem,
     Rule,
     ambiguities_n,
@@ -315,6 +317,108 @@ def test_confluence_oracle_on_random_invertible_rhs():
         expected = Element.from_path(q.path(*sorted_word),
                                      PolyScalar.rational(c ** inv))
         assert nf == expected
+
+
+# -- completion oracle: quotient dimensions of a homogeneous ideal -----------
+
+def _paths_of_length(q, n):
+    """Every path of length n, built arrow by arrow."""
+    layer = [(v, v, ()) for v in q.vertices]  # (source, target, arrows)
+    for _ in range(n):
+        layer = [(s, b, w + (a,)) for s, t, w in layer
+                 for a, src, b in q.arrows if src == t]
+    return [q.path(*w) if w else Path(q, vertex=s) for s, _, w in layer]
+
+
+def _absorb(pivots, vec):
+    """Add vec to an exact echelon form unless it lies in its span.
+
+    ``pivots`` maps a path to the row whose largest path it is, with
+    coefficient 1 there; returns True when vec was independent.
+    """
+    vec = {p: c for p, c in vec.items() if c}
+    while vec:
+        top = max(vec, key=lambda p: p.sort_key())
+        row = pivots.get(top)
+        if row is None:
+            pivots[top] = {p: c / vec[top] for p, c in vec.items()}
+            return True
+        f = vec[top]
+        for p, c in row.items():
+            vec[p] = vec.get(p, 0) - f * c
+            if not vec[p]:
+                del vec[p]
+    return False
+
+
+def _vector(f):
+    return {p: c.as_rational() for p, c in f.terms.items()}
+
+
+def _ideal_span(gens, q, n):
+    """An echelon form of V_n, the span of the paths q*g*w of length n."""
+    pivots = {}
+    for g in gens:
+        k = len(next(iter(g.terms)))
+        for i in range(n - k + 1):
+            for left in _paths_of_length(q, i):
+                for right in _paths_of_length(q, n - k - i):
+                    prod = Element.from_path(left) * g * Element.from_path(right)
+                    _absorb(pivots, _vector(prod))
+    return pivots
+
+
+@st.composite
+def _homogeneous_relations(draw):
+    """1-2 vertices, 2-3 arrows in a random order, and 1-3 relations whose
+    terms are parallel paths of one length, 2 or 3."""
+    verts = [str(i) for i in range(draw(st.integers(1, 2)))]
+    arrows = [(f"a{i}", draw(st.sampled_from(verts)), draw(st.sampled_from(verts)))
+              for i in range(draw(st.integers(2, 3)))]
+    q = Quiver(verts, arrows)
+    order = AdmissibleOrder(q, draw(st.permutations([a for a, _, _ in arrows])))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        paths = _paths_of_length(q, draw(st.integers(2, 3)))
+        if not paths:
+            continue
+        first = draw(st.sampled_from(paths))
+        parallel = [p for p in paths if (p.source, p.target) == (first.source, first.target)]
+        g = Element.zero(q)
+        for p in draw(st.lists(st.sampled_from(parallel), min_size=1, max_size=3, unique=True)):
+            c = draw(st.sampled_from([1, -1, 2, -2, 3]))
+            g = g + Element.from_path(p, PolyScalar.rational(c))
+        gens.append(g)
+    return q, order, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(_homogeneous_relations())
+def test_completion_matches_the_quotient_dimensions(case):
+    """The irreducible paths of a completed system count the quotient.
+
+    For homogeneous generators the ideal in length n is V_n, so a reduced
+    Gröbner basis leaves (#paths of length n) - dim V_n irreducible paths of
+    length n; dim V_n comes from an exact elimination, not from rewriting.
+    """
+    q, order, gens = case
+    try:
+        system = complete(gens, order, max_rounds=3, budget=300)
+    except (BudgetExceeded, CompletionError):
+        return  # no small confluent system within these bounds
+    assert check_diamond(system).verdict == "pass"
+    for g in gens:
+        assert reduce_full(g, system).is_zero()
+    spans = {}
+    for n in {0, 1, 2, 3, 4} | {len(r.lhs) for r in system.rules}:
+        spans[n] = _ideal_span(gens, q, n)
+    irreducible = irreducible_paths(system.lhs_set(), q, max_len=4)
+    for n in range(5):
+        assert (len(_paths_of_length(q, n)) - len(spans[n])
+                == sum(1 for p in irreducible if len(p) == n))
+    for rule in system.rules:
+        relation = Element.from_path(rule.lhs) - rule.rhs
+        assert not _absorb(dict(spans[len(rule.lhs)]), _vector(relation))
 
 
 class TestChainAmbiguityValues:
