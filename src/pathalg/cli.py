@@ -84,6 +84,8 @@ _VERDICT_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL,
 
 _UNICODE_ALIASES = {"λ": "lam", "μ": "mu", "ν": "nu", "ħ": "hbar"}
 
+MAX_TERM_ARROWS = 10**6  # longest path a term may spell, checked before it is built
+
 _RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 _SYMBOL = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(\^(\d+))?$")
 
@@ -199,6 +201,9 @@ class ElementParser:
                 raise ParseError(f"bad factor {factor!r}", line)
             name, power = m.group(1), _number(int, m.group(3) or "1", line)
             if name in self.quiver._src:
+                if len(arrows) + power > MAX_TERM_ARROWS:
+                    raise ParseError(f"term {chunk!r} has more than "
+                                     f"{MAX_TERM_ARROWS} arrows", line)
                 arrows.extend([name] * power)
             elif name in self.params or name in self.unknowns:
                 coeff = coeff * self._symbol(name, power)
@@ -642,9 +647,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="length bound (hh2) or graph-stratum cap")
     parser.add_argument("--max-len", type=int, default=None,
                         help="length bound for irr")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; output is "
-                             "single-threaded and deterministic")
     return parser
 
 

@@ -353,18 +353,11 @@ def ambiguities_n(S: list[Path], n: int) -> list[Ambiguity]:
     quiver = S[0].quiver
     out: list[Ambiguity] = []
     seen = set()
-    if n == 0:
-        for s in S:
-            key = (s.arrows, (1, len(s) - 1))
-            if key not in seen:
-                seen.add(key)
-                out.append(Ambiguity(s, (s.subword(0, 1), s.subword(1, len(s)))))
-        out.sort(key=lambda amb: (amb.word.sort_key(), tuple(len(f) for f in amb.factors)))
-        return out
-
     # depth-first over partial chains with an explicit stack: chains can be
-    # as long as n + 2 factors, far beyond the interpreter's recursion limit
-    stack = [[quiver.path(arrow)] for arrow, _, _ in quiver.arrows]
+    # as long as n + 2 factors, far beyond the interpreter's recursion limit;
+    # for n = 0 the chains (first arrow, rest) of S are already complete
+    stack = ([[s.subword(0, 1), s.subword(1, len(s))] for s in S] if n == 0
+             else [[quiver.path(arrow)] for arrow, _, _ in quiver.arrows])
     while stack:
         chain = stack.pop()
         if len(chain) == n + 2:
@@ -383,16 +376,11 @@ def ambiguities_n(S: list[Path], n: int) -> list[Ambiguity]:
                 if w[len(w) - k:] != sw[:k]:
                     continue
                 u_next = Path(quiver, arrows=sw[k:])
-                if not is_irreducible(u_next, S):
-                    continue
-                # last * d must stay irreducible for every proper left subpath d
-                ok = True
-                for dlen in range(0, len(u_next)):
-                    cand = Path(quiver, arrows=w + u_next.arrows[:dlen])
-                    if not is_irreducible(cand, S):
-                        ok = False
-                        break
-                if ok:
+                # last * d is irreducible for every proper left subpath d of
+                # u_next iff it is for the longest one: subwords of an
+                # irreducible path are irreducible
+                if (is_irreducible(u_next, S)
+                        and is_irreducible(Path(quiver, arrows=w + sw[k:-1]), S)):
                     stack.append(chain + [u_next])
     out.sort(key=lambda amb: (amb.word.sort_key(), tuple(len(f) for f in amb.factors)))
     return out
@@ -463,90 +451,70 @@ def check_diamond(R: ReductionSystem, budget: int = DEFAULT_BUDGET) -> DiamondRe
 
 
 def _tip(f: Element, order: AdmissibleOrder) -> Path:
-    return max(f.terms, key=order.key)
+    """The largest path of a relation (each is sorted by it); its coefficient must be rational."""
+    tip = max(f.terms, key=order.key)
+    if not f.terms[tip].is_rational():
+        raise UsageError("completion requires rational leading coefficients")
+    return tip
 
 
 def _orient(f: Element, order: AdmissibleOrder) -> Rule:
     """Orient a uniform relation by its tip, normalized to leading coefficient 1."""
     tip = _tip(f, order)
+    if len(tip) < 2:
+        raise UsageError(f"relation with tip of length < 2: {tip!r}")
     c = f.terms[tip]
-    if not c.is_rational():
-        raise UsageError("completion requires rational leading coefficients")
     rest = Element(f.quiver, {p: cc for p, cc in f.terms.items() if p != tip})
     return Rule(tip, (-rest).scale(PolyScalar.rational(Fraction(1) / c.as_rational())))
 
 
 def _interreduce(relations: list[Element], order: AdmissibleOrder,
                  budget: int) -> list[Element]:
-    """Reduce each relation against the others until nothing changes."""
+    """Reduce each relation by the rules of those before it, in ascending
+    order of tips, until a round changes nothing.
+
+    A larger tip never applies to a relation: it is longer than every path of
+    the relation, or has the same length and differs from each one.  Two
+    relations with one tip merge: the earlier one's rule rewrites the later tip.
+    """
     rels = [r for r in relations if not r.is_zero()]
     for _ in range(INTERREDUCE_ROUNDS):
         rels.sort(key=lambda r: order.key(_tip(r, order)))
-        # merge relations sharing a tip
-        merged: list[Element] = []
-        by_tip: dict[Path, int] = {}
+        reduced: list[Element] = []
+        rules: list[Rule] = []
         for r in rels:
-            tip = _tip(r, order)
-            if tip in by_tip:
-                prev = merged[by_tip[tip]]
-                ratio = r.terms[tip].as_rational() / prev.terms[tip].as_rational()
-                diff = r - prev.scale(PolyScalar.rational(ratio))
-                if not diff.is_zero():
-                    merged.append(diff)
-            else:
-                by_tip[tip] = len(merged)
-                merged.append(r)
-        rels = sorted(merged, key=lambda r: order.key(_tip(r, order)))
-        # orient each relation once per round, when another relation's reduction
-        # first needs it: rels[1:] now, a reduced relation before the next one
-        oriented = [None] + [_orient(r, order) for r in rels[1:]]
-        changed = False
-        new_rels: list[Element] = []
-        new_rules: list[Rule | None] = []
-        for idx, r in enumerate(rels):
-            if new_rules and new_rules[-1] is None:
-                new_rules[-1] = _orient(new_rels[-1], order)
-            rules = {}
-            for rule in new_rules + oriented[idx + 1:]:
-                rules.setdefault(rule.lhs, rule)
-            system = ReductionSystem(r.quiver, list(rules.values()), validate=False)
-            rr = reduce_full(r, system, budget)
-            if rr == r:
-                rule = oriented[idx]
-            else:
-                changed, rule = True, None
+            rr = (reduce_full(r, ReductionSystem(r.quiver, rules, validate=False), budget)
+                  if rules else r)
             if not rr.is_zero():
-                new_rels.append(rr)
-                new_rules.append(rule)
-        rels = new_rels
-        if not changed:
+                reduced.append(rr)
+                rules.append(_orient(rr, order))
+        if reduced == rels:
             return rels
+        rels = reduced
     raise CompletionError("inter-reduction did not stabilize", [])
 
 
 def complete(generators: list[Element], order: AdmissibleOrder,
              max_rounds: int = 50, budget: int = DEFAULT_BUDGET) -> ReductionSystem:
-    """Buchberger-style completion of uniform relations into a confluent system."""
+    """Buchberger-style completion of uniform relations into a confluent system.
+
+    The result is the reduced Gröbner basis of the ideal for the order, which
+    is unique: the order in which relations are processed never shows in it.
+    """
     quiver = order.quiver
     for g in generators:
         if not g.is_uniform():
             raise UsageError("completion generators must be uniform (parallel paths)")
-    relations = [g for g in generators if not g.is_zero()]
-    system = None
+    relations = generators
+    report = DiamondReport()
     for _ in range(max_rounds):
         relations = _interreduce(relations, order, budget)
-        for r in relations:
-            if len(_tip(r, order)) < 2:
-                raise UsageError(f"relation with tip of length < 2: {_tip(r, order)!r}")
         system = ReductionSystem(quiver, [_orient(r, order) for r in relations])
         report = check_diamond(system, budget)
         if report.verdict == "pass":
             return system
         if report.verdict == "inconclusive":
             raise BudgetExceeded(Element.zero(quiver), budget)
-        for amb, status, defect in report.statuses:
-            if status == "failed" and defect is not None:
-                relations.append(defect)
-    outstanding = [amb.word for amb, st, _ in check_diamond(system, budget).statuses
-                   if st != "resolved"]
+        relations += [defect for _, status, defect in report.statuses if status == "failed"]
+    outstanding = [amb.word for amb, st, _ in report.statuses if st != "resolved"]
     raise CompletionError("completion did not converge", outstanding)

@@ -158,10 +158,10 @@ class TestDeterminism:
         _, out2 = run([comm3, "reduce", "x3*x2*x1 + 2*x2*x1"])
         assert out1 == out2
 
-    def test_threads_flag_accepted(self, comm3):
+    def test_threads_flag_is_rejected(self, comm3):
         code, out = run([comm3, "--threads", "4", "reduce", "x2*x1"])
-        assert code == 0
-        assert last_json(out)["normal_form"] == "x1*x2"
+        assert code == 2
+        assert last_json(out)["command"] is None
 
 
 class TestStdin:
@@ -372,6 +372,17 @@ def test_unstable_interreduction_exits_3(tmp_path, monkeypatch):
                               "error": "completion did not converge"}
 
 
+def test_short_tip_relation_exits_2(tmp_path):
+    """A relation whose tip is a single arrow cannot become a rule."""
+    p = tmp_path / "xy.txt"
+    p.write_text("vertex 0\narrow x : 0 -> 0\narrow y : 0 -> 0\norder y < x\n")
+    rels = tmp_path / "rels.txt"
+    rels.write_text("rel x - y\nrel x*x - y*y\n")
+    code, out = run([str(p), "complete", str(rels)])
+    assert code == 2
+    assert last_json(out)["error"] == "relation with tip of length < 2: x"
+
+
 COMM3_DEFORMED = COMM3 + "param hbar\nset trunc 3\n"
 NON_CONFLUENT = "vertex 0\narrow x : 0 -> 0\narrow y : 0 -> 0\nrule x*x -> y\n"
 LIE = COMM3_DEFORMED + "deform x3*x2 -> -hbar*x1*x1\n"
@@ -486,6 +497,18 @@ class TestSymbolPowers:
         assert time.perf_counter() - start < 1.0
         assert code == 0
         assert last_json(out)["normal_form"] == "lam^1000000*x"
+
+    def test_long_arrow_power_exits_2_before_building_the_path(self, comm3):
+        start = time.perf_counter()
+        code, out = run([comm3, "reduce", "x1^1000000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert last_json(out)["error"] == \
+            f"term 'x1^1000000000' has more than {cli.MAX_TERM_ARROWS} arrows"
+
+    def test_arrow_power_equals_repeated_product(self):
+        parser = ElementParser(Quiver(["0"], [("x1", "0", "0")]), [], [], None)
+        assert parser.parse_element("x1^3") == parser.parse_element("x1*x1*x1")
 
     @pytest.mark.parametrize("name", ["hbar", "lam"])
     @pytest.mark.parametrize("power", [0, 1, 2, 3])

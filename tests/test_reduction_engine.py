@@ -227,6 +227,16 @@ class TestCompletion:
         assert reduce_full(nf, system) == nf
 
 
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_parameter_leading_coefficient_is_rejected_in_either_order(self, first):
+        # t*x*x lies in the ideal of x*x, but no relation may lead with t
+        q = Quiver(["0"], [("x", "0", "0")])
+        xx = Element.from_path(q.path("x", "x"))
+        gens = [xx, xx.scale(PolyScalar.var("t", is_param=True))]
+        with pytest.raises(UsageError, match="rational leading coefficients"):
+            complete(gens[first:] + gens[:first], AdmissibleOrder(q))
+
+
 # -- randomized confluence oracle -------------------------------------------
 
 def _random_monomial_system(rng: random.Random):
