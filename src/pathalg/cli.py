@@ -180,7 +180,7 @@ class ElementParser:
         return out
 
     def _parse_term(self, chunk: str, line: int | None) -> Element:
-        sign = Fraction(1)
+        sign = 1
         while chunk and chunk[0] in "+-":
             if chunk[0] == "-":
                 sign = -sign

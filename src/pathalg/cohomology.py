@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quiver_core import Element, Path, PolyScalar, UsageError
+from .quiver_core import Element, Path, PolyScalar, UsageError, _q
 from .reduction_engine import DEFAULT_BUDGET, ReductionSystem
 from .star_product import (
     DeformationCochain,
@@ -52,10 +52,12 @@ class Echelon:
     ``rows`` maps each pivot column to its row {column: value}.  A row is 1 at
     its pivot, 0 at every other pivot and 0 left of its pivot, so the rows
     are the (unique) reduced row echelon form of the vectors absorbed so far.
+    Entries are ints or Fractions; the one division goes through ``Fraction``,
+    so int input never yields a float.
     """
 
     def __init__(self, vectors=()):
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.rows: dict[int, dict[int, int | Fraction]] = {}
         for vec in vectors:
             self.absorb(vec)
 
@@ -68,33 +70,34 @@ class Echelon:
         if not v:
             return False
         pivot = min(v)
-        new = {j: c / v[pivot] for j, c in v.items()}
+        new = {j: _q(Fraction(c, v[pivot])) for j, c in v.items()}
         for row in self.rows.values():
             if pivot in row:
                 _axpy(row, -row[pivot], new)
         self.rows[pivot] = new
         return True
 
-    def dense_rows(self, ncols: int) -> list[tuple[Fraction, ...]]:
+    def dense_rows(self, ncols: int) -> list[tuple[int | Fraction, ...]]:
         """The rows as dense tuples, in pivot order."""
-        return [tuple(row.get(j, Fraction(0)) for j in range(ncols))
+        return [tuple(row.get(j, 0) for j in range(ncols))
                 for _, row in sorted(self.rows.items())]
 
-    def kernel(self, ncols: int) -> list[tuple[Fraction, ...]]:
+    def kernel(self, ncols: int) -> list[tuple[int | Fraction, ...]]:
         """Basis of the null space, one vector per free column."""
         basis = []
         for j in range(ncols):
             if j in self.rows:
                 continue
-            vec = [Fraction(0)] * ncols
-            vec[j] = Fraction(1)
+            vec = [0] * ncols
+            vec[j] = 1
             for pivot, row in self.rows.items():
-                vec[pivot] = -row.get(j, Fraction(0))
+                vec[pivot] = -row.get(j, 0)
             basis.append(tuple(vec))
         return basis
 
 
-def _axpy(v: dict[int, Fraction], f: Fraction, row: dict[int, Fraction]):
+def _axpy(v: dict[int, int | Fraction], f: int | Fraction,
+          row: dict[int, int | Fraction]):
     """v += f * row in place, dropping entries that cancel."""
     for j, a in row.items():
         c = v.get(j, 0) + f * a
@@ -110,16 +113,16 @@ def _axpy(v: dict[int, Fraction], f: Fraction, row: dict[int, Fraction]):
 @dataclass(frozen=True)
 class CocycleSpace:
     basis: list[tuple[Path, Path]]
-    matrix: list[tuple[Fraction, ...]]  # rows of the linearized defect map
-    kernel: list[tuple[Fraction, ...]]
+    matrix: list[tuple[int | Fraction, ...]]  # rows of the linearized defect map
+    kernel: list[tuple[int | Fraction, ...]]
 
 
 @dataclass(frozen=True)
 class CoboundarySpace:
     basis: list[tuple[Path, Path]]       # 2-cochain coordinates
     domain: list[tuple[Path, Path]]      # 1-cochain basis
-    columns: list[tuple[Fraction, ...]]  # image of each 1-cochain basis vector
-    image: list[tuple[Fraction, ...]]    # row-reduced basis of the image
+    columns: list[tuple[int | Fraction, ...]]  # image of each 1-cochain basis vector
+    image: list[tuple[int | Fraction, ...]]    # row-reduced basis of the image
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ def _columns_at(first_order: Element, unknowns: dict[str, int]):
     other monomial is not a rational coordinate.
     """
     for p, c in first_order.terms.items():
-        const, entries = Fraction(0), {}
+        const, entries = 0, {}
         for m, q in c.terms.items():
             if not m:
                 const = q
@@ -167,7 +170,7 @@ def cocycle_space(R: ReductionSystem, bound: int | None = None,
     cochain; the coefficient of its i-th unknown is column i.
     """
     basis = two_cochain_basis(R, bound)
-    rows: dict[tuple[int, Path], tuple[Fraction, ...]] = {}
+    rows: dict[tuple[int, Path], tuple[int | Fraction, ...]] = {}
     if basis:
         values, unknowns = _generic_values(R, basis, "c")
         cochain = DeformationCochain(R, values, trunc=1)
@@ -193,7 +196,7 @@ def coboundary_space(R: ReductionSystem, bound: int | None = None,
     basis2 = two_cochain_basis(R, bound)
     index = {pair: i for i, pair in enumerate(basis2)}
     basis1 = one_cochain_basis(R, bound)
-    columns = [[Fraction(0)] * len(basis2) for _ in basis1]
+    columns = [[0] * len(basis2) for _ in basis1]
     if basis1:
         zero = DeformationCochain(R, {}, trunc=1)
         values, unknowns = _generic_values(R, basis1, "b")
@@ -230,7 +233,7 @@ def hh2(R: ReductionSystem, bound: int | None = None,
             raise RuntimeError("coboundary is not a cocycle: d^2 != 0 at first order")
     dim = len(cocycles.kernel) - len(coboundaries.image)
     span = Echelon(coboundaries.image)
-    reps: list[tuple[Fraction, ...]] = []
+    reps: list[tuple[int | Fraction, ...]] = []
     for vec in cocycles.kernel:
         if len(reps) == dim:
             break

@@ -2,9 +2,12 @@
 
 Everything here is immutable and exact: coefficients are multivariate
 polynomials over arbitrary-precision rationals in a set of commuting formal
-symbols.  Symbols are split into two roles: *deformation parameters* (t, hbar,
-...) which count toward the truncation order, and *unknowns* (lam, mu, ...)
-which never get truncated.
+symbols.  A rational coefficient is built as a Python ``int`` when it is
+integral and as a ``Fraction`` otherwise; the two mix exactly under ``+ - *``
+(Fractions may sum to an integral Fraction, which equals the int), so only a
+division has to go through ``Fraction``.  Symbols are split into two roles:
+*deformation parameters* (t, hbar, ...) which count toward the truncation
+order, and *unknowns* (lam, mu, ...) which never get truncated.
 """
 
 from __future__ import annotations
@@ -175,6 +178,33 @@ Mono = tuple[tuple[str, int], ...]  # sorted ((symbol, exponent), ...)
 _ONE: Mono = ()
 
 
+def _q(c):
+    """The exact rational c as an int when integral, else as a Fraction."""
+    if type(c) is not int:
+        c = c if type(c) is Fraction else Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+def _digits(n: int) -> str:
+    """str(n) for an int of any size: pieces of at most 2,000 bits (603
+    digits) stay below the lowest digit limit the interpreter accepts (640)."""
+    if n.bit_length() <= 2_000:
+        return str(n)
+    if n < 0:
+        return "-" + _digits(-n)
+    k = n.bit_length() * 3 // 20  # about half the decimal digits
+    hi, lo = divmod(n, 10 ** k)
+    return _digits(hi) + _digits(lo).zfill(k)
+
+
+def _rational_str(c) -> str:
+    """str(c) of an int or Fraction coefficient, of any size."""
+    n, d = c.numerator, c.denominator
+    return _digits(n) if d == 1 else f"{_digits(n)}/{_digits(d)}"
+
+
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     if not a:
         return b
@@ -204,13 +234,13 @@ class PolyScalar:
 
     __slots__ = ("terms", "trunc", "params")
 
-    def __init__(self, terms: Mapping[Mono, Fraction] | None = None,
+    def __init__(self, terms: Mapping[Mono, int | Fraction] | None = None,
                  trunc: int | None = None, params: frozenset[str] = frozenset()):
         self.trunc = trunc
         self.params = frozenset(params)
-        clean: dict[Mono, Fraction] = {}
+        clean: dict[Mono, int | Fraction] = {}
         for m, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _q(c)
             if c == 0:
                 continue
             if trunc is not None and _mono_deg(m, self.params) > trunc:
@@ -219,11 +249,11 @@ class PolyScalar:
         self.terms = clean
 
     @classmethod
-    def _exact(cls, terms: dict[Mono, Fraction], trunc: int | None,
+    def _exact(cls, terms: dict[Mono, int | Fraction], trunc: int | None,
                params: frozenset[str]) -> "PolyScalar":
-        """Construct from Fraction coefficients without re-wrapping them.
+        """Construct from exact coefficients without converting them.
 
-        Only zero coefficients are dropped; callers guarantee Fraction
+        Only zero coefficients are dropped; callers guarantee int or Fraction
         coefficients, a frozenset of params and no monomial over the truncation.
         """
         ps = object.__new__(cls)
@@ -233,7 +263,7 @@ class PolyScalar:
         return ps
 
     @classmethod
-    def _cut(cls, terms: dict[Mono, Fraction], trunc: int | None,
+    def _cut(cls, terms: dict[Mono, int | Fraction], trunc: int | None,
              params: frozenset[str]) -> "PolyScalar":
         """``_exact`` for terms that may lie over the truncation: drops them."""
         if trunc is not None:
@@ -243,7 +273,7 @@ class PolyScalar:
     # -- constructors -----------------------------------------------------
     @staticmethod
     def rational(q, trunc: int | None = None, params: frozenset[str] = frozenset()) -> "PolyScalar":
-        return PolyScalar._cut({_ONE: Fraction(q)}, trunc, frozenset(params))
+        return PolyScalar._cut({_ONE: _q(q)}, trunc, frozenset(params))
 
     @staticmethod
     def zero(trunc: int | None = None, params: frozenset[str] = frozenset()) -> "PolyScalar":
@@ -253,7 +283,7 @@ class PolyScalar:
     def var(name: str, is_param: bool = False, trunc: int | None = None,
             params: frozenset[str] = frozenset()) -> "PolyScalar":
         ps = params | ({name} if is_param else frozenset())
-        return PolyScalar({((name, 1),): Fraction(1)}, trunc, ps)
+        return PolyScalar({((name, 1),): 1}, trunc, ps)
 
     # -- structure --------------------------------------------------------
     def is_zero(self) -> bool:
@@ -267,7 +297,7 @@ class PolyScalar:
             return Fraction(0)
         if not self.is_rational():
             raise UsageError(f"not a rational constant: {self}")
-        return self.terms[_ONE]
+        return Fraction(self.terms[_ONE])
 
     def param_degree(self, m: Mono | None = None) -> int:
         if m is not None:
@@ -310,7 +340,7 @@ class PolyScalar:
             # pair two monomials only if their parameter degrees, counted with
             # the merged params, sum to at most the truncation
             graded = [(_mono_deg(m, ps), m, c) for m, c in other.terms.items()]
-        d: dict[Mono, Fraction] = {}
+        d: dict[Mono, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             if tr is None:
                 partners = other.terms.items()
@@ -324,7 +354,7 @@ class PolyScalar:
         return PolyScalar._exact(d, tr, ps)
 
     def scale(self, q) -> "PolyScalar":
-        q = Fraction(q)
+        q = _q(q)
         return PolyScalar._exact({m: c * q for m, c in self.terms.items()}, self.trunc, self.params)
 
     def __eq__(self, other) -> bool:
@@ -359,7 +389,7 @@ class PolyScalar:
                     for _ in range(e):
                         term = term * values[name]
                 else:
-                    term = term * PolyScalar({((name, e),): Fraction(1)}, self.trunc, self.params)
+                    term = term * PolyScalar({((name, e),): 1}, self.trunc, self.params)
             out = out + term
         return out
 
@@ -376,9 +406,9 @@ class PolyScalar:
                 elif c == -1:
                     s = f"-{mono}"
                 else:
-                    s = f"{c}*{mono}"
+                    s = f"{_rational_str(c)}*{mono}"
             else:
-                s = str(c)
+                s = _rational_str(c)
             bits.append(s)
         out = bits[0]
         for s in bits[1:]:

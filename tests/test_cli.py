@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import time
+from decimal import Decimal
 
 import pytest
 
@@ -467,6 +468,18 @@ class TestInternalErrors:
         assert code == 2
         assert last_json(out)["error"] == \
             "number of 5000 characters is too long"
+
+    def test_result_over_the_digit_limit_is_printed_exactly(self, tmp_path):
+        p = tmp_path / "xy.txt"
+        p.write_text("vertex 0\narrow x : 0 -> 0\narrow y : 0 -> 0\n"
+                     "rule y*x -> 99999999*x*y\n")
+        code, out = run([str(p), "reduce", "y^35*x^35"])
+        assert code == 0
+        # Decimal converts ints without the interpreter's str() digit limit
+        digits = str(Decimal(99999999 ** 1225))
+        assert len(digits) > 4300
+        assert last_json(out)["normal_form"] == \
+            digits + "*" + "*".join(["x"] * 35 + ["y"] * 35)
 
     def test_variety_without_rules_has_no_equations(self, tmp_path):
         p = tmp_path / "free.txt"

@@ -243,3 +243,21 @@ def test_echelon_matches_dense_rref(shape):
         assert echelon.absorb(row) == (after > before)
     assert echelon.dense_rows(ncols) == _reference_rref(rows)[0]
     assert echelon.kernel(ncols) == _reference_kernel(rows, ncols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=8)
+    .map(lambda rows: (n, rows))))
+def test_echelon_on_int_vectors_matches_a_fraction_elimination(shape):
+    """Int input divides exactly: the entries equal a Fraction-only
+    elimination, and none of them is a float."""
+    ncols, rows = shape
+    echelon = Echelon(rows)
+    want = [[Fraction(c) for c in row] for row in rows]
+    dense, kernel = echelon.dense_rows(ncols), echelon.kernel(ncols)
+    assert dense == _reference_rref(want)[0]
+    assert kernel == _reference_kernel(want, ncols)
+    entries = [c for row in echelon.rows.values() for c in row.values()]
+    entries += [c for vec in dense + kernel for c in vec]
+    assert all(type(c) in (int, Fraction) for c in entries)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import operator
+from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,10 +124,25 @@ class TestExactArithmetic:
         assert (t * PolyScalar.rational(0)).terms == {}
         assert (t + t.scale(-1)).is_zero()
 
-    def test_coefficients_stay_fractions(self):
-        t = PolyScalar.var("t", is_param=True, trunc=4)
-        p = (t + PolyScalar.rational(Fraction(1, 3))) * t.scale(2) - t
-        assert p.terms and all(type(c) is Fraction for c in p.terms.values())
+    def test_constructors_give_ints_and_as_rational_a_fraction(self):
+        t = (("t", 1),)
+        for q in (0, 2, Fraction(6, 3), Fraction(-1, 3)):
+            r = PolyScalar.rational(q).as_rational()
+            assert type(r) is Fraction and r == q
+        assert type(PolyScalar.rational(Fraction(6, 3)).terms[()]) is int
+        assert type(PolyScalar.var("t").terms[t]) is int
+        assert type(PolyScalar({t: Fraction(4, 2)}).terms[t]) is int
+        assert type(PolyScalar.var("t").scale(Fraction(1, 3)).terms[t]) is Fraction
+
+    def test_repr_prints_coefficients_over_the_digit_limit(self):
+        # Decimal converts ints without the interpreter's str() digit limit
+        for q in (10 ** 5000, -(10 ** 6001) + 7, Fraction(3 ** 9000, 2 ** 15001)):
+            q = Fraction(q)
+            want = str(Decimal(q.numerator))
+            if q.denominator != 1:
+                want += "/" + str(Decimal(q.denominator))
+            assert repr(PolyScalar.rational(q)) == want
+            assert repr(PolyScalar({(("t", 1),): q})) == want + "*t"
 
 
 class TestElement:
@@ -274,3 +292,68 @@ def test_graded_element_product_matches_reference(pair):
     want = {p: {m: c for m, c in d.items() if c} for p, d in want.items()}
     assert {p: c.terms for p, c in (a * b).terms.items()} == \
         {p: d for p, d in want.items() if d}
+
+
+# -- int coefficients when integral, against a Fraction-only reference -----
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_OPS = (*_BINARY, "scale", "truncated")
+exact = st.one_of(st.integers(-3, 3),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+def _ref_cut(terms: dict, trunc, params) -> tuple:
+    return ({m: c for m, c in terms.items() if c and (
+        trunc is None or sum(e for n, e in m if n in params) <= trunc)},
+            trunc, params)
+
+
+def _ref_apply(op: str, a: tuple, b: tuple, q: Fraction, n) -> tuple:
+    """One operation on (Fraction terms, trunc, params) triples."""
+    ta, tra, pa = a
+    if op == "scale":
+        return _ref_cut({m: c * q for m, c in ta.items()}, tra, pa)
+    if op == "truncated":
+        tr = n if tra is None else (n if n is not None and n < tra else tra)
+        return _ref_cut(ta, tr, pa)
+    tb, trb, pb = b
+    truncs = [t for t in (tra, trb) if t is not None]
+    tr, ps = (min(truncs) if truncs else None), pa | pb
+    if op == "*":
+        return _ref_cut(_reference_mul(SimpleNamespace(terms=ta, trunc=tra, params=pa),
+                                       SimpleNamespace(terms=tb, trunc=trb, params=pb)),
+                        tr, ps)
+    sign = 1 if op == "+" else -1
+    d = dict(ta)
+    for m, c in tb.items():
+        d[m] = d.get(m, Fraction(0)) + sign * c
+    return _ref_cut(d, tr, ps)
+
+
+@st.composite
+def _program(draw):
+    """Two polynomials with int or Fraction coefficients, a scale factor,
+    a truncation order and a sequence of operations."""
+    sides = [draw(side), draw(side)]
+    terms = [draw(st.dictionaries(monomial, exact, max_size=4)) for _ in sides]
+    return (terms, sides, draw(exact), draw(st.one_of(st.none(), st.integers(0, 3))),
+            draw(st.lists(st.sampled_from(_OPS), min_size=1, max_size=5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_program())
+def test_coefficients_are_ints_when_integral(program):
+    terms, sides, q, n, ops = program
+    a, b = (PolyScalar(t, tr, ps) for t, (tr, ps) in zip(terms, sides))
+    ref_a, ref_b = (_ref_cut({m: Fraction(c) for m, c in t.items()}, tr, frozenset(ps))
+                    for t, (tr, ps) in zip(terms, sides))
+    integral = all(Fraction(c).denominator == 1
+                   for c in [q, *terms[0].values(), *terms[1].values()])
+    for op in ops:
+        a = (a.scale(q) if op == "scale" else a.truncated(n) if op == "truncated"
+             else _BINARY[op](a, b))
+        ref_a = _ref_apply(op, ref_a, ref_b, Fraction(q), n)
+        assert a.terms == ref_a[0] and a.trunc == ref_a[1]
+        assert all(type(c) in (int, Fraction) for c in a.terms.values())
+        if integral:
+            assert all(type(c) is int for c in a.terms.values())

@@ -226,6 +226,19 @@ class TestCompletion:
         # yx = x^3 - xy*x = x*(x^2) - (xy)x must be consistent
         assert reduce_full(nf, system) == nf
 
+    def test_leading_coefficient_three_gives_exact_thirds(self):
+        q = Quiver(["0"], [("x", "0", "0"), ("y", "0", "0")])
+        yx, xy, xx = (Element.from_path(q.path(*w)) for w in ("yx", "xy", "xx"))
+        three = PolyScalar.rational(3)
+        system = complete([yx.scale(three) - xy - xx.scale(PolyScalar.rational(2))],
+                          AdmissibleOrder(q, ["x", "y"]))
+        [rule] = system.rules
+        assert rule.lhs == q.path("y", "x")
+        coeffs = {p: c.terms[()] for p, c in rule.rhs.terms.items()}
+        assert coeffs == {q.path("x", "y"): Fraction(1, 3), q.path("x", "x"): Fraction(2, 3)}
+        assert all(type(c) is Fraction for c in coeffs.values())
+        assert reduce_full(yx.scale(three), system) == xy + xx.scale(PolyScalar.rational(2))
+
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_parameter_leading_coefficient_is_rejected_in_either_order(self, first):
