@@ -118,6 +118,9 @@ class ProblemFile:
         formal = all(c.min_param_degree() >= 1
                      for v in self.deform_values.values()
                      for c in v.terms.values())
+        if formal and trunc is not None and trunc > self.trunc:  # parsed at self.trunc
+            raise UsageError(f"--trunc {trunc} exceeds the file's truncation "
+                             f"order {self.trunc} (set trunc {self.trunc})")
         if trunc is None and formal:
             trunc = self.trunc
         return DeformationCochain(self.system, self.deform_values,
@@ -444,13 +447,13 @@ def _cmd_star(problem: ProblemFile, args, flags, report: Report):
     parser = problem.parser(cochain.trunc)
     a = parser.parse_element(args[0])
     b = parser.parse_element(args[1])
-    result = star(a, b, problem.system, cochain, problem.budget)
+    result = star(a, b, cochain, problem.budget)
     report.say(f"star: {result!r}")
     report.doc["star"] = repr(result)
 
 
 def _cmd_mc(problem: ProblemFile, args, flags, report: Report):
-    result = mc_check(problem.system, problem.cochain(), problem.budget)
+    result = mc_check(problem.cochain(flags.trunc), problem.budget)
     report.verdict("maurer-cartan", result.verdict)
     report.doc["defects"] = []
     for w, d in result.defects:
@@ -463,7 +466,8 @@ def _cmd_gauge(problem: ProblemFile, args, flags, report: Report):
     if len(args) != 1:
         raise UsageError("gauge takes one psi-file argument")
     text = _read_input(args[0])
-    parser = problem.parser(problem.trunc)
+    cochain = problem.cochain(flags.trunc)
+    parser = problem.parser(cochain.trunc)
     values: dict[str, dict[Path, Element]] = {"gauge": {}, "deform": {}}
     for line_no, line in _logical_lines(text):
         head, _, rest = line.partition(" ")
@@ -473,12 +477,10 @@ def _cmd_gauge(problem: ProblemFile, args, flags, report: Report):
                              line_no)
         values[head][parser.parse_path(lhs, line_no)] = \
             parser.parse_element(rhs, line_no)
-    cochain = problem.cochain()
     psi = GaugeOnArrows(problem.system, values["gauge"], trunc=cochain.trunc)
     primed = DeformationCochain(problem.system, values["deform"],
                                 trunc=cochain.trunc)
-    report.verdict("gauge", gauge_check(psi, problem.system, cochain, primed,
-                                        problem.budget))
+    report.verdict("gauge", gauge_check(psi, cochain, primed, problem.budget))
 
 
 def _cmd_hh2(problem: ProblemFile, args, flags, report: Report):
@@ -564,20 +566,19 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
                 report.doc["defects"].append({"indices": list(ijk),
                                               "defect": repr(v)})
     elif sub == "check":
-        result = quantize_check(problem.cochain(flags.trunc), d,
+        result = quantize_check(problem.cochain(flags.trunc),
                                 budget=problem.budget)
         report.verdict("associativity", result.verdict)
     elif sub == "compare":
-        cochain = problem.cochain()
-        trunc = flags.trunc if flags.trunc is not None else min(
-            cochain.trunc or 3, 3)
+        cochain = problem.cochain(flags.trunc)
+        default = 3 if cochain.trunc is None else min(cochain.trunc, 3)
+        trunc = default if flags.trunc is None else flags.trunc
         mismatches = []
         monos = _monomials_up_to(problem.quiver, d, 2)
         for f in monos:
             for g in monos:
                 lhs = graphical_star(f, g, cochain, trunc=trunc, cap=cap)
-                rhs = star(f, g, problem.system, cochain,
-                           problem.budget).truncated(trunc)
+                rhs = star(f, g, cochain, problem.budget).truncated(trunc)
                 if not (lhs - rhs).is_zero():
                     mismatches.append((repr(f), repr(g)))
         report.verdict(f"compare ({len(monos) ** 2} pairs, order {trunc})",

@@ -174,7 +174,7 @@ def cocycle_space(R: ReductionSystem, bound: int | None = None,
     if basis:
         values, unknowns = _generic_values(R, basis, "c")
         cochain = DeformationCochain(R, values, trunc=1)
-        for idx, _, defect in associator_defects(R, cochain, budget):
+        for idx, _, defect in associator_defects(cochain, budget):
             for p, row in _columns_at(defect.coefficient_of(T_SYMBOL, 1), unknowns):
                 rows[(idx, p)] = row
     keys = sorted(rows, key=lambda k: (k[0], k[1].sort_key()))
@@ -203,7 +203,7 @@ def coboundary_space(R: ReductionSystem, bound: int | None = None,
         psi = GaugeOnArrows(R, values, trunc=1)
         for rule in R.rules:
             s = rule.lhs
-            induced = _t_of_element(Element.from_path(s) - rule.rhs, psi, R, zero, budget)
+            induced = _t_of_element(Element.from_path(s) - rule.rhs, psi, zero, budget)
             for p, entries in _columns_at(induced.coefficient_of(T_SYMBOL, 1), unknowns):
                 if (s, p) not in index:
                     if any(entries):

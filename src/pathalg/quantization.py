@@ -206,14 +206,13 @@ def poisson_to_cochain(eta: PoissonBivector, trunc: int = 4) -> DeformationCocha
     return DeformationCochain(eta.system, values, trunc=trunc)
 
 
-def quantize_check(cochain: DeformationCochain, d: int,
-                   budget: int = DEFAULT_BUDGET):
+def quantize_check(cochain: DeformationCochain, *, budget: int = DEFAULT_BUDGET):
     """Associativity on all strictly decreasing generator triples x_k, x_j, x_i.
 
     This is the Maurer-Cartan check for the commutator system: its overlap
     words are exactly x_k x_j x_i with k > j > i.
     """
-    return mc_check(cochain.system, cochain, budget)
+    return mc_check(cochain, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -294,25 +293,6 @@ def _discovery_key(orders) -> tuple:
     return tuple(key)
 
 
-def _canonicalize(k, targets, orders) -> KGraph:
-    """The graph relabeled to its least (targets, orders) over all k!
-    permutations."""
-    best = None
-    for perm in itertools.permutations(range(k)):
-        relabel = {i: perm[i] for i in range(k)}
-        relabel[F_SLOT] = F_SLOT
-        relabel[G_SLOT] = G_SLOT
-        enc_t = tuple(pair for _, pair in sorted(
-            (relabel[v], tuple(sorted((relabel[a], relabel[b]))))
-            for v, (a, b) in enumerate(targets)))
-        enc_o = tuple(sorted((relabel[n], tuple(relabel[s] for s in srcs))
-                             for n, srcs in orders))
-        key = (enc_t, enc_o)
-        if best is None or key < best:
-            best = key
-    return KGraph(k=k, targets=best[0], orders=best[1])
-
-
 def enumerate_graphs(k: int, cap: int = 4) -> list[KGraph]:
     """All graphs in the k-th stratum, canonical and isomorphism-free."""
     if k < 1:
@@ -325,7 +305,9 @@ def enumerate_graphs(k: int, cap: int = 4) -> list[KGraph]:
 @lru_cache(maxsize=None)
 def _enumerate_graphs_cached(k: int) -> tuple[KGraph, ...]:
     nodes = list(range(k)) + [F_SLOT, G_SLOT]
-    seen: dict = {}  # discovery key -> canonical graph
+    # discovery key -> least (targets, orders) of its class: the walk visits
+    # every labelling of every class, so that is the canonical form
+    seen: dict = {}
     target_choices = [list(itertools.combinations([n for n in nodes if n != v], 2))
                       for v in range(k)]
     for combo in itertools.product(*target_choices):
@@ -342,9 +324,10 @@ def _enumerate_graphs_cached(k: int) -> tuple[KGraph, ...]:
         ]
         for orders in itertools.product(*order_space):
             key = _discovery_key(orders)
-            if key not in seen:  # one k! canonical form per class
-                seen[key] = _canonicalize(k, targets, orders)
-    return tuple(sorted(seen.values(), key=lambda g: (g.targets, g.orders)))
+            form = (targets, orders)
+            if key not in seen or form < seen[key]:
+                seen[key] = form
+    return tuple(KGraph(k, targets, orders) for targets, orders in sorted(seen.values()))
 
 
 # ---------------------------------------------------------------------------

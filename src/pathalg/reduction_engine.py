@@ -39,6 +39,7 @@ __all__ = [
     "overlaps",
     "ambiguities_n",
     "irreducible_paths",
+    "resolve_overlap",
     "check_diamond",
     "complete",
 ]
@@ -429,17 +430,25 @@ def irreducible_paths(S: list[Path], quiver: Quiver, max_len: int | None = None,
 # Diamond check and completion
 # ---------------------------------------------------------------------------
 
+def resolve_overlap(amb: Ambiguity, R: ReductionSystem, trunc: int | None = None,
+                    budget: int = DEFAULT_BUDGET) -> Element:
+    """red(phi_uv * w) - red(u * phi_vw) on the overlap uvw, each product cut
+    at ``trunc``.  phi_uv and phi_vw are the normal forms of uv and vw (right
+    sides are irreducible), so on a deformed system this is the associator
+    (u*v)*w - u*(v*w) of the star product; the diamond condition is its
+    vanishing at phitilde = 0."""
+    u, v, w = amb.factors
+    left = (R.by_lhs[compose(u, v)].rhs * Element.from_path(w)).truncated(trunc)
+    right = (Element.from_path(u) * R.by_lhs[compose(v, w)].rhs).truncated(trunc)
+    return reduce_full(left, R, budget) - reduce_full(right, R, budget)
+
+
 def check_diamond(R: ReductionSystem, budget: int = DEFAULT_BUDGET) -> DiamondReport:
     """Resolve every overlap ambiguity both ways and compare normal forms."""
     report = DiamondReport()
     for amb in overlaps(R.lhs_set()):
-        u, v, w = amb.factors
-        uv = compose(u, v)
-        vw = compose(v, w)
-        left = R.by_lhs[uv].rhs * Element.from_path(w)
-        right = Element.from_path(u) * R.by_lhs[vw].rhs
         try:
-            diff = reduce_full(left, R, budget) - reduce_full(right, R, budget)
+            diff = resolve_overlap(amb, R, budget=budget)
         except BudgetExceeded:
             report.statuses.append((amb, "budget", None))
             continue

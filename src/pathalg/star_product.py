@@ -5,7 +5,10 @@ path algebra and rewriting with the deformed rules s -> phi_s + phitilde_s.
 The strata are read off a second system s -> phi_s + z*phitilde_s, built only
 when ``star_k`` asks for it, where z is an internal bookkeeping symbol
 counting how often the deformation part was used: the coefficient of z^k is
-the k-th stratum, and setting z = 1 gives the full product.
+the k-th stratum, and setting z = 1 gives the full product.  A cochain
+carries its reduction system, so every product and check here takes only the
+cochain.  The Maurer-Cartan defects are the overlap resolutions of the
+deformed system (``resolve_overlap``), the same kernel as the diamond check.
 
 The cochain bases and the generic cochain live here too: HH^2 (``cohomology``)
 and the Maurer-Cartan variety (``variety``) are both read off one generic
@@ -25,6 +28,7 @@ from .reduction_engine import (
     is_irreducible,
     overlaps,
     reduce_full,
+    resolve_overlap,
 )
 
 __all__ = [
@@ -158,17 +162,15 @@ class GaugeOnArrows:
         return Element.from_path(x) + self.values.get(x, Element.zero(self.system.quiver))
 
 
-def star(a: Element, b: Element, R: ReductionSystem, cochain: DeformationCochain,
+def star(a: Element, b: Element, cochain: DeformationCochain,
          budget: int = DEFAULT_BUDGET) -> Element:
     """a * b followed by deformed reduction to normal form, all strata summed."""
-    if cochain.system is not R and cochain.system.by_lhs.keys() != R.by_lhs.keys():
-        raise UsageError("cochain does not belong to this reduction system")
     prod = (a * b).truncated(cochain.trunc)
     return reduce_full(prod, cochain._deformed, budget)
 
 
-def star_k(a: Element, b: Element, R: ReductionSystem, cochain: DeformationCochain,
-           k: int, budget: int = DEFAULT_BUDGET) -> Element:
+def star_k(a: Element, b: Element, cochain: DeformationCochain, k: int,
+           budget: int = DEFAULT_BUDGET) -> Element:
     """The stratum of the star product using the deformation part exactly k times."""
     if k < 0:
         raise UsageError("k must be >= 0")
@@ -188,30 +190,28 @@ class McReport:
         return all(d.is_zero() for _, d in self.defects)
 
 
-def associator_defects(R: ReductionSystem, cochain: DeformationCochain,
-                       budget: int = DEFAULT_BUDGET):
+def associator_defects(cochain: DeformationCochain, budget: int = DEFAULT_BUDGET):
     """Yield (overlap index, word, (u*v)*w - u*(v*w)) for every overlap uvw.
 
     The one associator kernel behind the Maurer-Cartan checks, the cocycle
-    map and the variety equations.  It is lazy, so a caller that stops at
-    the first nonzero defect does no further star products.
+    map and the variety equations: ``resolve_overlap`` on the deformed
+    system, whose right sides are the star products u*v and v*w.  It is
+    lazy, so a caller that stops at the first nonzero defect does no further
+    reductions.
     """
-    for idx, amb in enumerate(overlaps(R.lhs_set())):
-        u, v, w = (Element.from_path(f) for f in amb.factors)
-        left = star(star(u, v, R, cochain, budget), w, R, cochain, budget)
-        right = star(u, star(v, w, R, cochain, budget), R, cochain, budget)
-        yield idx, amb.word, left - right
+    D = cochain._deformed
+    for idx, amb in enumerate(overlaps(D.lhs_set())):
+        yield idx, amb.word, resolve_overlap(amb, D, cochain.trunc, budget)
 
 
-def mc_check(R: ReductionSystem, cochain: DeformationCochain,
-             budget: int = DEFAULT_BUDGET) -> McReport:
+def mc_check(cochain: DeformationCochain, budget: int = DEFAULT_BUDGET) -> McReport:
     """Associativity of the star product on every overlap word uvw."""
     return McReport([(word, defect) for _, word, defect
-                     in associator_defects(R, cochain, budget)])
+                     in associator_defects(cochain, budget)])
 
 
-def _t_of_element(a: Element, psi: GaugeOnArrows, R: ReductionSystem,
-                  cochain: DeformationCochain, budget: int) -> Element:
+def _t_of_element(a: Element, psi: GaugeOnArrows, cochain: DeformationCochain,
+                  budget: int) -> Element:
     """Extend T(x) = x + psi(x) multiplicatively (via star) and linearly."""
     quiver = a.quiver
     out = Element.zero(quiver)
@@ -221,13 +221,13 @@ def _t_of_element(a: Element, psi: GaugeOnArrows, R: ReductionSystem,
         else:
             term = psi.t_of_arrow(p.subword(0, 1))
             for i in range(1, len(p)):
-                term = star(term, psi.t_of_arrow(p.subword(i, i + 1)), R, cochain, budget)
+                term = star(term, psi.t_of_arrow(p.subword(i, i + 1)), cochain, budget)
         out = out + term.scale(c)
     return out.truncated(cochain.trunc)
 
 
-def gauge_check(psi: GaugeOnArrows, R: ReductionSystem,
-                cochain: DeformationCochain, cochain_prime: DeformationCochain,
+def gauge_check(psi: GaugeOnArrows, cochain: DeformationCochain,
+                cochain_prime: DeformationCochain,
                 budget: int = DEFAULT_BUDGET) -> bool:
     """Verify that T = id + psi carries the primed deformation to the unprimed one.
 
@@ -236,10 +236,10 @@ def gauge_check(psi: GaugeOnArrows, R: ReductionSystem,
     order, with T extended multiplicatively through the unprimed star product.
     """
     trunc = cochain.trunc
-    for rule in R.rules:
+    for rule in cochain.system.rules:
         s = rule.lhs
         lhs_arg = rule.rhs + cochain_prime.value(s)
-        lhs = _t_of_element(lhs_arg, psi, R, cochain, budget)
+        lhs = _t_of_element(lhs_arg, psi, cochain, budget)
         prod = psi.t_of_arrow(s.subword(0, 1))
         for i in range(1, len(s)):
             prod = prod * psi.t_of_arrow(s.subword(i, i + 1))

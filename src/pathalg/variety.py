@@ -176,7 +176,7 @@ def mc_equations(R: ReductionSystem, cond: DegreeCondition, names=None,
                 raise UsageError(f"basis pair ({s!r}, {u!r}) violates the "
                                  "degree condition")
     cochain, _ = symbolic_cochain(R, basis, names)
-    polys = [c for _, _, defect in associator_defects(R, cochain, budget)
+    polys = [c for _, _, defect in associator_defects(cochain, budget)
              for _, c in defect.sorted_terms()]
     return canonical_set(polys)
 
@@ -199,4 +199,4 @@ def pbw_check(R: ReductionSystem, values: dict[Path, Element],
                                  "strict degree condition")
     cochain = DeformationCochain(R, values, trunc=None, formal=False)
     return all(defect.is_zero() for _, _, defect
-               in associator_defects(R, cochain, budget))
+               in associator_defects(cochain, budget))

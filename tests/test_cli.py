@@ -412,6 +412,9 @@ VERDICT_CASES = [
     (FIRST_ORDER, ["quantize", "check"], None, 1, "associativity: fail"),
     (FIRST_ORDER, ["quantize", "check", "--trunc", "2"], None, 0,
      "associativity: pass"),
+    (FIRST_ORDER, ["mc", "--trunc", "2"], None, 0, "maurer-cartan: pass"),
+    (TWO_CYCLE.format(ba="t*e2"), ["gauge", "--trunc", "0"], GAUGE_OTHER, 0,
+     "gauge: pass"),
     (LIE, ["quantize", "compare"], None, 0,
      "compare (100 pairs, order 3): pass"),
     (LIE, ["quantize", "compare", "--cap", "1"], None, 1,
@@ -436,6 +439,42 @@ def test_verdict_sets_line_document_and_exit_code(tmp_path, text, args, side,
     assert got == code
     assert line in out.splitlines()
     assert last_json(out)["verdict"] == line.rpartition(": ")[2]
+
+
+# the Weyl algebra x2*x1 = x1*x2 + hbar as a deformation of k[x1, x2]
+WEYL = """
+vertex 0
+arrow x1 : 0 -> 0
+arrow x2 : 0 -> 0
+param hbar
+rule x2*x1 -> x1*x2
+set trunc {trunc}
+deform x2*x1 -> hbar*e0
+"""
+
+
+def test_trunc_above_the_file_order_exits_2(tmp_path):
+    """A formal deform block is parsed at ``set trunc``: --trunc can only lower it."""
+    p = tmp_path / "weyl.txt"
+    p.write_text(WEYL.format(trunc=3))
+    code, out = run([str(p), "star", "x2^3", "x1^3"])
+    assert code == 0
+    assert last_json(out)["star"].startswith("6*hbar^3*e0 + ")
+    p.write_text(WEYL.format(trunc=2))
+    for command in (["star", "x2^3", "x1^3"], ["mc"], ["quantize", "check"]):
+        code, out = run([str(p), *command, "--trunc", "3"])
+        assert code == 2
+        assert last_json(out)["error"] == (
+            "--trunc 3 exceeds the file's truncation order 2 (set trunc 2)")
+
+
+def test_compare_order_defaults_to_the_file_order_up_to_3(tmp_path):
+    p = tmp_path / "weyl.txt"
+    for trunc, order in ((0, 0), (2, 2), (4, 3)):
+        p.write_text(WEYL.format(trunc=trunc))
+        code, out = run([str(p), "quantize", "compare"])
+        assert code == 0
+        assert f"compare (36 pairs, order {order}): pass" in out.splitlines()
 
 
 class TestInternalErrors:

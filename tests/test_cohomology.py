@@ -95,7 +95,7 @@ class TestHh2:
         for rep in hh2(R).representatives:
             values = {s: v.scale(t) for s, v in rep.items()}
             coc = DeformationCochain(R, values, trunc=1)
-            assert mc_check(R, coc).verdict
+            assert mc_check(coc).verdict
 
 
 class TestHkrOracle:
@@ -121,8 +121,8 @@ def _reference_cocycle_matrix(R, bound=None):
         col = {}
         for idx, amb in enumerate(overlaps(R.lhs_set())):
             x, v, w = (Element.from_path(f) for f in amb.factors)
-            left = star(star(x, v, R, cochain), w, R, cochain)
-            right = star(x, star(v, w, R, cochain), R, cochain)
+            left = star(star(x, v, cochain), w, cochain)
+            right = star(x, star(v, w, cochain), cochain)
             for p, c in (left - right).coefficient_of("t", 1).terms.items():
                 col[(idx, p)] = c.as_rational()
         columns.append(col)
@@ -142,8 +142,8 @@ def _reference_coboundary_columns(R, bound=None):
         col = [Fraction(0)] * len(index)
         for rule in R.rules:
             s = rule.lhs
-            lhs = _t_of_element(Element.from_path(s), psi, R, zero, DEFAULT_BUDGET)
-            rhs = _t_of_element(rule.rhs, psi, R, zero, DEFAULT_BUDGET)
+            lhs = _t_of_element(Element.from_path(s), psi, zero, DEFAULT_BUDGET)
+            rhs = _t_of_element(rule.rhs, psi, zero, DEFAULT_BUDGET)
             for p, c in (lhs - rhs).coefficient_of("t", 1).terms.items():
                 col[index[(s, p)]] = c.as_rational()
         columns.append(tuple(col))

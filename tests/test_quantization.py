@@ -111,13 +111,13 @@ class TestQuantizeCheck:
         lam = PolyScalar.var("lam")
         v = monomial(q, (2, 0, 0)) + monomial(q, (0, 1, 1), lam)
         eta = PoissonBivector(3, {(3, 2): -v})
-        report = quantize_check(poisson_to_cochain(eta, trunc=4), 3)
+        report = quantize_check(poisson_to_cochain(eta, trunc=4))
         assert report.verdict
 
     def test_constant_always_quantizes(self):
         q, R = commutator_system(2)
         eta = PoissonBivector(2, {(2, 1): monomial(q, ())})
-        assert quantize_check(poisson_to_cochain(eta, trunc=3), 2).verdict
+        assert quantize_check(poisson_to_cochain(eta, trunc=3)).verdict
 
     def test_poisson_to_cochain_is_hbar_linear(self):
         q, _ = commutator_system(2)
@@ -256,7 +256,7 @@ class TestGraphicalStar:
                    (monomial(q, (1, 1)), monomial(q, (1, 1))),
                    (monomial(q, (0, 3)), monomial(q, (1, 0)))]
         for f, g in samples:
-            assert graphical_star(f, g, cochain) == star(f, g, R, cochain)
+            assert graphical_star(f, g, cochain) == star(f, g, cochain)
 
     def test_merged_table_equals_sum_over_graphs(self):
         # graphical_star applies all strata as one merged table; graph by
@@ -270,7 +270,7 @@ class TestGraphicalStar:
             for graph in enumerate_graphs(k):
                 expected = expected + eval_graph(graph, cochain, f, g)
         assert graphical_star(f, g, cochain) == expected.truncated(3)
-        assert graphical_star(f, g, cochain) == star(f, g, R, cochain)
+        assert graphical_star(f, g, cochain) == star(f, g, cochain)
 
 
 class TestWeightTables:
@@ -302,7 +302,7 @@ class TestWeightTables:
             q = R.quiver
             d = len(q.arrows)
             for f, g in pairs(q, d):
-                expected = star(f, g, R, cochain)
+                expected = star(f, g, cochain)
                 assert graphical_star(f, g, cochain) == expected
                 assert self._graph_sum(f, g, cochain).truncated(3) == expected
 
@@ -372,6 +372,6 @@ class TestMoyalAndGauge:
         f = monomial(q, (1, 1))
         g = monomial(q, (0, 2))
         left = star(gauge_phi(f, eta, trunc=3), gauge_phi(g, eta, trunc=3),
-                    R, cochain)
+                    cochain)
         right = gauge_phi(moyal(f, g, eta, trunc=3), eta, trunc=3)
         assert left == right

@@ -1,0 +1,21 @@
+"""The README's Python examples run as written."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                    flags=re.MULTILINE | re.DOTALL)
+
+
+def test_readme_has_python_examples():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("block", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_block_runs(block):
+    exec(compile(block, str(README), "exec"), {"__name__": "readme"})

@@ -136,7 +136,7 @@ def test_degree_five_star_fits_a_small_budget():
                                  trunc=3)
     a = Element.from_path(q.path(*["x2"] * 5))
     b = Element.from_path(q.path(*["x1"] * 5))
-    out = star(a, b, R, cochain, budget=2000)
+    out = star(a, b, cochain, budget=2000)
     assert out.truncated(0) == Element.from_path(q.path(*["x1"] * 5, *["x2"] * 5))
     assert out.max_trunc() == 3
     assert len(out.terms) > 1
@@ -155,7 +155,7 @@ def test_deep_star_fits_its_rewrite_count():
                                  trunc=4)
     a = Element.from_path(q.path(*["x3"] * 4, *["x2"] * 4))
     b = Element.from_path(q.path(*["x1"] * 4, "x3", "x2", "x1"))
-    out = star(a, b, R, cochain, budget=20_000)
+    out = star(a, b, cochain, budget=20_000)
     assert out.truncated(0) == Element.from_path(q.path(*["x1"] * 5, *["x2"] * 5, *["x3"] * 5))
     assert out.max_trunc() == 4
     assert len(out.terms) > 1

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_brauer
+from conftest import make_brauer, make_deformed3
 from pathalg.quantization import commutator_system
 from pathalg.quiver_core import Element, Path, PolyScalar, Quiver, UsageError
 from pathalg.reduction_engine import (
@@ -17,13 +17,16 @@ from pathalg.reduction_engine import (
     BudgetExceeded,
     ReductionSystem,
     Rule,
+    check_diamond,
     irreducible_paths,
+    overlaps,
     reduce_full,
 )
 from pathalg.star_product import (
     DeformationCochain,
     GaugeOnArrows,
     Z_SYMBOL,
+    associator_defects,
     gauge_check,
     mc_check,
     star,
@@ -88,15 +91,15 @@ class TestStar:
         a = Element.from_path(q.path("a"))
         b = Element.from_path(q.path("b"))
         # a * b = ab -> t e1
-        assert star(a, b, R, coc) == \
+        assert star(a, b, coc) == \
             Element.from_path(Path(q, vertex="1"), _t())
 
     def test_star_zero_stratum_is_plain_reduction(self, deformed_two_cycle):
         q, R, coc = deformed_two_cycle
         a = Element.from_path(q.path("a"))
         b = Element.from_path(q.path("b"))
-        assert star_k(a, b, R, coc, 0) == reduce_full(a * b, R)
-        assert star_k(a, b, R, coc, 1) == \
+        assert star_k(a, b, coc, 0) == reduce_full(a * b, R)
+        assert star_k(a, b, coc, 1) == \
             Element.from_path(Path(q, vertex="1"), _t())
 
     def test_star_strata_sum_to_star(self, deformed_two_cycle):
@@ -105,34 +108,34 @@ class TestStar:
         b = Element.from_path(q.path("b"))
         total = Element.zero(q)
         for k in range(5):
-            total = total + star_k(aba, b, R, coc, k)
-        assert total == star(aba, b, R, coc)
+            total = total + star_k(aba, b, coc, k)
+        assert total == star(aba, b, coc)
 
     def test_unit_is_star_identity(self, deformed_two_cycle):
         q, R, coc = deformed_two_cycle
         one = Element.unit(q)
         for p in irreducible_paths(R.lhs_set(), q):
             a = Element.from_path(p)
-            assert star(one, a, R, coc) == a
-            assert star(a, one, R, coc) == a
+            assert star(one, a, coc) == a
+            assert star(a, one, coc) == a
 
 
 class TestMaurerCartan:
     def test_two_cycle_equal_parameters_pass(self, deformed_two_cycle):
         _, R, coc = deformed_two_cycle
-        assert mc_check(R, coc).verdict
+        assert mc_check(coc).verdict
 
     def test_two_cycle_unequal_parameters_fail(self, two_cycle):
         q, R = two_cycle
         values = {q.path("a", "b"): Element.from_path(Path(q, vertex="1"), _t())}
         coc = DeformationCochain(R, values, trunc=4)
-        assert not mc_check(R, coc).verdict
+        assert not mc_check(coc).verdict
 
     def test_empty_s3_is_vacuous(self, nf_quiver):
         q, R = nf_quiver
         values = {q.path("x", "y1"): Element.from_path(q.path("x", "y2"), _t())}
         coc = DeformationCochain(R, values, trunc=4)
-        assert mc_check(R, coc).verdict
+        assert mc_check(coc).verdict
 
     def test_associativity_beyond_overlaps_when_mc_passes(self,
                                                           deformed_two_cycle):
@@ -142,8 +145,8 @@ class TestMaurerCartan:
         basis = irreducible_paths(R.lhs_set(), q)
         for _ in range(40):
             u, v, w = (Element.from_path(rng.choice(basis)) for _ in range(3))
-            left = star(star(u, v, R, coc), w, R, coc)
-            right = star(u, star(v, w, R, coc), R, coc)
+            left = star(star(u, v, coc), w, coc)
+            right = star(u, star(v, w, coc), coc)
             assert (left - right).is_zero()
 
 
@@ -151,14 +154,14 @@ class TestGauge:
     def test_identity_gauge_preserves_cochain(self, deformed_two_cycle):
         q, R, coc = deformed_two_cycle
         psi = GaugeOnArrows(R, {}, trunc=coc.trunc)
-        assert gauge_check(psi, R, coc, coc)
+        assert gauge_check(psi, coc, coc)
 
     def test_nontrivial_gauge_detects_mismatch(self, deformed_two_cycle):
         q, R, coc = deformed_two_cycle
         psi = GaugeOnArrows(R, {q.path("a"):
                                 Element.from_path(q.path("a"), _t())},
                             trunc=coc.trunc)
-        assert not gauge_check(psi, R, coc, coc)
+        assert not gauge_check(psi, coc, coc)
 
     def test_gauge_values_must_be_arrows(self, deformed_two_cycle):
         q, R, coc = deformed_two_cycle
@@ -195,7 +198,7 @@ class TestNonFormal:
         basis = [p for p in irreducible_paths(R0.lhs_set(), q) if len(p) <= 2]
         for p, r in itertools.product(basis, repeat=2):
             a, b = Element.from_path(p), Element.from_path(r)
-            star(a, b, R0, coc, budget=10_000)  # must not raise
+            star(a, b, coc, budget=10_000)  # must not raise
 
     def test_cycling_product_converges_to_zero(self, nf_quiver):
         q, R0 = nf_quiver
@@ -205,7 +208,7 @@ class TestNonFormal:
             R0, self._values(q, lam, mu, PolyScalar.zero(trunc=8)), trunc=8)
         x = Element.from_path(q.path("x"))
         y1z = Element.from_path(q.path("y1", "z"))
-        assert star(x, y1z, R0, coc).is_zero()
+        assert star(x, y1z, coc).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +331,48 @@ _terms = st.lists(
 def test_star_matches_tagged_reference(name, left, right):
     q, R, cochain, param = DEFORMED[name]
     a, b = _element(q, param, left), _element(q, param, right)
-    assert star(a, b, R, cochain) == reference_star(a, b, R, cochain)
+    assert star(a, b, cochain) == reference_star(a, b, R, cochain)
+
+
+def _star_associators(cochain):
+    """(word, (u*v)*w - u*(v*w)) per overlap, straight from the star definition."""
+    out = []
+    for amb in overlaps(cochain.system.lhs_set()):
+        u, v, w = (Element.from_path(f) for f in amb.factors)
+        left = star(star(u, v, cochain), w, cochain)
+        right = star(u, star(v, w, cochain), cochain)
+        out.append((amb.word, left - right))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DEFORMED))
+def test_defects_match_star_definition(name):
+    """The overlap kernel gives the full associator, at every order."""
+    _, _, cochain, _ = DEFORMED[name]
+    got = [(word, defect) for _, word, defect in associator_defects(cochain)]
+    assert got == _star_associators(cochain)
+
+
+def _non_confluent():
+    q = Quiver(["0"], [("x", "0", "0"), ("y", "0", "0")])
+    return q, ReductionSystem(q, [Rule(q.path("x", "x"),
+                                       Element.from_path(q.path("y")))])
+
+
+SYSTEMS = {"brauer-5": lambda: make_brauer(5),
+           "deformed3": lambda: make_deformed3(3),
+           "non-confluent": _non_confluent}
+
+
+@pytest.mark.parametrize("name", ["two_cycle", "four_dim", "nf_quiver",
+                                  *SYSTEMS])
+def test_diamond_defects_are_undeformed_associators(request, name):
+    """The diamond condition is the Maurer-Cartan equation at phitilde = 0."""
+    _, R = SYSTEMS[name]() if name in SYSTEMS else request.getfixturevalue(name)
+    zero = DeformationCochain(R, {}, trunc=None, formal=False)
+    want = [(amb.word, Element.zero(R.quiver) if defect is None else defect)
+            for amb, _, defect in check_diamond(R).statuses]
+    assert [(word, defect) for _, word, defect in associator_defects(zero)] == want
 
 
 def test_gauge_verdicts_match_reference(deformed_two_cycle):
@@ -343,5 +387,5 @@ def test_gauge_verdicts_match_reference(deformed_two_cycle):
     for values, cochain_prime, verdict in [({}, coc, True), (scaled, coc, False),
                                            (scaled, primed, True)]:
         psi = GaugeOnArrows(R, values, trunc=coc.trunc)
-        assert gauge_check(psi, R, coc, cochain_prime) is verdict
+        assert gauge_check(psi, coc, cochain_prime) is verdict
         assert reference_gauge_check(psi, R, coc, cochain_prime) is verdict
