@@ -467,6 +467,9 @@ def _cmd_gauge(problem: ProblemFile, args, flags, report: Report):
         raise UsageError("gauge takes one psi-file argument")
     text = _read_input(args[0])
     cochain = problem.cochain(flags.trunc)
+    if not cochain.formal:
+        raise UsageError("gauge needs a formal deform block (set trunc N, and "
+                         "every deform value of positive parameter degree)")
     parser = problem.parser(cochain.trunc)
     values: dict[str, dict[Path, Element]] = {"gauge": {}, "deform": {}}
     for line_no, line in _logical_lines(text):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from .quiver_core import (
 
 __all__ = [
     "Rule",
+    "LeftSides",
     "ReductionSystem",
     "SplitResult",
     "Ambiguity",
@@ -119,9 +121,32 @@ class DiamondReport:
         return "pass"
 
 
-def _is_subword(small: tuple, big: tuple) -> bool:
-    n = len(small)
-    return any(big[i:i + n] == small for i in range(len(big) - n + 1))
+class LeftSides(tuple):
+    """The left sides of a reduction system, indexed for subword questions.
+
+    A tuple of the sides in rule order, plus ``by_word`` (arrow word -> side)
+    and ``lengths`` (the distinct side lengths, ascending): whether some side
+    occurs at a position is one dict lookup per length, not a scan of all
+    sides.
+    """
+
+    def __new__(cls, sides):
+        self = super().__new__(cls, sides)
+        self.by_word = {}
+        for s in self:
+            self.by_word.setdefault(s.arrows, s)
+        self.lengths = tuple(sorted({len(s) for s in self}))
+        return self
+
+
+def _indexed(S: Sequence[Path]) -> LeftSides:
+    """S itself if it is already indexed, else its index (built once per call)."""
+    return S if isinstance(S, LeftSides) else LeftSides(S)
+
+
+def _windows(w: tuple, lengths):
+    """Every contiguous subword of w whose length is in ``lengths``."""
+    return (w[i:i + n] for n in lengths for i in range(len(w) - n + 1))
 
 
 class ReductionSystem:
@@ -133,62 +158,66 @@ class ReductionSystem:
             if rule.lhs in self.by_lhs:
                 raise UsageError(f"duplicate rule for {rule.lhs!r}")
             self.by_lhs[rule.lhs] = rule
+        self._sides = LeftSides(rule.lhs for rule in self.rules)
         # each right side as (lowest parameter degree, path, coefficient) terms
         # sorted by degree, so that rewriting stops before a term over the trunc
         self.graded = {r.lhs: sorted(((c.min_param_degree(), p, c) for p, c in r.rhs.terms.items()),
                                      key=lambda term: term[0]) for r in self.rules}
         # word -> (rank, right-most split), filled by reduce_full (see _rank)
         self.ranks: dict[Path, tuple[int, SplitResult | None]] = {}
+        # bound -> sorted irreducible paths up to it, filled by star_product
+        self.bases: dict[int | None, list[Path]] = {}
         if validate:
-            words = [r.lhs.arrows for r in self.rules]
-            for i, w in enumerate(words):
-                for j, w2 in enumerate(words):
-                    if i != j and _is_subword(w, w2):
-                        raise UsageError(
-                            f"left side {self.rules[i].lhs!r} is a subpath of {self.rules[j].lhs!r}")
-            S = self.lhs_set()
+            S = self._sides
+            position = {s.arrows: i for i, s in enumerate(S)}
+            pairs = [(position[x], j) for j, s in enumerate(S)
+                     for x in _windows(s.arrows, S.lengths) if position.get(x, j) != j]
+            if pairs:
+                i, j = min(pairs)
+                raise UsageError(f"left side {S[i]!r} is a subpath of {S[j]!r}")
             for rule in self.rules:
                 for p in rule.rhs.terms:
                     if not is_irreducible(p, S):
                         raise UsageError(f"rule {rule.lhs!r}: right side term {p!r} is reducible")
 
-    def lhs_set(self) -> list[Path]:
-        return [r.lhs for r in self.rules]
+    def lhs_set(self) -> LeftSides:
+        return self._sides
 
     def __repr__(self):
         return f"ReductionSystem({len(self.rules)} rules)"
 
 
-def is_irreducible(p: Path, S: list[Path]) -> bool:
+def is_irreducible(p: Path, S: Sequence[Path]) -> bool:
     """True iff no contiguous subword of p is a rule left side."""
-    if p.is_trivial:
-        return True
-    w = p.arrows
-    return not any(_is_subword(s.arrows, w) for s in S)
+    S = _indexed(S)
+    by_word = S.by_word
+    return not any(x in by_word for x in _windows(p.arrows, S.lengths))
 
 
-def rightmost_split(p: Path, S: list[Path]) -> SplitResult | None:
-    """The right-most occurrence of an S-word inside p, or None."""
+def rightmost_split(p: Path, S: Sequence[Path]) -> SplitResult | None:
+    """The right-most occurrence of an S-word inside p, or None.
+
+    Start positions are tried from the right, and at each one the side
+    lengths shortest first: no left side of a validated system is a prefix
+    of another, so at most one side starts at a position (in a plain list
+    where one is, the shorter side is taken).
+    """
     if p.is_trivial:
         return None
-    w = p.arrows
-    best: tuple[int, Path] | None = None
-    for s in S:
-        n = len(s)
-        for i in range(len(w) - n, -1, -1):
-            if w[i:i + n] == s.arrows:
-                if best is None or i > best[0]:
-                    best = (i, s)
+    S = _indexed(S)
+    w, by_word = p.arrows, S.by_word
+    for i in range(len(w) - 1, -1, -1):
+        for n in S.lengths:
+            if i + n > len(w):
                 break
-    if best is None:
-        return None
-    i, s = best
-    j = i + len(s)
-    quiver = p.quiver
-    q = Path._trusted(quiver, w[:i], None) if i else Path._trusted(quiver, (), p.source)
-    r = (Path._trusted(quiver, w[j:], None) if j < len(w)
-         else Path._trusted(quiver, (), p.target))
-    return SplitResult(q, s, r)
+            s = by_word.get(w[i:i + n])
+            if s is not None:
+                quiver, j = p.quiver, i + n
+                q = Path._trusted(quiver, w[:i], None) if i else Path._trusted(quiver, (), p.source)
+                r = (Path._trusted(quiver, w[j:], None) if j < len(w)
+                     else Path._trusted(quiver, (), p.target))
+                return SplitResult(q, s, r)
+    return None
 
 
 def _splice(quiver, split: SplitResult, m: Path) -> Path:
@@ -214,7 +243,7 @@ def _replacement_terms(quiver, split: SplitResult, rhs: list, c: PolyScalar):
             yield _splice(quiver, split, m), coeff
 
 
-def _rank(p: Path, R: ReductionSystem, S: list[Path], limit: int):
+def _rank(p: Path, R: ReductionSystem, S: Sequence[Path], limit: int):
     """Rank p and, until ``R.ranks`` and the walk hold ``limit`` words, every
     unranked word its degree-0 rule terms reach, in depth-first post-order: ranks
     fall along every rewrite that keeps the parameter degree.  A word on the
@@ -318,7 +347,7 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET) ->
 # Ambiguities
 # ---------------------------------------------------------------------------
 
-def overlaps(S: list[Path]) -> list[Ambiguity]:
+def overlaps(S: Sequence[Path]) -> list[Ambiguity]:
     """All overlap words uvw with uv and vw both in S, deterministically ordered."""
     out = []
     seen = set()
@@ -328,19 +357,19 @@ def overlaps(S: list[Path]) -> list[Ambiguity]:
             # nonempty proper suffix of s1 equal to a nonempty proper prefix of s2
             for k in range(1, min(len(w1), len(w2))):
                 if w1[len(w1) - k:] == w2[:k]:
-                    word = Path(s1.quiver, arrows=w1 + w2[k:])
-                    u = word.subword(0, len(w1) - k)
-                    v = word.subword(len(w1) - k, len(w1))
-                    w = word.subword(len(w1), len(word))
-                    key = (word.arrows, len(u), len(v), len(w))
+                    # u, v, w are nonempty and the word composes, since s1 and s2 do
+                    key = (w1 + w2[k:], len(w1) - k, k, len(w2) - k)
                     if key not in seen:
                         seen.add(key)
+                        u, v, w = (Path._trusted(s1.quiver, x, None)
+                                   for x in (w1[:-k], w1[-k:], w2[k:]))
+                        word = Path._trusted(s1.quiver, key[0], None)
                         out.append(Ambiguity(word, (u, v, w)))
     out.sort(key=lambda amb: (amb.word.sort_key(), tuple(len(f) for f in amb.factors)))
     return out
 
 
-def ambiguities_n(S: list[Path], n: int) -> list[Ambiguity]:
+def ambiguities_n(S: Sequence[Path], n: int) -> list[Ambiguity]:
     """The chain ambiguities on n+2 factors (n=0 returns S itself).
 
     An ambiguity is a word u0 u1 ... u_{n+1} where u0 is a single arrow, each
@@ -351,6 +380,7 @@ def ambiguities_n(S: list[Path], n: int) -> list[Ambiguity]:
         raise UsageError("n must be >= 0")
     if not S:
         return []
+    S = _indexed(S)
     quiver = S[0].quiver
     out: list[Ambiguity] = []
     seen = set()
@@ -387,7 +417,7 @@ def ambiguities_n(S: list[Path], n: int) -> list[Ambiguity]:
     return out
 
 
-def irreducible_paths(S: list[Path], quiver: Quiver, max_len: int | None = None,
+def irreducible_paths(S: Sequence[Path], quiver: Quiver, max_len: int | None = None,
                       safety_cap: int = 100_000) -> list[Path]:
     """All irreducible paths of length <= max_len (None = all, if finite).
 
@@ -400,18 +430,22 @@ def irreducible_paths(S: list[Path], quiver: Quiver, max_len: int | None = None,
     """
     if max_len is not None and max_len < 0:
         raise UsageError("max_len must be >= 0")
+    S = _indexed(S)
+    by_word = S.by_word
     out: list[Path] = list(quiver.idempotents())
     layer: list[Path] = list(out)
     length = 0
-    span = max([len(s) for s in S] + [1]) - 1
+    span = max(S.lengths, default=1) - 1
     states = len(layer) if span == 0 else None
     while max_len is None or length < max_len:
         nxt = []
         for p in layer:
             for a in quiver.arrows_from(p.target):
-                q = compose(p, quiver.path(a))
-                if q is not None and is_irreducible(q, S):
-                    nxt.append(q)
+                # p is irreducible, so p*a is iff no side is a suffix of it
+                # (w[-n:] is all of w when n > len(w), a suffix all the same)
+                w = p.arrows + (a,)
+                if not any(w[-n:] in by_word for n in S.lengths):
+                    nxt.append(Path._trusted(quiver, w, None))
         if not nxt:
             break
         out.extend(nxt)

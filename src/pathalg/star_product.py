@@ -52,9 +52,10 @@ Z_SYMBOL = "_z"  # reserved internal bookkeeping symbol
 def _parallel_pairs(R: ReductionSystem, bound: int | None, sides):
     """Pairs (s, u): each path s of ``sides`` with every parallel irreducible
     u of length at most ``bound``, in the order of sides, then of u."""
+    if bound not in R.bases:
+        R.bases[bound] = irreducible_paths(R.lhs_set(), R.quiver, max_len=bound)
     grouped: dict[tuple[str, str], list[Path]] = {}
-    for u in sorted(irreducible_paths(R.lhs_set(), R.quiver, max_len=bound),
-                    key=Path.sort_key):
+    for u in R.bases[bound]:
         grouped.setdefault((u.source, u.target), []).append(u)
     return [(s, u) for s in sides for u in grouped.get((s.source, s.target), ())]
 
@@ -73,12 +74,13 @@ def one_cochain_basis(R: ReductionSystem, bound: int | None = None):
 def generic_values(R: ReductionSystem, basis, names,
                    scale: PolyScalar | None = None) -> dict[Path, Element]:
     """The values of the generic cochain sum_i scale*names[i]*(s_i -> u_i)."""
-    values: dict[Path, Element] = {}
+    terms: dict[Path, dict[Path, PolyScalar]] = {}
     for name, (s, u) in zip(names, basis):
         c = PolyScalar.var(name)
-        term = Element.from_path(u, c if scale is None else scale * c)
-        values[s] = values.get(s, Element.zero(R.quiver)) + term
-    return values
+        c = c if scale is None else scale * c
+        value = terms.setdefault(s, {})
+        value[u] = value[u] + c if u in value else c
+    return {s: Element(R.quiver, value) for s, value in terms.items()}
 
 
 class DeformationCochain:

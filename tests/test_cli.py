@@ -477,6 +477,23 @@ def test_compare_order_defaults_to_the_file_order_up_to_3(tmp_path):
         assert f"compare (36 pairs, order {order}): pass" in out.splitlines()
 
 
+@pytest.mark.parametrize("psi", ["deform a*b -> lam*e1\ndeform b*a -> lam*e2\n", ""],
+                         ids=["deform lines", "empty"])
+def test_gauge_needs_a_formal_deform_block(tmp_path, psi):
+    """A degree-0 deform value passes mc, but gauge only runs on formal blocks."""
+    p = tmp_path / "problem.txt"
+    p.write_text("vertex 1 2\narrow a : 1 -> 2\narrow b : 2 -> 1\nunknown lam\n"
+                 "rule a*b -> 0\nrule b*a -> 0\n"
+                 "deform a*b -> lam*e1\ndeform b*a -> lam*e2\n")
+    assert run([str(p), "mc"])[0] == 0
+    (tmp_path / "psi.txt").write_text(psi)
+    code, out = run([str(p), "gauge", str(tmp_path / "psi.txt")])
+    assert code == 2
+    assert last_json(out)["error"] == (
+        "gauge needs a formal deform block (set trunc N, and every deform "
+        "value of positive parameter degree)")
+
+
 class TestInternalErrors:
     """Bad input exits 2; only a fault in pathalg itself exits 4."""
 
