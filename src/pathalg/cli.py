@@ -26,6 +26,7 @@ last line.  Exit codes: 0 verdict-pass, 1 verdict-fail, 2 usage/parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import re
@@ -632,6 +633,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # one parser per process, built on first use: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="pathalg",

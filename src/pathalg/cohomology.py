@@ -5,8 +5,9 @@ element; a 1-cochain does the same for arrows.  Working modulo t^2, the
 associativity defects on overlap words are linear in the 2-cochain, and the
 gauge action T = id + psi*t linearizes to a map from 1-cochains to
 2-cochains.  HH^2 is the kernel of the first map modulo the image of the
-second.  Each map is read off one pass with a generic cochain, one unknown
-per basis vector times t, and one incremental exact elimination
+second.  The first map is read off one pass with a generic cochain, one
+unknown per basis vector times t; the second is summed from the normal forms
+of single words, each reduced once.  One incremental exact elimination
 (``Echelon``) gives the kernel, the image and the representatives.
 """
 
@@ -15,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quiver_core import Element, Path, PolyScalar, UsageError, _q
-from .reduction_engine import DEFAULT_BUDGET, ReductionSystem
+from .quiver_core import Element, Path, PolyScalar, UsageError, _mono_deg, _mono_mul, _q
+from .reduction_engine import DEFAULT_BUDGET, ReductionSystem, reduce_full
 from .star_product import (
     DeformationCochain,
-    GaugeOnArrows,
-    _t_of_element,
     associator_defects,
     generic_values,
     one_cochain_basis,
@@ -132,14 +131,14 @@ class Hh2Result:
     representatives: list[dict[Path, Element]]
 
 
-def _generic_values(R: ReductionSystem, basis, prefix: str):
-    """The generic cochain sum_i t*prefix[i]*(s_i -> u_i), and its unknowns.
+def _generic_values(R: ReductionSystem, basis):
+    """The generic cochain sum_i t*c[i]*(s_i -> u_i), and its unknowns.
 
     A problem file cannot declare a symbol with brackets, so the unknowns
     never meet a symbol of the rules.
     """
     t = PolyScalar.var(T_SYMBOL, is_param=True, trunc=1)
-    unknowns = {f"{prefix}[{i}]": i for i in range(len(basis))}
+    unknowns = {f"c[{i}]": i for i in range(len(basis))}
     return generic_values(R, basis, unknowns, t), unknowns
 
 
@@ -172,7 +171,7 @@ def cocycle_space(R: ReductionSystem, bound: int | None = None,
     basis = two_cochain_basis(R, bound)
     rows: dict[tuple[int, Path], tuple[int | Fraction, ...]] = {}
     if basis:
-        values, unknowns = _generic_values(R, basis, "c")
+        values, unknowns = _generic_values(R, basis)
         cochain = DeformationCochain(R, values, trunc=1)
         for idx, _, defect in associator_defects(cochain, budget):
             for p, row in _columns_at(defect.coefficient_of(T_SYMBOL, 1), unknowns):
@@ -183,36 +182,71 @@ def cocycle_space(R: ReductionSystem, bound: int | None = None,
                         kernel=Echelon(matrix).kernel(len(basis)))
 
 
+def _order_zero(c: PolyScalar) -> dict:
+    """The monomials of c free of parameters and of t: the part of c that
+    survives in t*c modulo t^2."""
+    params = c.params | {T_SYMBOL}
+    return {m: q for m, q in c.terms.items() if not _mono_deg(m, params)}
+
+
 def coboundary_space(R: ReductionSystem, bound: int | None = None,
                      budget: int = DEFAULT_BUDGET) -> CoboundarySpace:
     """Image of the linearized gauge action psi -> phitilde'.
 
-    For T = id + psi*t and the undeformed star product the identity
-    T(phi_s) + phitilde'(s)*t = T(s_1) * ... * T(s_m)  (mod t^2)
-    determines phitilde' uniquely.  One generic psi gives it for every
-    1-cochain basis vector at once: the coefficient of its j-th unknown is
-    column j.
+    For a rule s -> phi_s the coboundary of a 1-cochain psi is
+    (d psi)(s) = sum over the terms c*p of s - phi_s of
+    c * red(sum_i p_{<i} psi(p_i) p_{>i}),
+    so the column of the basis vector x -> u sums c * red(w) over the words
+    w = p_{<i} u p_{>i} with p_i = x.  Each distinct word is reduced once,
+    with the undeformed rules at truncation order 1.  When R satisfies the
+    diamond condition, red(w) is the product T(x_1) * ... * T(x_m) of the
+    gauge T = id + psi*t read at order t.
     """
     basis2 = two_cochain_basis(R, bound)
     index = {pair: i for i, pair in enumerate(basis2)}
     basis1 = one_cochain_basis(R, bound)
+    by_arrow: dict[str, list[tuple[int, tuple[str, ...]]]] = {}
+    for j, (x, u) in enumerate(basis1):
+        by_arrow.setdefault(x.arrows[0], []).append((j, u.arrows))
+    one = PolyScalar.rational(1, trunc=1)
+    normal_forms: dict[Path, list[tuple[Path, dict]]] = {}
+
+    def normal_form(w: Path):
+        if w not in normal_forms:
+            red = reduce_full(Element.from_path(w, one), R, budget)
+            terms = ((p, _order_zero(c)) for p, c in red.terms.items())
+            normal_forms[w] = [(p, a) for p, a in terms if a]
+        return normal_forms[w]
+
     columns = [[0] * len(basis2) for _ in basis1]
-    if basis1:
-        zero = DeformationCochain(R, {}, trunc=1)
-        values, unknowns = _generic_values(R, basis1, "b")
-        psi = GaugeOnArrows(R, values, trunc=1)
-        for rule in R.rules:
-            s = rule.lhs
-            induced = _t_of_element(Element.from_path(s) - rule.rhs, psi, zero, budget)
-            for p, entries in _columns_at(induced.coefficient_of(T_SYMBOL, 1), unknowns):
-                if (s, p) not in index:
-                    if any(entries):
-                        raise UsageError(
-                            f"coboundary target {p!r} outside the capped basis; "
-                            "raise the bound")
-                    continue
-                for col, c in zip(columns, entries):
-                    col[index[(s, p)]] = c
+    for rule in R.rules:
+        s = rule.lhs
+        image: dict[tuple[Path, int], dict] = {}  # (target, column) -> monomials
+        for p, c in (Element.from_path(s) - rule.rhs).terms.items():
+            c = _order_zero(c)
+            if not c:
+                continue
+            for i, x in enumerate(p.arrows):
+                before, after = p.arrows[:i], p.arrows[i + 1:]
+                for j, u in by_arrow.get(x, ()):
+                    arrows = before + u + after
+                    w = Path._trusted(R.quiver, arrows, None if arrows else p.source)
+                    for target, a in normal_form(w):
+                        entry = image.setdefault((target, j), {})
+                        for m1, q1 in c.items():
+                            for m2, q2 in a.items():
+                                m = _mono_mul(m1, m2)
+                                entry[m] = entry.get(m, 0) + q1 * q2
+        for (target, j), entry in image.items():
+            if any(q for m, q in entry.items() if m):
+                raise UsageError("not a rational constant: "
+                                 f"{PolyScalar(entry)}")
+            k = index.get((s, target))
+            if k is not None:
+                columns[j][k] = _q(entry.get((), 0))
+            elif entry.get(()):
+                raise UsageError(f"coboundary target {target!r} outside the "
+                                 "capped basis; raise the bound")
     columns = [tuple(col) for col in columns]
     return CoboundarySpace(basis=basis2, domain=basis1, columns=columns,
                            image=Echelon(columns).dense_rows(len(basis2)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -423,10 +424,9 @@ def irreducible_paths(S: Sequence[Path], quiver: Quiver, max_len: int | None = N
 
     Every subpath of an irreducible path is irreducible, so the enumeration
     stops as soon as some length has no irreducible paths.  An unbounded
-    request on an infinite basis raises a usage error once an irreducible
-    path of length L-1+V exists (L the longest left side, V the number of
-    irreducible paths of length L-1): the last L-1 arrows decide which arrow
-    may follow, so such a path repeats a state and can be pumped.
+    request raises a usage error once the irreducible paths of length L-1
+    (L the longest left side) are known, if they show the basis infinite
+    (``_pumpable``), or once more than ``safety_cap`` paths are found.
     """
     if max_len is not None and max_len < 0:
         raise UsageError("max_len must be >= 0")
@@ -436,8 +436,9 @@ def irreducible_paths(S: Sequence[Path], quiver: Quiver, max_len: int | None = N
     layer: list[Path] = list(out)
     length = 0
     span = max(S.lengths, default=1) - 1
-    states = len(layer) if span == 0 else None
     while max_len is None or length < max_len:
+        if max_len is None and length == span and _pumpable(layer, quiver, S):
+            raise UsageError("cannot certify a finite irreducible basis; pass max_len")
         nxt = []
         for p in layer:
             for a in quiver.arrows_from(p.target):
@@ -451,13 +452,39 @@ def irreducible_paths(S: Sequence[Path], quiver: Quiver, max_len: int | None = N
         out.extend(nxt)
         layer = nxt
         length += 1
-        if length == span:
-            states = len(layer)
-        if max_len is None and (len(out) > safety_cap or (
-                states is not None and length >= span + states)):
+        if max_len is None and len(out) > safety_cap:
             raise UsageError("cannot certify a finite irreducible basis; pass max_len")
     out.sort(key=lambda p: p.sort_key())
     return out
+
+
+def _pumpable(states: list[Path], quiver: Quiver, S: LeftSides) -> bool:
+    """Whether the irreducible paths of length L-1 (``states``, L the longest
+    left side; vertices when there is no side) admit irreducible paths of
+    every length.
+
+    The last L-1 arrows of an irreducible path decide which arrows may follow
+    it, so its extensions walk a graph on these states, with an edge p -> q
+    when q is the tail of an irreducible p*a.  The paths are infinite iff the
+    graph has a cycle, which Kahn's topological sort finds in
+    O(states x arrows).
+    """
+    succ = {}  # state (its arrows, or its vertex) -> the states that follow it
+    for p in states:
+        nxt = []
+        for a in quiver.arrows_from(p.target):
+            w = p.arrows + (a,)
+            if not any(w[-n:] in S.by_word for n in S.lengths):
+                nxt.append(w[1:] or quiver.target(a))
+        succ[p.arrows or p.vertex] = nxt
+    indegree = Counter(q for qs in succ.values() for q in qs)
+    ready = [p for p in succ if not indegree[p]]
+    for p in ready:  # the list grows while it is walked
+        for q in succ[p]:
+            indegree[q] -= 1
+            if not indegree[q]:
+                ready.append(q)
+    return len(ready) < len(succ)
 
 
 # ---------------------------------------------------------------------------

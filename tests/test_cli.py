@@ -334,6 +334,22 @@ class TestNumericArguments:
         assert last_json(out) == {"command": None, "error":
                                   "unrecognized arguments: -1*x1"}
 
+    def test_one_parser_serves_every_call(self, comm3, capsys, monkeypatch):
+        """main reuses one parser per process: after a usage error and after
+        --help every call still prints what a freshly built parser gives."""
+        calls = [[comm3, "reduce", "x3*x2*x1"], [comm3, "frobnicate"],
+                 [comm3, "reduce", "x2*x1", "--budget", "x"], ["--help"],
+                 [comm3, "reduce", "-1*x1"], [comm3, "irr", "--max-len", "1"],
+                 [comm3, "hh2", "--cap", "1"], [comm3, "diamond"],
+                 [comm3, "reduce", "x3*x2*x1"]]
+        shared = [(*run(argv), *capsys.readouterr()) for argv in calls]
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [(*run(argv), *capsys.readouterr()) for argv in calls]
+        assert shared == fresh
+        assert [code for code, *_ in shared] == [0, 2, 2, 0, 2, 0, 0, 0, 0]
+        assert "usage: pathalg" in shared[3][2]
+
 
 @pytest.mark.parametrize("command", ["irr", "hh2"])
 def test_infinite_basis_exits_2_at_once(tmp_path, command):

@@ -19,7 +19,13 @@ from pathalg.cohomology import (
 )
 from pathalg.quantization import commutator_system
 from pathalg.quiver_core import Element, PolyScalar, Quiver
-from pathalg.reduction_engine import DEFAULT_BUDGET, ReductionSystem, Rule, overlaps
+from pathalg.reduction_engine import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    ReductionSystem,
+    Rule,
+    overlaps,
+)
 from pathalg.star_product import (
     DeformationCochain,
     GaugeOnArrows,
@@ -87,6 +93,17 @@ class TestHh2:
         for n in (4, 5, 6):
             _, R = make_brauer(n)
             assert hh2(R).dimension == 1
+
+    def test_budget_quoted_in_the_readme(self):
+        """The d=3 commutator system with bound 3 needs a budget of 37 (the
+        cocycle pass); the coboundary pass alone needs 3."""
+        R = commutator_system(3)[1]
+        assert hh2(R, 3, budget=37).dimension == 60
+        with pytest.raises(BudgetExceeded):
+            hh2(R, 3, budget=36)
+        coboundary_space(R, 3, budget=3)
+        with pytest.raises(BudgetExceeded):
+            coboundary_space(R, 3, budget=2)
 
     def test_representatives_are_first_order_mc(self, four_dim):
         """Representatives times t satisfy MC mod t^2 (they are cocycles)."""

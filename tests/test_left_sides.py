@@ -11,6 +11,7 @@ plain list passed to these functions may.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +62,26 @@ def ref_irreducible_paths(sides, q: Quiver, max_len: int) -> list[Path]:
         out += [q.path(*w) for w in layer]
         layer = [w + (a,) for w in layer for a in q.arrows_from(q.target(w[-1]))]
     return sorted(out, key=Path.sort_key)
+
+
+def ref_basis_is_finite(sides, q: Quiver) -> bool:
+    """Whether no irreducible path has length L-1+V, L the longest side and V
+    the number of irreducible paths of length L-1 (a longer path repeats its
+    last L-1 arrows, which decide what may follow, so it can be pumped).
+    Searched depth-first over the words the scans find irreducible."""
+    longest = max((len(s) for s in sides), default=1)
+    layer = [(a,) for a in q.arrow_names()] if longest > 1 else q.idempotents()
+    for _ in range(longest - 2):
+        layer = [w + (a,) for w in layer for a in q.arrows_from(q.target(w[-1]))]
+    top = longest - 1 + sum(1 for w in layer if longest == 1 or ref_irreducible(w, sides))
+    stack = [(a,) for a in q.arrow_names()]
+    while stack:
+        w = stack.pop()
+        if ref_irreducible(w, sides):
+            if len(w) >= top:
+                return False
+            stack += [w + (a,) for a in q.arrows_from(q.target(w[-1]))]
+    return True
 
 
 def ref_subpath_error(sides) -> str | None:
@@ -153,6 +174,35 @@ def test_random_sides_match_the_scans(seed, max_len):
     for S in (sides, LeftSides(sides)):
         check_words(sides, S, words)
     check_basis(q, sides, sides, max_len)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_unbounded_basis_is_finite_iff_the_search_ends(seed):
+    """Without max_len (and with the default safety cap) the irreducible
+    paths are listed exactly when the depth-first search finds no path long
+    enough to pump."""
+    q, sides, _ = random_case(seed)
+    try:
+        basis = irreducible_paths(sides, q)
+    except UsageError:
+        assert not ref_basis_is_finite(sides, q)
+    else:
+        assert ref_basis_is_finite(sides, q)
+        assert basis == ref_irreducible_paths(sides, q, max(len(p) for p in basis) + 1)
+
+
+@pytest.mark.parametrize("seed", [31, 97, 178])
+def test_infinite_basis_is_certified_at_once(seed):
+    """Cases whose layers grow fast: the state cycle is found before any layer
+    past the longest side is listed, so the bound fails a walk that lists
+    layers up to length L-1+V (over a second on these seeds)."""
+    q, sides, _ = random_case(seed)
+    assert not ref_basis_is_finite(sides, q)
+    start = time.perf_counter()
+    with pytest.raises(UsageError, match="cannot certify a finite irreducible basis"):
+        irreducible_paths(sides, q)
+    assert time.perf_counter() - start < 0.25
 
 
 @settings(max_examples=150, deadline=None)
