@@ -432,6 +432,8 @@ def _cmd_ambiguities(problem: ProblemFile, args, flags, report: Report):
 
 
 def _cmd_irr(problem: ProblemFile, args, flags, report: Report):
+    if flags.max_len is not None and flags.max_len < 0:
+        raise UsageError("--max-len must be >= 0")
     paths = irreducible_paths(problem.system.lhs_set(), problem.quiver,
                               max_len=flags.max_len)
     report.say(f"count: {len(paths)}")
@@ -488,6 +490,8 @@ def _cmd_gauge(problem: ProblemFile, args, flags, report: Report):
 
 
 def _cmd_hh2(problem: ProblemFile, args, flags, report: Report):
+    if flags.cap is not None and flags.cap < 0:
+        raise UsageError("--cap must be >= 0")
     result = hh2(problem.system, bound=flags.cap, budget=problem.budget)
     report.say(f"dimension: {result.dimension}")
     report.doc["dimension"] = result.dimension

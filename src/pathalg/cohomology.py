@@ -5,10 +5,12 @@ element; a 1-cochain does the same for arrows.  Working modulo t^2, the
 associativity defects on overlap words are linear in the 2-cochain, and the
 gauge action T = id + psi*t linearizes to a map from 1-cochains to
 2-cochains.  HH^2 is the kernel of the first map modulo the image of the
-second.  The first map is read off one pass with a generic cochain, one
-unknown per basis vector times t; the second is summed from the normal forms
-of single words, each reduced once.  One incremental exact elimination
-(``Echelon``) gives the kernel, the image and the representatives.
+second.  Both maps are sums of normal forms of single words taken along
+right-most rewrites, and each distinct word is reduced once, with the
+undeformed rules; only the part of a coefficient free of parameters enters,
+so the parameters of the rules are set to 0 whatever their names.  One
+incremental exact elimination (``Echelon``) gives the kernel, the image and
+the representatives.
 """
 
 from __future__ import annotations
@@ -17,17 +19,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .quiver_core import Element, Path, PolyScalar, UsageError, _mono_deg, _mono_mul, _q
-from .reduction_engine import DEFAULT_BUDGET, ReductionSystem, reduce_full
-from .star_product import (
-    DeformationCochain,
-    associator_defects,
-    generic_values,
-    one_cochain_basis,
-    two_cochain_basis,
+from .reduction_engine import (
+    DEFAULT_BUDGET,
+    ReductionSystem,
+    SplitResult,
+    _splice,
+    overlaps,
+    reduce_full,
+    resolve_overlap,
 )
+from .star_product import one_cochain_basis, two_cochain_basis
 
 __all__ = [
-    "T_SYMBOL",
     "two_cochain_basis",
     "one_cochain_basis",
     "CocycleSpace",
@@ -37,9 +40,6 @@ __all__ = [
     "coboundary_space",
     "hh2",
 ]
-
-T_SYMBOL = "t"  # first-order deformation parameter
-
 
 # ---------------------------------------------------------------------------
 # exact linear algebra over Q
@@ -131,62 +131,75 @@ class Hh2Result:
     representatives: list[dict[Path, Element]]
 
 
-def _generic_values(R: ReductionSystem, basis):
-    """The generic cochain sum_i t*c[i]*(s_i -> u_i), and its unknowns.
+def _order_zero(c: PolyScalar) -> dict:
+    """The monomials of c free of parameters: the part of c that survives in
+    t*c modulo t^2."""
+    return {m: q for m, q in c.terms.items() if not _mono_deg(m, c.params)}
 
-    A problem file cannot declare a symbol with brackets, so the unknowns
-    never meet a symbol of the rules.
+
+def _first_order_map(R: ReductionSystem, basis, budget: int):
+    """The kernel of both maps: ``image(rewrites, where)`` sums c * red(q u r)
+    over the rewrites (split q s r, c) and the basis vectors j = (s, u), and
+    yields ((target, j), entry) for every nonzero entry.
+
+    Only the order-zero part of c counts.  Each distinct word is reduced
+    once, with the undeformed rules at truncation order 1, and only the
+    order-zero part of its normal form is kept.  An entry that is not
+    rational raises a usage error naming ``where``.
     """
-    t = PolyScalar.var(T_SYMBOL, is_param=True, trunc=1)
-    unknowns = {f"c[{i}]": i for i in range(len(basis))}
-    return generic_values(R, basis, unknowns, t), unknowns
+    by_path: dict[Path, list[tuple[int, Path]]] = {}
+    for j, (s, u) in enumerate(basis):
+        by_path.setdefault(s, []).append((j, u))
+    one = PolyScalar.rational(1, trunc=1)
+    normal_forms: dict[Path, list[tuple[Path, dict]]] = {}
 
+    def image(rewrites, where: str):
+        sums: dict[tuple[Path, int], dict] = {}  # (target, j) -> monomials
+        for split, c in rewrites:
+            c = _order_zero(c)
+            for j, u in (by_path.get(split.s, ()) if c else ()):
+                w = _splice(R.quiver, split, u)
+                if w not in normal_forms:
+                    red = reduce_full(Element.from_path(w, one), R, budget)
+                    nf = ((p, _order_zero(a)) for p, a in red.terms.items())
+                    normal_forms[w] = [(p, a) for p, a in nf if a]
+                for target, a in normal_forms[w]:
+                    entry = sums.setdefault((target, j), {})
+                    for m1, q1 in c.items():
+                        for m2, q2 in a.items():
+                            m = _mono_mul(m1, m2)
+                            entry[m] = entry.get(m, 0) + q1 * q2
+        for key, entry in sums.items():
+            if any(q for m, q in entry.items() if m):
+                raise UsageError(f"{where} has the entry {PolyScalar(entry)}: hh2 "
+                                 "needs rational rule coefficients once the "
+                                 "parameters are set to 0")
+            if entry.get(()):
+                yield key, _q(entry[()])
 
-def _columns_at(first_order: Element, unknowns: dict[str, int]):
-    """Yield (path, column entries) of a generic pass read at order t.
-
-    The coefficient of the i-th unknown is column i.  A constant comes from
-    t in the rules, not from the cochain, so it belongs to every column; any
-    other monomial is not a rational coordinate.
-    """
-    for p, c in first_order.terms.items():
-        const, entries = 0, {}
-        for m, q in c.terms.items():
-            if not m:
-                const = q
-            elif len(m) == 1 and m[0][1] == 1 and m[0][0] in unknowns:
-                entries[unknowns[m[0][0]]] = q
-            else:
-                raise UsageError(f"not a rational constant: {c}")
-        yield p, tuple(const + entries.get(j, 0) for j in range(len(unknowns)))
+    return image
 
 
 def cocycle_space(R: ReductionSystem, bound: int | None = None,
                   budget: int = DEFAULT_BUDGET) -> CocycleSpace:
     """Kernel of the linearized defect map on 2-cochains.
 
-    The map is the order-t part of the associator defects of one generic
-    cochain; the coefficient of its i-th unknown is column i.
+    On the overlap uvw, the order-t defect of t*(s -> u) sums c * red(q u r)
+    over the rewrites c*(q s r) that resolve the overlap (``resolve_overlap``).
+    Rows are keyed by (overlap index, path).
     """
     basis = two_cochain_basis(R, bound)
-    rows: dict[tuple[int, Path], tuple[int | Fraction, ...]] = {}
-    if basis:
-        values, unknowns = _generic_values(R, basis)
-        cochain = DeformationCochain(R, values, trunc=1)
-        for idx, _, defect in associator_defects(cochain, budget):
-            for p, row in _columns_at(defect.coefficient_of(T_SYMBOL, 1), unknowns):
-                rows[(idx, p)] = row
+    image = _first_order_map(R, basis, budget)
+    rows: dict[tuple[int, Path], list[int | Fraction]] = {}
+    for idx, amb in enumerate(overlaps(R.lhs_set()) if basis else ()):
+        rewrites: list = []
+        resolve_overlap(amb, R, 1, budget, rewrites)
+        for (p, j), q in image(rewrites, f"the defect on the overlap {amb.word!r}"):
+            rows.setdefault((idx, p), [0] * len(basis))[j] = q
     keys = sorted(rows, key=lambda k: (k[0], k[1].sort_key()))
-    matrix = [rows[k] for k in keys if any(rows[k])]
+    matrix = [tuple(rows[k]) for k in keys]
     return CocycleSpace(basis=basis, matrix=matrix,
                         kernel=Echelon(matrix).kernel(len(basis)))
-
-
-def _order_zero(c: PolyScalar) -> dict:
-    """The monomials of c free of parameters and of t: the part of c that
-    survives in t*c modulo t^2."""
-    params = c.params | {T_SYMBOL}
-    return {m: q for m, q in c.terms.items() if not _mono_deg(m, params)}
 
 
 def coboundary_space(R: ReductionSystem, bound: int | None = None,
@@ -197,56 +210,27 @@ def coboundary_space(R: ReductionSystem, bound: int | None = None,
     (d psi)(s) = sum over the terms c*p of s - phi_s of
     c * red(sum_i p_{<i} psi(p_i) p_{>i}),
     so the column of the basis vector x -> u sums c * red(w) over the words
-    w = p_{<i} u p_{>i} with p_i = x.  Each distinct word is reduced once,
-    with the undeformed rules at truncation order 1.  When R satisfies the
-    diamond condition, red(w) is the product T(x_1) * ... * T(x_m) of the
-    gauge T = id + psi*t read at order t.
+    w = p_{<i} u p_{>i} with p_i = x.  When R satisfies the diamond
+    condition, red(w) is the product T(x_1) * ... * T(x_m) of the gauge
+    T = id + psi*t read at order t.
     """
     basis2 = two_cochain_basis(R, bound)
     index = {pair: i for i, pair in enumerate(basis2)}
     basis1 = one_cochain_basis(R, bound)
-    by_arrow: dict[str, list[tuple[int, tuple[str, ...]]]] = {}
-    for j, (x, u) in enumerate(basis1):
-        by_arrow.setdefault(x.arrows[0], []).append((j, u.arrows))
-    one = PolyScalar.rational(1, trunc=1)
-    normal_forms: dict[Path, list[tuple[Path, dict]]] = {}
-
-    def normal_form(w: Path):
-        if w not in normal_forms:
-            red = reduce_full(Element.from_path(w, one), R, budget)
-            terms = ((p, _order_zero(c)) for p, c in red.terms.items())
-            normal_forms[w] = [(p, a) for p, a in terms if a]
-        return normal_forms[w]
-
+    image = _first_order_map(R, basis1, budget)
     columns = [[0] * len(basis2) for _ in basis1]
     for rule in R.rules:
         s = rule.lhs
-        image: dict[tuple[Path, int], dict] = {}  # (target, column) -> monomials
-        for p, c in (Element.from_path(s) - rule.rhs).terms.items():
-            c = _order_zero(c)
-            if not c:
-                continue
-            for i, x in enumerate(p.arrows):
-                before, after = p.arrows[:i], p.arrows[i + 1:]
-                for j, u in by_arrow.get(x, ()):
-                    arrows = before + u + after
-                    w = Path._trusted(R.quiver, arrows, None if arrows else p.source)
-                    for target, a in normal_form(w):
-                        entry = image.setdefault((target, j), {})
-                        for m1, q1 in c.items():
-                            for m2, q2 in a.items():
-                                m = _mono_mul(m1, m2)
-                                entry[m] = entry.get(m, 0) + q1 * q2
-        for (target, j), entry in image.items():
-            if any(q for m, q in entry.items() if m):
-                raise UsageError("not a rational constant: "
-                                 f"{PolyScalar(entry)}")
+        splits = [(SplitResult(p.subword(0, i), p.subword(i, i + 1),
+                               p.subword(i + 1, len(p))), c)
+                  for p, c in (Element.from_path(s) - rule.rhs).terms.items()
+                  for i in range(len(p))]
+        for (target, j), q in image(splits, f"the coboundary of the rule for {s!r}"):
             k = index.get((s, target))
-            if k is not None:
-                columns[j][k] = _q(entry.get((), 0))
-            elif entry.get(()):
+            if k is None:
                 raise UsageError(f"coboundary target {target!r} outside the "
                                  "capped basis; raise the bound")
+            columns[j][k] = q
     columns = [tuple(col) for col in columns]
     return CoboundarySpace(basis=basis2, domain=basis1, columns=columns,
                            image=Echelon(columns).dense_rows(len(basis2)))

@@ -357,14 +357,11 @@ def _history_count(k: int, out_j: tuple[int, ...], out_i: tuple[int, ...],
     init = (tuple((v, F_SLOT) for v in order_map.get(F_SLOT, ()))
             + tuple((v, G_SLOT) for v in order_map.get(G_SLOT, ())))
 
-    memo: dict = {}
-
     def count(word, fired) -> int:
+        # no memo: once the descent (a, b) that fires v is commuted, a and b
+        # never stand as (a, b) again, so no (word, fired) state repeats
         if len(fired) == k:
             return 1
-        key = (word, fired)
-        if key in memo:
-            return memo[key]
         p = next((q for q in range(len(word) - 2, -1, -1)
                   if value(word[q]) > value(word[q + 1])), None)
         total = 0
@@ -375,7 +372,6 @@ def _history_count(k: int, out_j: tuple[int, ...], out_i: tuple[int, ...],
                 if v not in fired and (a, b) == fire_pair[v]:
                     total += count(word[:p] + emission[v] + word[p + 2:],
                                    fired | frozenset((v,)))
-        memo[key] = total
         return total
 
     return count(init, frozenset())

@@ -275,7 +275,8 @@ def _rank(p: Path, R: ReductionSystem, S: Sequence[Path], limit: int):
     return ranks[p]
 
 
-def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET) -> Element:
+def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET,
+                rewrites: list | None = None) -> Element:
     """Iterate right-most reductions to the normal form (or raise BudgetExceeded).
 
     Reducible words wait in ``pending`` with their lowest parameter degree,
@@ -287,6 +288,8 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET) ->
     depend on this order whenever rewriting terminates.  ``budget`` bounds the
     number of rewrite steps; the ranking walk goes deep for at most ``budget``
     new words per call, so a growing system still ends in BudgetExceeded.
+    Each rewrite c*(q s r) -> c*q*phi_s*r made is appended to ``rewrites``,
+    if given, as (its split, c).
     """
     if budget <= 0:
         raise UsageError("budget must be positive")
@@ -339,6 +342,8 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET) ->
             rest = {w: cw for w, (cw, _) in pending.items()}
             partial = Element(quiver, done) + Element(quiver, rest) + Element(quiver, {p: c})
             raise BudgetExceeded(partial, steps - 1, p, split.s)
+        if rewrites is not None:
+            rewrites.append((split, c))
         for q, cq in _replacement_terms(quiver, split, R.graded[split.s], c):
             add(q, cq)
     return Element(quiver, done)
@@ -426,7 +431,8 @@ def irreducible_paths(S: Sequence[Path], quiver: Quiver, max_len: int | None = N
     stops as soon as some length has no irreducible paths.  An unbounded
     request raises a usage error once the irreducible paths of length L-1
     (L the longest left side) are known, if they show the basis infinite
-    (``_pumpable``), or once more than ``safety_cap`` paths are found.
+    (``_pumpable``), or once more than ``safety_cap`` paths are found; the
+    message says whether the basis was already shown finite.
     """
     if max_len is not None and max_len < 0:
         raise UsageError("max_len must be >= 0")
@@ -453,7 +459,9 @@ def irreducible_paths(S: Sequence[Path], quiver: Quiver, max_len: int | None = N
         layer = nxt
         length += 1
         if max_len is None and len(out) > safety_cap:
-            raise UsageError("cannot certify a finite irreducible basis; pass max_len")
+            known = "is finite but has" if length > span else "has"
+            raise UsageError(f"the irreducible basis {known} more than "
+                             f"{safety_cap:,} paths; pass max_len")
     out.sort(key=lambda p: p.sort_key())
     return out
 
@@ -492,16 +500,24 @@ def _pumpable(states: list[Path], quiver: Quiver, S: LeftSides) -> bool:
 # ---------------------------------------------------------------------------
 
 def resolve_overlap(amb: Ambiguity, R: ReductionSystem, trunc: int | None = None,
-                    budget: int = DEFAULT_BUDGET) -> Element:
+                    budget: int = DEFAULT_BUDGET, rewrites: list | None = None) -> Element:
     """red(phi_uv * w) - red(u * phi_vw) on the overlap uvw, each product cut
     at ``trunc``.  phi_uv and phi_vw are the normal forms of uv and vw (right
     sides are irreducible), so on a deformed system this is the associator
     (u*v)*w - u*(v*w) of the star product; the diamond condition is its
-    vanishing at phitilde = 0."""
+    vanishing at phitilde = 0.  ``rewrites``, if given, receives the rewrites
+    that resolve the overlap as (split, coefficient) pairs: uvw by uv with 1
+    and by vw with -1, then those of ``reduce_full`` on each side, the right
+    side negated."""
     u, v, w = amb.factors
-    left = (R.by_lhs[compose(u, v)].rhs * Element.from_path(w)).truncated(trunc)
-    right = (Element.from_path(u) * R.by_lhs[compose(v, w)].rhs).truncated(trunc)
-    return reduce_full(left, R, budget) - reduce_full(right, R, budget)
+    uv, vw = compose(u, v), compose(v, w)
+    left = (R.by_lhs[uv].rhs * Element.from_path(w)).truncated(trunc)
+    right = (Element.from_path(u) * R.by_lhs[vw].rhs).truncated(trunc)
+    if rewrites is not None:
+        one = PolyScalar.rational(1)
+        rewrites += [(SplitResult(R.quiver.trivial(u.source), uv, w), one),
+                     (SplitResult(u, vw, R.quiver.trivial(w.target)), -one)]
+    return reduce_full(left, R, budget, rewrites) + reduce_full(-right, R, budget, rewrites)
 
 
 def check_diamond(R: ReductionSystem, budget: int = DEFAULT_BUDGET) -> DiamondReport:

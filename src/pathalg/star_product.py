@@ -10,9 +10,10 @@ carries its reduction system, so every product and check here takes only the
 cochain.  The Maurer-Cartan defects are the overlap resolutions of the
 deformed system (``resolve_overlap``), the same kernel as the diamond check.
 
-The cochain bases and the generic cochain live here too: HH^2 (``cohomology``)
-and the Maurer-Cartan variety (``variety``) are both read off one generic
-2-cochain on the left sides with values in parallel irreducible paths.
+The cochain bases live here too, for HH^2 (``cohomology``) and the
+Maurer-Cartan variety (``variety``), and so does the generic cochain that the
+variety equations are read off: one unknown per basis vector of the 2-cochains
+on the left sides with values in parallel irreducible paths.
 """
 
 from __future__ import annotations
@@ -71,13 +72,11 @@ def one_cochain_basis(R: ReductionSystem, bound: int | None = None):
                                       for name in R.quiver.arrow_names()])
 
 
-def generic_values(R: ReductionSystem, basis, names,
-                   scale: PolyScalar | None = None) -> dict[Path, Element]:
-    """The values of the generic cochain sum_i scale*names[i]*(s_i -> u_i)."""
+def generic_values(R: ReductionSystem, basis, names) -> dict[Path, Element]:
+    """The values of the generic cochain sum_i names[i]*(s_i -> u_i)."""
     terms: dict[Path, dict[Path, PolyScalar]] = {}
     for name, (s, u) in zip(names, basis):
         c = PolyScalar.var(name)
-        c = c if scale is None else scale * c
         value = terms.setdefault(s, {})
         value[u] = value[u] + c if u in value else c
     return {s: Element(R.quiver, value) for s, value in terms.items()}
@@ -195,8 +194,8 @@ class McReport:
 def associator_defects(cochain: DeformationCochain, budget: int = DEFAULT_BUDGET):
     """Yield (overlap index, word, (u*v)*w - u*(v*w)) for every overlap uvw.
 
-    The one associator kernel behind the Maurer-Cartan checks, the cocycle
-    map and the variety equations: ``resolve_overlap`` on the deformed
+    The one associator kernel behind the Maurer-Cartan checks and the
+    variety equations: ``resolve_overlap`` on the deformed
     system, whose right sides are the star products u*v and v*w.  It is
     lazy, so a caller that stops at the first nonzero defect does no further
     reductions.

@@ -284,6 +284,14 @@ class TestFlagValidation:
         assert code == 0
         assert last_json(out)["dimension"] == 1
 
+    @pytest.mark.parametrize("command, flag", [("hh2", "--cap"), ("irr", "--max-len")])
+    def test_negative_length_bound_names_the_flag(self, tmp_path, command, flag):
+        p = tmp_path / "tc.txt"
+        p.write_text(TWO_CYCLE.format(ba="t*e2"))
+        code, out = run([str(p), command, flag, "-1"])
+        assert code == 2
+        assert last_json(out)["error"] == f"{flag} must be >= 0"
+
     @pytest.mark.parametrize("setting", ["set trunc abc", "set trunc -1",
                                          "set budget 0"])
     def test_bad_setting_exits_2_with_line(self, tmp_path, setting):
@@ -363,6 +371,55 @@ def test_infinite_basis_exits_2_at_once(tmp_path, command):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert "finite irreducible basis" in last_json(out)["error"]
+
+
+@pytest.mark.parametrize("command", ["irr", "hh2"])
+def test_large_finite_basis_says_why_it_is_refused(tmp_path, command):
+    # a 12-vertex chain with three parallel arrows per step: the basis is
+    # shown finite at once, but it has about 3^11 paths
+    lines = ["vertex " + " ".join(str(i) for i in range(12))]
+    lines += [f"arrow a{i}_{k} : {i} -> {i + 1}" for i in range(11) for k in range(3)]
+    p = tmp_path / "chain.txt"
+    p.write_text("\n".join(lines + ["rule a0_0*a1_0 -> 0"]) + "\n")
+    code, out = run([str(p), command])
+    assert code == 2
+    assert last_json(out)["error"] == ("the irreducible basis is finite but has "
+                                       "more than 100,000 paths; pass max_len")
+
+
+def test_hh2_rejects_a_non_rational_coefficient_by_rule(tmp_path):
+    p = tmp_path / "skew.txt"
+    p.write_text("vertex 0\narrow x : 0 -> 0\narrow y : 0 -> 0\nunknown lam\n"
+                 "rule y*x -> lam*x*y\n")
+    for cap in ("0", "1", "2"):
+        code, out = run([str(p), "hh2", "--cap", cap])
+        assert code == 2
+        error = last_json(out)["error"]
+        assert "rule for y*x" in error
+        assert "needs rational rule coefficients once the parameters are set to 0" in error
+
+
+def test_hh2_does_not_depend_on_parameter_names(tmp_path):
+    """A rule parameter named t is an ordinary parameter: HH^2 is that of the
+    algebra at t = 0, and its representative is a first-order deformation."""
+    text = ("vertex 1 2\narrow a : 1 -> 2\narrow b : 2 -> 1\nparam {p}\n"
+            "rule a*b -> {p}*e1\nrule b*a -> 0\n")
+    outputs = []
+    for name in ("t", "hbar"):
+        p = tmp_path / f"{name}.txt"
+        p.write_text(text.format(p=name))
+        code, out = run([str(p), "hh2"])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    [rep] = last_json(outputs[0])["representatives"]
+    assert rep == {"a*b": "e1", "b*a": "e2"}
+    p = tmp_path / "mc.txt"
+    p.write_text(text.format(p="t").replace("t*e1", "0") + "set trunc 1\n"
+                 + "".join(f"deform {s} -> t*{v}\n" for s, v in rep.items()))
+    code, out = run([str(p), "mc"])
+    assert code == 0
+    assert last_json(out)["verdict"] == "pass"
 
 
 def test_deep_chain_ambiguities_exit_0(tmp_path):

@@ -52,7 +52,8 @@ def reference_coboundary_space(R, bound=None, budget=DEFAULT_BUDGET):
         zero = DeformationCochain(R, {}, trunc=1)
         t = PolyScalar.var("t", is_param=True, trunc=1)
         unknowns = {f"b[{i}]": i for i in range(len(basis1))}
-        psi = GaugeOnArrows(R, generic_values(R, basis1, unknowns, t), trunc=1)
+        values = generic_values(R, basis1, unknowns)
+        psi = GaugeOnArrows(R, {x: v.scale(t) for x, v in values.items()}, trunc=1)
         for rule in R.rules:
             s = rule.lhs
             induced = _t_of_element(Element.from_path(s) - rule.rhs, psi, zero, budget)

@@ -19,7 +19,9 @@ from pathalg.reduction_engine import (
     BudgetExceeded,
     ReductionSystem,
     Rule,
+    overlaps,
     reduce_full,
+    resolve_overlap,
     rightmost_split,
 )
 from pathalg.star_product import DeformationCochain, star
@@ -110,18 +112,70 @@ terms = st.lists(
     min_size=1, max_size=4)
 
 
-@pytest.mark.parametrize("name", sorted(SYSTEMS))
-@settings(max_examples=40, deadline=None)
-@given(terms=terms)
-def test_worklist_matches_lifo_reference(name, terms):
-    q, R = SYSTEMS[name]
+def _element(q: Quiver, terms) -> Element:
     a = Element.zero(q)
     for start, choices, c, hdeg in terms:
         # the rules' coefficients carry the truncation order
         coeff = PolyScalar({(("hbar", hdeg),) if hdeg else (): Fraction(c)},
                            params=frozenset({"hbar"}))
         a = a + Element.from_path(_walk(q, start, choices), coeff)
+    return a
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@settings(max_examples=40, deadline=None)
+@given(terms=terms)
+def test_worklist_matches_lifo_reference(name, terms):
+    q, R = SYSTEMS[name]
+    a = _element(q, terms)
     assert reduce_full(a, R) == lifo_normal_form(a, R)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@settings(max_examples=30, deadline=None)
+@given(terms=terms, budget=st.integers(1, 40))
+def test_rewrite_record_replays_the_normal_form(name, terms, budget):
+    """The input plus c*(q*phi_s*r - q*s*r) over the recorded rewrites is the
+    normal form; the record changes neither the result nor the raise point.
+    Each call gets a fresh copy of the system, so no ranks are shared."""
+    q, R = SYSTEMS[name]
+    a = _element(q, terms)
+    rewrites: list = []
+    try:
+        got = reduce_full(a, ReductionSystem(q, R.rules), budget, rewrites)
+    except BudgetExceeded as exc:
+        with pytest.raises(BudgetExceeded) as plain:
+            reduce_full(a, ReductionSystem(q, R.rules), budget)
+        assert (exc.steps, exc.word, exc.lhs, exc.partial) == (
+            plain.value.steps, plain.value.word, plain.value.lhs, plain.value.partial)
+        assert len(rewrites) == exc.steps
+        return
+    assert got == reduce_full(a, ReductionSystem(q, R.rules), budget)
+    assert len(rewrites) <= budget
+    replay = a
+    for split, c in rewrites:
+        step = R.by_lhs[split.s].rhs - Element.from_path(split.s)
+        replay = replay + (Element.from_path(split.q) * step
+                           * Element.from_path(split.r)).scale(c)
+    assert replay.truncated(a.max_trunc()) == got
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.parametrize("trunc", [None, 1])
+def test_overlap_record_replays_the_defect(name, trunc):
+    """From uvw - uvw, the rewrites that resolve an overlap sum to its
+    defect; passing the record changes no defect."""
+    q, R = SYSTEMS[name]
+    for amb in overlaps(R.lhs_set()):
+        rewrites: list = []
+        defect = resolve_overlap(amb, R, trunc, 10_000, rewrites)
+        assert defect == resolve_overlap(amb, R, trunc, 10_000)
+        replay = Element.zero(q)
+        for split, c in rewrites:
+            step = R.by_lhs[split.s].rhs - Element.from_path(split.s)
+            replay = replay + (Element.from_path(split.q) * step
+                               * Element.from_path(split.r)).scale(c)
+        assert replay.truncated(trunc) == defect
 
 
 def test_degree_five_star_fits_a_small_budget():

@@ -168,6 +168,18 @@ class TestIrreducible:
         with pytest.raises(UsageError):
             irreducible_paths(R.lhs_set(), q, safety_cap=10 ** 9)
 
+    def test_safety_cap_says_whether_the_basis_was_shown_finite(self):
+        # x1^4 -> 0 on ten loops: 111 paths of length <= 2 pass the cap of
+        # 100 before the states of length 3 are known to admit no cycle
+        q = Quiver(["0"], [(f"x{i}", "0", "0") for i in range(10)])
+        S = [q.path(*["x1"] * 4)]
+        with pytest.raises(UsageError, match="^the irreducible basis has more than 100 paths"):
+            irreducible_paths(S, q, safety_cap=100)
+        S = [q.path(f"x{i}", f"x{j}") for i in range(10) for j in range(10) if i >= j]
+        with pytest.raises(UsageError, match="^the irreducible basis is finite but has more "
+                                             "than 100 paths"):
+            irreducible_paths(S, q, safety_cap=100)
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_finite_bases_at_the_pumping_length(self, n):
         # x^n -> 0: the longest irreducible path x^(n-1) is one short of it
