@@ -431,11 +431,23 @@ def _cmd_ambiguities(problem: ProblemFile, args, flags, report: Report):
         report.doc["words"].append(repr(amb.word))
 
 
+def _name_the_bound(flag: str, run):
+    """run(), with the library's refusal of an unbounded irreducible basis
+    ("...; pass max_len") naming the flag that bounds it instead."""
+    try:
+        return run()
+    except UsageError as exc:
+        text = str(exc)
+        if not text.endswith("; pass max_len"):
+            raise
+        raise UsageError(text.removesuffix("max_len") + flag) from None
+
+
 def _cmd_irr(problem: ProblemFile, args, flags, report: Report):
     if flags.max_len is not None and flags.max_len < 0:
         raise UsageError("--max-len must be >= 0")
-    paths = irreducible_paths(problem.system.lhs_set(), problem.quiver,
-                              max_len=flags.max_len)
+    paths = _name_the_bound("--max-len", lambda: irreducible_paths(
+        problem.system.lhs_set(), problem.quiver, max_len=flags.max_len))
     report.say(f"count: {len(paths)}")
     report.doc["count"] = len(paths)
     report.doc["paths"] = [repr(p) for p in paths]
@@ -492,7 +504,8 @@ def _cmd_gauge(problem: ProblemFile, args, flags, report: Report):
 def _cmd_hh2(problem: ProblemFile, args, flags, report: Report):
     if flags.cap is not None and flags.cap < 0:
         raise UsageError("--cap must be >= 0")
-    result = hh2(problem.system, bound=flags.cap, budget=problem.budget)
+    result = _name_the_bound("--cap", lambda: hh2(
+        problem.system, bound=flags.cap, budget=problem.budget))
     report.say(f"dimension: {result.dimension}")
     report.doc["dimension"] = result.dimension
     report.doc["representatives"] = []
@@ -587,7 +600,7 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
             for g in monos:
                 lhs = graphical_star(f, g, cochain, trunc=trunc, cap=cap)
                 rhs = star(f, g, cochain, problem.budget).truncated(trunc)
-                if not (lhs - rhs).is_zero():
+                if lhs != rhs:
                     mismatches.append((repr(f), repr(g)))
         report.verdict(f"compare ({len(monos) ** 2} pairs, order {trunc})",
                        not mismatches)

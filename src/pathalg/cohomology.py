@@ -137,21 +137,24 @@ def _order_zero(c: PolyScalar) -> dict:
     return {m: q for m, q in c.terms.items() if not _mono_deg(m, c.params)}
 
 
-def _first_order_map(R: ReductionSystem, basis, budget: int):
+def _first_order_map(R: ReductionSystem, basis, budget: int,
+                     normal_forms: dict | None):
     """The kernel of both maps: ``image(rewrites, where)`` sums c * red(q u r)
     over the rewrites (split q s r, c) and the basis vectors j = (s, u), and
     yields ((target, j), entry) for every nonzero entry.
 
     Only the order-zero part of c counts.  Each distinct word is reduced
-    once, with the undeformed rules at truncation order 1, and only the
-    order-zero part of its normal form is kept.  An entry that is not
-    rational raises a usage error naming ``where``.
+    once per ``normal_forms`` memo (a fresh one if None), with the undeformed
+    rules at truncation order 1, and only the order-zero part of its normal
+    form is kept.  An entry that is not rational raises a usage error naming
+    ``where``.
     """
     by_path: dict[Path, list[tuple[int, Path]]] = {}
     for j, (s, u) in enumerate(basis):
         by_path.setdefault(s, []).append((j, u))
     one = PolyScalar.rational(1, trunc=1)
-    normal_forms: dict[Path, list[tuple[Path, dict]]] = {}
+    if normal_forms is None:
+        normal_forms = {}  # word -> [(path, order-zero coefficient)]
 
     def image(rewrites, where: str):
         sums: dict[tuple[Path, int], dict] = {}  # (target, j) -> monomials
@@ -181,15 +184,17 @@ def _first_order_map(R: ReductionSystem, basis, budget: int):
 
 
 def cocycle_space(R: ReductionSystem, bound: int | None = None,
-                  budget: int = DEFAULT_BUDGET) -> CocycleSpace:
+                  budget: int = DEFAULT_BUDGET, *,
+                  normal_forms: dict | None = None) -> CocycleSpace:
     """Kernel of the linearized defect map on 2-cochains.
 
     On the overlap uvw, the order-t defect of t*(s -> u) sums c * red(q u r)
     over the rewrites c*(q s r) that resolve the overlap (``resolve_overlap``).
-    Rows are keyed by (overlap index, path).
+    Rows are keyed by (overlap index, path).  ``normal_forms`` is a word memo
+    to share with ``coboundary_space`` on the same R.
     """
     basis = two_cochain_basis(R, bound)
-    image = _first_order_map(R, basis, budget)
+    image = _first_order_map(R, basis, budget, normal_forms)
     rows: dict[tuple[int, Path], list[int | Fraction]] = {}
     for idx, amb in enumerate(overlaps(R.lhs_set()) if basis else ()):
         rewrites: list = []
@@ -203,7 +208,8 @@ def cocycle_space(R: ReductionSystem, bound: int | None = None,
 
 
 def coboundary_space(R: ReductionSystem, bound: int | None = None,
-                     budget: int = DEFAULT_BUDGET) -> CoboundarySpace:
+                     budget: int = DEFAULT_BUDGET, *,
+                     normal_forms: dict | None = None) -> CoboundarySpace:
     """Image of the linearized gauge action psi -> phitilde'.
 
     For a rule s -> phi_s the coboundary of a 1-cochain psi is
@@ -212,12 +218,13 @@ def coboundary_space(R: ReductionSystem, bound: int | None = None,
     so the column of the basis vector x -> u sums c * red(w) over the words
     w = p_{<i} u p_{>i} with p_i = x.  When R satisfies the diamond
     condition, red(w) is the product T(x_1) * ... * T(x_m) of the gauge
-    T = id + psi*t read at order t.
+    T = id + psi*t read at order t.  ``normal_forms`` is as for
+    ``cocycle_space``.
     """
     basis2 = two_cochain_basis(R, bound)
     index = {pair: i for i, pair in enumerate(basis2)}
     basis1 = one_cochain_basis(R, bound)
-    image = _first_order_map(R, basis1, budget)
+    image = _first_order_map(R, basis1, budget, normal_forms)
     columns = [[0] * len(basis2) for _ in basis1]
     for rule in R.rules:
         s = rule.lhs
@@ -241,10 +248,12 @@ def hh2(R: ReductionSystem, bound: int | None = None,
     """dim HH^2 = dim(cocycles) - dim(coboundaries), with representatives.
 
     Representatives are kernel basis vectors completing the coboundary space
-    to the cocycle space, chosen greedily in canonical basis order.
+    to the cocycle space, chosen greedily in canonical basis order.  Both
+    maps share one word memo.
     """
-    cocycles = cocycle_space(R, bound, budget)
-    coboundaries = coboundary_space(R, bound, budget)
+    normal_forms: dict = {}
+    cocycles = cocycle_space(R, bound, budget, normal_forms=normal_forms)
+    coboundaries = coboundary_space(R, bound, budget, normal_forms=normal_forms)
     rows = [[(j, a) for j, a in enumerate(row) if a] for row in cocycles.matrix]
     for vec in coboundaries.image:
         if any(sum(a * vec[j] for j, a in row if vec[j]) for row in rows):

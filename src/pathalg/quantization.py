@@ -385,12 +385,12 @@ def _history_count(k: int, out_j: tuple[int, ...], out_i: tuple[int, ...],
 def _label_weights(graph: KGraph, d: int) -> tuple:
     """The integer part of a graph's operator in d variables.
 
-    Items ((factors, mf, mg), weight): mf and mg count the labels on the
-    edges into f and g, ``factors`` is the sorted ((j, i), incoming label
-    counts) of the internal vertices, and the weight sums the replay
-    multiplicities over the insertion placements and the index labelings
-    (i_v < j_v at each vertex, labels weakly increasing along each incoming
-    order) with that key.  It depends on no cochain.
+    Rows ((mf, mg), ((factors, weight), ...)), one per pair of label counts
+    mf and mg on the edges into f and g: ``factors`` is the sorted ((j, i),
+    incoming label counts) of the internal vertices, and the weight sums the
+    replay multiplicities over the insertion placements and the index
+    labelings (i_v < j_v at each vertex, labels weakly increasing along each
+    incoming order) with that key.  It depends on no cochain.
     """
     k = graph.k
     order_map = dict(graph.orders)
@@ -413,85 +413,97 @@ def _label_weights(graph: KGraph, d: int) -> tuple:
                 mult = _history_count(k, out_j, out_i, graph.orders, labels)
                 if mult:
                     none = (0,) * d
-                    key = (tuple(sorted((labels[v], counts.get(v, none))
-                                        for v in range(k))),
-                           counts.get(F_SLOT, none), counts.get(G_SLOT, none))
-                    weights[key] = weights.get(key, 0) + mult
-    return tuple(weights.items())
+                    row = weights.setdefault((counts.get(F_SLOT, none),
+                                              counts.get(G_SLOT, none)), {})
+                    factors = tuple(sorted((labels[v], counts.get(v, none))
+                                           for v in range(k)))
+                    row[factors] = row.get(factors, 0) + mult
+    return tuple((key, tuple(row.items())) for key, row in weights.items())
 
 
 @lru_cache(maxsize=None)
 def _stratum_weights(d: int, strata: int) -> tuple:
-    """The tables of all graphs of strata 1..strata, summed by key (the
+    """The tables of all graphs of strata 1..strata, summed row by row (the
     operator is linear in its rows, so the sum over the graphs is kept)."""
     weights: dict = {}
     for k in range(1, strata + 1):
         for graph in enumerate_graphs(k, cap=strata):
-            for key, w in _label_weights(graph, d):
-                weights[key] = weights.get(key, 0) + w
-    return tuple(weights.items())
+            for key, items in _label_weights(graph, d):
+                row = weights.setdefault(key, {})
+                for factors, w in items:
+                    row[factors] = row.get(factors, 0) + w
+    return tuple((key, tuple(row.items())) for key, row in weights.items())
 
 
-def _graph_operator(weights: tuple, cochain: DeformationCochain):
-    """The operator of an integer table for a cochain, as rows (coeff, mf, mg).
-
-    ``coeff`` is an exponent form: over the keys with label counts mf and mg,
-    the sum of the weight times the product of the divided derivatives of the
-    cochain values in ``factors``, taken once per distinct factor multiset.
-    """
+def _graph_operator(items: tuple, cochain: DeformationCochain) -> dict:
+    """One row of an integer table for a cochain, as an exponent form: the sum
+    over its items (factors, weight) of the weight times the product of the
+    divided derivatives of the cochain values in ``factors``.  The products
+    of sorted factor prefixes are shared by every row and cached on the
+    cochain."""
     quiver = cochain.system.quiver
     d = len(quiver.arrow_names())
-    values = {(j, i): _exponents(cochain.value(quiver.path(f"x{j}", f"x{i}")), d)
-              for j in range(2, d + 1) for i in range(1, j)}
-    prods: dict = {(): {(0,) * d: PolyScalar.rational(1)}}
-    rows: dict = {}
-    for (factors, mf, mg), w in weights:
-        for n in range(1, len(factors) + 1):  # sorted prefixes are shared
+    if "_graph_prods" not in cochain.__dict__:
+        cochain._graph_values = {
+            (j, i): _exponents(cochain.value(quiver.path(f"x{j}", f"x{i}")), d)
+            for j in range(2, d + 1) for i in range(1, j)}
+        cochain._graph_prods = {(): {(0,) * d: PolyScalar.rational(1)}}
+    values, prods = cochain._graph_values, cochain._graph_prods
+    row: dict = {}
+    for factors, w in items:
+        for n in range(1, len(factors) + 1):
             if factors[:n] not in prods:
                 (ji, m), head = factors[n - 1], prods[factors[:n - 1]]
                 prods[factors[:n]] = head and _exp_mul(
                     head, _derive(values[ji], m))
-        row = rows.setdefault((mf, mg), {})
         for e, c in prods[factors].items():
             row[e] = row[e] + c.scale(w) if e in row else c.scale(w)
-    return [(coeff, mf, mg) for (mf, mg), row in rows.items()
-            if (coeff := {e: c for e, c in row.items() if not c.is_zero()})]
+    return {e: c for e, c in row.items() if not c.is_zero()}
 
 
-def _apply_operator(rows, quiver: Quiver, f: Element, g: Element,
-                    trunc: int | None) -> Element:
-    d = len(quiver.arrow_names())
-    fe, ge = _exponents(f, d), _exponents(g, d)
+def _apply_operator(cochain: DeformationCochain, key, table: tuple,
+                    fe: dict, ge: dict, trunc: int | None,
+                    total: dict) -> Element:
+    """``total`` plus the operator of ``table`` applied to the exponent forms
+    fe and ge, truncated at ``trunc``.
+
+    A row is built, once per cochain and ``key``, only when fe and ge both
+    have a nonzero divided derivative for its label counts.  A rational
+    product of derivative coefficients scales the row; any other coefficient
+    is multiplied out.
+    """
+    rows = cochain.__dict__.setdefault("_graph_operators", {}).setdefault(key, {})
     df: dict = {}  # rows repeat label counts; f and g are fixed here
     dg: dict = {}
-    total: dict = {}
-    for coeff, mf, mg in rows:
+    for (mf, mg), items in table:
         if mf not in df:
             df[mf] = _derive(fe, mf)
-        if df[mf]:
-            if mg not in dg:
-                dg[mg] = _derive(ge, mg)
-            for e, c in _exp_mul(coeff, _exp_mul(df[mf], dg[mg])).items():
-                total[e] = total[e] + c if e in total else c
-    return _element(quiver, total).truncated(trunc)
-
-
-def _operator(cochain: DeformationCochain, key, weights):
-    """The operator of the table ``weights()``, cached on the cochain."""
-    cache = cochain.__dict__.setdefault("_graph_operators", {})
-    if key not in cache:
-        cache[key] = _graph_operator(weights(), cochain)
-    return cache[key]
+        if not df[mf]:
+            continue
+        if mg not in dg:
+            dg[mg] = _derive(ge, mg)
+        if not dg[mg]:
+            continue
+        if (mf, mg) not in rows:
+            rows[mf, mg] = _graph_operator(items, cochain)
+        pairs = [(s, r, r.terms[()] if r.trunc is None and not r.params
+                  and r.is_rational() else None)
+                 for s, r in _exp_mul(df[mf], dg[mg]).items()]
+        for e, c in rows[mf, mg].items():
+            for s, r, q in pairs:
+                term = c * r if q is None else c.scale(q)
+                e2 = tuple(x + y for x, y in zip(e, s))
+                total[e2] = total[e2] + term if e2 in total else term
+    return _element(cochain.system.quiver, total).truncated(trunc)
 
 
 def eval_graph(graph: KGraph, cochain: DeformationCochain, f: Element,
                g: Element, trunc: int | None = None) -> Element:
     """The bidifferential operator of a graph applied to (f, g)."""
-    quiver = cochain.system.quiver
-    d = len(quiver.arrow_names())
-    rows = _operator(cochain, graph, lambda: _label_weights(graph, d))
-    return _apply_operator(rows, quiver, f, g,
-                           cochain.trunc if trunc is None else trunc)
+    d = len(cochain.system.quiver.arrow_names())
+    return _apply_operator(cochain, graph, _label_weights(graph, d),
+                           _exponents(f, d), _exponents(g, d),
+                           cochain.trunc if trunc is None else trunc, {})
 
 
 def graphical_star(f: Element, g: Element, cochain: DeformationCochain,
@@ -500,17 +512,17 @@ def graphical_star(f: Element, g: Element, cochain: DeformationCochain,
 
     The deformation part has strictly positive parameter degree, so strata
     beyond the truncation order cannot contribute.  The graphs of strata
-    1..min(trunc, cap) are applied as one summed table.
+    1..min(trunc, cap) are applied as one summed table, added to f*g.
     """
     if trunc is None:
         trunc = cochain.trunc
     if trunc is None:
         raise UsageError("graphical_star needs a finite truncation order")
-    quiver = cochain.system.quiver
-    d, strata = len(quiver.arrow_names()), min(trunc, cap)
-    rows = _operator(cochain, strata, lambda: _stratum_weights(d, strata))
-    total = _poly_mul(f, g) + _apply_operator(rows, quiver, f, g, trunc)
-    return total.truncated(trunc)
+    d = len(cochain.system.quiver.arrow_names())
+    strata = min(trunc, cap)
+    fe, ge = _exponents(f, d), _exponents(g, d)
+    return _apply_operator(cochain, strata, _stratum_weights(d, strata),
+                           fe, ge, trunc, _exp_mul(fe, ge))
 
 
 # ---------------------------------------------------------------------------

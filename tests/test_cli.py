@@ -370,7 +370,9 @@ def test_infinite_basis_exits_2_at_once(tmp_path, command):
     code, out = run([str(p), command])
     assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert "finite irreducible basis" in last_json(out)["error"]
+    error = last_json(out)["error"]
+    assert "finite irreducible basis" in error
+    assert error.endswith({"irr": "; pass --max-len", "hh2": "; pass --cap"}[command])
 
 
 @pytest.mark.parametrize("command", ["irr", "hh2"])
@@ -383,8 +385,9 @@ def test_large_finite_basis_says_why_it_is_refused(tmp_path, command):
     p.write_text("\n".join(lines + ["rule a0_0*a1_0 -> 0"]) + "\n")
     code, out = run([str(p), command])
     assert code == 2
+    flag = {"irr": "--max-len", "hh2": "--cap"}[command]
     assert last_json(out)["error"] == ("the irreducible basis is finite but has "
-                                       "more than 100,000 paths; pass max_len")
+                                       f"more than 100,000 paths; pass {flag}")
 
 
 def test_hh2_rejects_a_non_rational_coefficient_by_rule(tmp_path):

@@ -25,6 +25,7 @@ from pathalg.reduction_engine import (
     ReductionSystem,
     Rule,
     overlaps,
+    reduce_full,
 )
 from pathalg.star_product import (
     DeformationCochain,
@@ -104,6 +105,28 @@ class TestHh2:
         coboundary_space(R, 3, budget=3)
         with pytest.raises(BudgetExceeded):
             coboundary_space(R, 3, budget=2)
+
+    def test_hh2_reduces_each_word_once(self, monkeypatch):
+        """The two maps of one hh2 call share a word memo: no word is reduced
+        twice, though the maps called on their own reduce shared words."""
+        from pathalg import cohomology
+
+        words: list = []
+
+        def spy(a, *args, **kwargs):
+            words.extend(a.terms)
+            return reduce_full(a, *args, **kwargs)
+
+        monkeypatch.setattr(cohomology, "reduce_full", spy)
+        R = commutator_system(4)[1]
+        cocycle_space(R, 2)
+        coboundary_space(R, 2)
+        alone = list(words)
+        words.clear()
+        hh2(R, 2)
+        assert len(set(alone)) < len(alone)
+        assert sorted(words, key=lambda p: p.sort_key()) == sorted(
+            set(alone), key=lambda p: p.sort_key())
 
     def test_representatives_are_first_order_mc(self, four_dim):
         """Representatives times t satisfy MC mod t^2 (they are cocycles)."""

@@ -272,6 +272,20 @@ class TestGraphicalStar:
         assert graphical_star(f, g, cochain) == expected.truncated(3)
         assert graphical_star(f, g, cochain) == star(f, g, cochain)
 
+    def test_order_four_matches_star(self):
+        # stratum 4 of the d=2 table against the reduction star of a
+        # non-constant bivector, with a nonzero hbar^4 term
+        q, R = commutator_system(2)
+        eta = PoissonBivector(2, {(2, 1): monomial(q, (1, 0)) + monomial(q, (0, 2))})
+        cochain = poisson_to_cochain(eta, trunc=4)
+        pairs = [(monomial(q, (0, 4)), monomial(q, (4, 0))),
+                 (monomial(q, (1, 3)), monomial(q, (3, 1))),
+                 (monomial(q, (2, 1)), monomial(q, (1, 2)))]
+        for f, g in pairs:
+            assert graphical_star(f, g, cochain) == star(f, g, cochain)
+        lhs = graphical_star(*pairs[0], cochain)
+        assert not lhs.coefficient_of(HBAR, 4).is_zero()
+
 
 class TestWeightTables:
     """The graph star applies one integer table per (d, strata), shared by
