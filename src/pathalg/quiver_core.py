@@ -210,6 +210,9 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
         return b
     if not b:
         return a
+    if len(a) == len(b) == 1:  # one symbol each, as in hbar^k
+        (n, e), (n2, e2) = a[0], b[0]
+        return ((n, e + e2),) if n == n2 else (a[0], b[0]) if n < n2 else (b[0], a[0])
     d = dict(a)
     for name, e in b:
         d[name] = d.get(name, 0) + e
@@ -218,6 +221,8 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
 
 def _mono_deg(m: Mono, params: frozenset[str]) -> int:
     """Total degree of m in the given parameters."""
+    if len(m) == 1:
+        return m[0][1] if m[0][0] in params else 0
     return sum(e for n, e in m if n in params)
 
 
@@ -230,14 +235,17 @@ class PolyScalar:
 
     ``params`` names the symbols whose total degree is capped by ``trunc``
     (None = unbounded); all other symbols are unknowns and never truncated.
+    Instances are never changed after construction, so the lowest parameter
+    degree is worked out at most once (``_low``, None until asked for).
     """
 
-    __slots__ = ("terms", "trunc", "params")
+    __slots__ = ("terms", "trunc", "params", "_low")
 
     def __init__(self, terms: Mapping[Mono, int | Fraction] | None = None,
                  trunc: int | None = None, params: frozenset[str] = frozenset()):
         self.trunc = trunc
         self.params = frozenset(params)
+        self._low = None
         clean: dict[Mono, int | Fraction] = {}
         for m, c in (terms or {}).items():
             c = _q(c)
@@ -260,6 +268,7 @@ class PolyScalar:
         ps.trunc = trunc
         ps.params = params
         ps.terms = {m: c for m, c in terms.items() if c}
+        ps._low = None
         return ps
 
     @classmethod
@@ -305,8 +314,10 @@ class PolyScalar:
         return max((_mono_deg(m, self.params) for m in self.terms), default=0)
 
     def min_param_degree(self) -> int:
-        ps = self.params
-        return min((_mono_deg(m, ps) for m in self.terms), default=0) if ps else 0
+        if self._low is None:
+            ps = self.params
+            self._low = min((_mono_deg(m, ps) for m in self.terms), default=0) if ps else 0
+        return self._low
 
     def symbols(self) -> set[str]:
         return {n for m in self.terms for n, _ in m}
@@ -326,6 +337,8 @@ class PolyScalar:
         d = dict(self.terms)
         for m, c in other.terms.items():
             d[m] = d[m] + c if m in d else c
+        if self.trunc == other.trunc and self.params == other.params:
+            return PolyScalar._exact(d, tr, ps)  # no term can lie over the order
         return PolyScalar._cut(d, tr, ps)
 
     def __sub__(self, other: "PolyScalar") -> "PolyScalar":
@@ -336,22 +349,28 @@ class PolyScalar:
 
     def __mul__(self, other: "PolyScalar") -> "PolyScalar":
         tr, ps = self._merge_meta(other)
-        if tr is not None:
-            # pair two monomials only if their parameter degrees, counted with
-            # the merged params, sum to at most the truncation
-            graded = [(_mono_deg(m, ps), m, c) for m, c in other.terms.items()]
+        outer, inner = self.terms, other.terms
+        if len(inner) == 1 < len(outer):
+            # a one-term operand goes outside, so the other is walked once; the
+            # products are distinct and come out in the same order
+            outer, inner = inner, outer
+        # pair two monomials only if their parameter degrees, counted with the
+        # merged params, sum to at most the truncation
+        cut = tr is not None and bool(ps)
         d: dict[Mono, int | Fraction] = {}
-        for m1, c1 in self.terms.items():
-            if tr is None:
-                partners = other.terms.items()
-            else:
-                room = tr - _mono_deg(m1, ps)
-                partners = [(m2, c2) for k, m2, c2 in graded if k <= room]
-            for m2, c2 in partners:
+        for m1, c1 in outer.items():
+            room = tr - _mono_deg(m1, ps) if cut else 0
+            for m2, c2 in inner.items():
+                if cut and _mono_deg(m2, ps) > room:
+                    continue
                 m = _mono_mul(m1, m2)
                 c = c1 * c2
                 d[m] = d[m] + c if m in d else c
-        return PolyScalar._exact(d, tr, ps)
+        out = PolyScalar._exact(d, tr, ps)
+        if (out.terms and self.params == other.params
+                and self._low is not None and other._low is not None):
+            out._low = self._low + other._low  # Q[symbols] is a domain
+        return out
 
     def scale(self, q) -> "PolyScalar":
         q = _q(q)
@@ -365,9 +384,9 @@ class PolyScalar:
 
     # -- extraction / substitution ----------------------------------------
     def truncated(self, n: int | None) -> "PolyScalar":
-        return PolyScalar._cut(self.terms, n if self.trunc is None else
-                               (n if n is not None and n < self.trunc else self.trunc),
-                               self.params)
+        if n is None or self.trunc is not None and n >= self.trunc:
+            return self  # the order cuts nothing
+        return PolyScalar._cut(self.terms, n, self.params)
 
     def coefficient_of(self, name: str, power: int) -> "PolyScalar":
         """The coefficient of name**power (the symbol is removed)."""
@@ -526,6 +545,9 @@ class Element:
         return hash(frozenset((p, frozenset(c.terms.items())) for p, c in self.terms.items()))
 
     def truncated(self, n: int | None) -> "Element":
+        if n is None or all(c.trunc is not None and c.trunc <= n
+                            for c in self.terms.values()):
+            return self  # the order cuts nothing
         return Element(self.quiver, {p: c.truncated(n) for p, c in self.terms.items()})
 
     def coefficient_of(self, name: str, power: int) -> "Element":

@@ -303,13 +303,14 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET,
     tick = itertools.count()
 
     def add(p: Path, c: PolyScalar):
-        if p in pending:
-            c = pending[p][0] + c
+        entry = pending.get(p)
+        if entry is not None:
+            c = entry[0] + c
             if c.is_zero():
                 del pending[p]  # its heap entries are skipped when popped
                 return
             level = c.min_param_degree()
-            if level != pending[p][1]:
+            if level != entry[1]:
                 heapq.heappush(heap, (level, -ranks[p][0], next(tick), p))
             pending[p] = (c, level)
         elif p in done:

@@ -28,7 +28,7 @@ from pathalg.quantization import (
 )
 from pathalg.quiver_core import Element, PolyScalar, UsageError
 from pathalg.reduction_engine import reduce_full
-from pathalg.star_product import star
+from pathalg.star_product import star, star_k
 
 
 def _hbar(trunc):
@@ -271,6 +271,23 @@ class TestGraphicalStar:
                 expected = expected + eval_graph(graph, cochain, f, g)
         assert graphical_star(f, g, cochain) == expected.truncated(3)
         assert graphical_star(f, g, cochain) == star(f, g, cochain)
+
+    def test_star_k_is_the_sum_over_its_stratum(self):
+        # stratum k of the reduction star is the sum of eval_graph over the
+        # graphs with k internal vertices; stratum 0, the graph without
+        # internal vertices, is the commutative product
+        q, R = commutator_system(2)
+        eta = PoissonBivector(2, {(2, 1): monomial(q, (1, 0)) + monomial(q, (0, 2))})
+        cochain = poisson_to_cochain(eta, trunc=3)
+        for ef, eg in [((1, 2), (2, 1)), ((0, 3), (3, 0)), ((2, 2), (1, 1))]:
+            f, g = monomial(q, ef), monomial(q, eg)
+            product = monomial(q, tuple(a + b for a, b in zip(ef, eg)))
+            assert star_k(f, g, cochain, 0) == product
+            for k in (1, 2, 3):
+                total = Element.zero(q)
+                for graph in enumerate_graphs(k):
+                    total = total + eval_graph(graph, cochain, f, g)
+                assert star_k(f, g, cochain, k) == total
 
     def test_order_four_matches_star(self):
         # stratum 4 of the d=2 table against the reduction star of a

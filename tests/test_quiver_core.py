@@ -241,6 +241,11 @@ def _reference_mul(a: PolyScalar, b: PolyScalar) -> dict:
         trunc is None or sum(e for n, e in m if n in params) <= trunc)}
 
 
+def _ref_low(terms: dict, params) -> int:
+    """The lowest parameter degree, recomputed from the terms."""
+    return min((sum(e for n, e in m if n in params) for m in terms), default=0)
+
+
 monomial = st.lists(st.integers(0, 3), min_size=4, max_size=4).map(
     lambda exps: tuple(sorted((n, e) for n, e in zip(_SYMBOLS, exps) if e)))
 coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -273,7 +278,10 @@ def _pair(operand):
 @given(_pair(_poly))
 def test_graded_scalar_product_matches_reference(pair):
     a, b = pair
-    assert (a * b).terms == _reference_mul(a, b)
+    a.min_param_degree(), b.min_param_degree()  # known, so a product may carry them
+    ab = a * b
+    assert ab.terms == _reference_mul(a, b)
+    assert ab.min_param_degree() == _ref_low(ab.terms, a.params | b.params)
 
 
 @settings(max_examples=60, deadline=None)
@@ -340,20 +348,43 @@ def _program(draw):
             draw(st.lists(st.sampled_from(_OPS), min_size=1, max_size=5)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(_program())
-def test_coefficients_are_ints_when_integral(program):
+@settings(max_examples=300, deadline=None)
+@given(_program(), st.booleans())
+def test_coefficients_are_ints_when_integral(program, b_low_known):
+    """Each operation against the reference, and the kernel's shortcuts
+    against it too: the lowest degree that a product carries over from its
+    factors (which happens when both already know theirs, so ``b`` is asked
+    first in half the draws), and truncations that cut nothing."""
     terms, sides, q, n, ops = program
     a, b = (PolyScalar(t, tr, ps) for t, (tr, ps) in zip(terms, sides))
     ref_a, ref_b = (_ref_cut({m: Fraction(c) for m, c in t.items()}, tr, frozenset(ps))
                     for t, (tr, ps) in zip(terms, sides))
     integral = all(Fraction(c).denominator == 1
                    for c in [q, *terms[0].values(), *terms[1].values()])
+    assert a.min_param_degree() == _ref_low(*ref_a[::2])
+    if b_low_known:
+        assert b.min_param_degree() == _ref_low(*ref_b[::2])
     for op in ops:
+        before = a
         a = (a.scale(q) if op == "scale" else a.truncated(n) if op == "truncated"
              else _BINARY[op](a, b))
         ref_a = _ref_apply(op, ref_a, ref_b, Fraction(q), n)
-        assert a.terms == ref_a[0] and a.trunc == ref_a[1]
+        assert a.terms == ref_a[0] and a.trunc == ref_a[1] and a.params == ref_a[2]
+        assert a.min_param_degree() == _ref_low(ref_a[0], ref_a[2])
+        if op == "truncated" and (n is None or before.trunc is not None and n >= before.trunc):
+            assert a is before
         assert all(type(c) in (int, Fraction) for c in a.terms.values())
         if integral:
             assert all(type(c) is int for c in a.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_element((2, frozenset({"t"}))), st.one_of(st.none(), st.integers(0, 3)))
+def test_element_truncation_cuts_only_below_its_order(x, n):
+    cut = x.truncated(n)
+    if n is None or n >= 2:
+        assert cut is x
+    else:
+        assert {p: c.terms for p, c in cut.terms.items()} == {
+            p: d for p, d in ((p, _ref_cut(c.terms, n, c.params)[0])
+                              for p, c in x.terms.items()) if d}
