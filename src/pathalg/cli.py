@@ -378,9 +378,7 @@ def _commutator_dimension(problem: ProblemFile) -> int:
                                                          range(1, d + 1)):
         raise UsageError("quantize needs the commutator system on x1..xd")
     want = {(f"x{j}", f"x{i}") for j in range(2, d + 1) for i in range(1, j)}
-    got = {}
-    for rule in problem.system.rules:
-        got[rule.lhs.arrows] = rule.rhs
+    got = {rule.lhs.arrows: rule.rhs for rule in problem.system.rules}
     if set(got) != want:
         raise UsageError("quantize needs the rules x_j*x_i -> x_i*x_j, j > i")
     for (xj, xi), rhs in got.items():

@@ -23,7 +23,6 @@ from .reduction_engine import (
     DEFAULT_BUDGET,
     ReductionSystem,
     SplitResult,
-    _splice,
     overlaps,
     reduce_full,
     resolve_overlap,
@@ -161,7 +160,8 @@ def _first_order_map(R: ReductionSystem, basis, budget: int,
         for split, c in rewrites:
             c = _order_zero(c)
             for j, u in (by_path.get(split.s, ()) if c else ()):
-                w = _splice(R.quiver, split, u)
+                arrows = split.q.arrows + u.arrows + split.r.arrows
+                w = Path._trusted(R.quiver, arrows, None) if arrows else u  # u is parallel to s
                 if w not in normal_forms:
                     red = reduce_full(Element.from_path(w, one), R, budget)
                     nf = ((p, _order_zero(a)) for p, a in red.terms.items())

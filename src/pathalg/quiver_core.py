@@ -176,6 +176,7 @@ def compose(p: Path, q: Path) -> Path | None:
 Mono = tuple[tuple[str, int], ...]  # sorted ((symbol, exponent), ...)
 
 _ONE: Mono = ()
+_UNIT = {_ONE: 1}  # the terms of the rational 1
 
 
 def _q(c):
@@ -246,15 +247,9 @@ class PolyScalar:
         self.trunc = trunc
         self.params = frozenset(params)
         self._low = None
-        clean: dict[Mono, int | Fraction] = {}
-        for m, c in (terms or {}).items():
-            c = _q(c)
-            if c == 0:
-                continue
-            if trunc is not None and _mono_deg(m, self.params) > trunc:
-                continue
-            clean[m] = c
-        self.terms = clean
+        exact = {m: _q(c) for m, c in (terms or {}).items()}
+        self.terms = {m: c for m, c in exact.items()
+                      if c and (trunc is None or _mono_deg(m, self.params) <= trunc)}
 
     @classmethod
     def _exact(cls, terms: dict[Mono, int | Fraction], trunc: int | None,
@@ -348,7 +343,12 @@ class PolyScalar:
         return PolyScalar._exact({m: -c for m, c in self.terms.items()}, self.trunc, self.params)
 
     def __mul__(self, other: "PolyScalar") -> "PolyScalar":
-        tr, ps = self._merge_meta(other)
+        tr, ps = meta = self._merge_meta(other)
+        # the rational 1 times x is x when x's trunc and params are the product's
+        if self.terms == _UNIT and meta == (other.trunc, other.params):
+            return other
+        if other.terms == _UNIT and meta == (self.trunc, self.params):
+            return self
         outer, inner = self.terms, other.terms
         if len(inner) == 1 < len(outer):
             # a one-term operand goes outside, so the other is walked once; the

@@ -160,12 +160,14 @@ class ReductionSystem:
                 raise UsageError(f"duplicate rule for {rule.lhs!r}")
             self.by_lhs[rule.lhs] = rule
         self._sides = LeftSides(rule.lhs for rule in self.rules)
-        # each right side as (lowest parameter degree, path, coefficient) terms
-        # sorted by degree, so that rewriting stops before a term over the trunc
-        self.graded = {r.lhs: sorted(((c.min_param_degree(), p, c) for p, c in r.rhs.terms.items()),
+        # each right side as (lowest parameter degree, arrow word, path, coefficient)
+        # terms sorted by degree, so that rewriting stops before a term over the trunc;
+        # the path keys the word of length 0 that a trivial term makes of the side
+        self.graded = {r.lhs: sorted(((c.min_param_degree(), p.arrows, p, c)
+                                      for p, c in r.rhs.terms.items()),
                                      key=lambda term: term[0]) for r in self.rules}
-        # word -> (rank, right-most split), filled by reduce_full (see _rank)
-        self.ranks: dict[Path, tuple[int, SplitResult | None]] = {}
+        # word -> (rank, right-most split (i, j, side) or None), filled by reduce_full
+        self.ranks: dict = {}
         # bound -> sorted irreducible paths up to it, filled by star_product
         self.bases: dict[int | None, list[Path]] = {}
         if validate:
@@ -190,164 +192,166 @@ class ReductionSystem:
 
 def is_irreducible(p: Path, S: Sequence[Path]) -> bool:
     """True iff no contiguous subword of p is a rule left side."""
-    S = _indexed(S)
-    by_word = S.by_word
-    return not any(x in by_word for x in _windows(p.arrows, S.lengths))
+    return _scan(p.arrows, _indexed(S)) is None
 
 
-def rightmost_split(p: Path, S: Sequence[Path]) -> SplitResult | None:
-    """The right-most occurrence of an S-word inside p, or None.
+def _scan(w, S: LeftSides):
+    """The right-most side w[i:j] in the arrow word w as (i, j, side), or None
+    (always for a trivial path, which the engine keys words of length 0 by).
 
     Start positions are tried from the right, and at each one the side
     lengths shortest first: no left side of a validated system is a prefix
     of another, so at most one side starts at a position (in a plain list
     where one is, the shorter side is taken).
     """
-    if p.is_trivial:
-        return None
-    S = _indexed(S)
-    w, by_word = p.arrows, S.by_word
+    by_word, lengths = S.by_word, S.lengths
     for i in range(len(w) - 1, -1, -1):
-        for n in S.lengths:
-            if i + n > len(w):
+        for n in lengths:
+            j = i + n
+            if j > len(w):
                 break
-            s = by_word.get(w[i:i + n])
+            s = by_word.get(w[i:j])
             if s is not None:
-                quiver, j = p.quiver, i + n
-                q = Path._trusted(quiver, w[:i], None) if i else Path._trusted(quiver, (), p.source)
-                r = (Path._trusted(quiver, w[j:], None) if j < len(w)
-                     else Path._trusted(quiver, (), p.target))
-                return SplitResult(q, s, r)
+                return i, j, s
     return None
 
 
-def _splice(quiver, split: SplitResult, m: Path) -> Path:
-    """q * m * r, unvalidated: every rhs term is parallel to the left side it replaces."""
-    arrows = split.q.arrows + m.arrows + split.r.arrows
-    if arrows:
-        return Path._trusted(quiver, arrows, None)
-    return Path._trusted(quiver, (), split.q.vertex)
+def rightmost_split(p: Path, S: Sequence[Path]) -> SplitResult | None:
+    """The right-most occurrence of an S-word inside p, or None (``_scan``)."""
+    found = _scan(p.arrows, _indexed(S))
+    return None if found is None else _split_result(p.quiver, p.arrows, *found)
 
 
-def _replacement_terms(quiver, split: SplitResult, rhs: list, c: PolyScalar):
-    """Terms of q * rhs * r scaled by c.
-
-    ``rhs`` is graded (``ReductionSystem.graded``): the walk stops at the
-    first term whose lowest parameter degree exceeds c.trunc - low(c).
-    """
-    room = math.inf if c.trunc is None else c.trunc - c.min_param_degree()
-    for low, m, cm in rhs:
-        if low > room:
-            break
-        coeff = cm * c
-        if not coeff.is_zero():
-            yield _splice(quiver, split, m), coeff
+def _split_result(quiver: Quiver, w: tuple, i: int, j: int, s: Path) -> SplitResult:
+    """The split q s r of the arrow word w at w[i:j] = s, as paths."""
+    q = Path._trusted(quiver, w[:i], None) if i else Path._trusted(quiver, (), quiver.source(w[0]))
+    r = (Path._trusted(quiver, w[j:], None) if j < len(w)
+         else Path._trusted(quiver, (), quiver.target(w[-1])))
+    return SplitResult(q, s, r)
 
 
-def _rank(p: Path, R: ReductionSystem, S: Sequence[Path], limit: int):
-    """Rank p and, until ``R.ranks`` and the walk hold ``limit`` words, every
-    unranked word its degree-0 rule terms reach, in depth-first post-order: ranks
-    fall along every rewrite that keeps the parameter degree.  A word on the
-    walk's stack closes a cycle and is skipped."""
-    ranks = R.ranks
+def _path(quiver: Quiver, w) -> Path:
+    """The path of an engine key (an arrow tuple, or a trivial path)."""
+    return Path._trusted(quiver, w, None) if type(w) is tuple else w
+
+
+def _rank(w, R: ReductionSystem, S: LeftSides, limit: int):
+    """Rank the word w and, until ``R.ranks`` and the walk hold ``limit`` words,
+    every unranked word its degree-0 rule terms reach, in depth-first
+    post-order: ranks fall along every rewrite that keeps the parameter
+    degree.  A word on the walk's stack closes a cycle and is skipped."""
+    ranks, graded = R.ranks, R.graded
     stack = []  # (word, its split, iterator over its degree-0 replacements)
-    on_stack: set[Path] = set()
+    on_stack = set()
 
-    def enter(w: Path):
-        split = rightmost_split(w, S)
-        kids = []
+    def enter(w):
+        split = _scan(w, S)
+        kids = ()
         if split is not None and len(ranks) + len(stack) < limit:
-            kids = [_splice(w.quiver, split, m) for low, m, _ in R.graded[split.s] if low == 0]
+            i, j, s = split
+            kids = [w[:i] + m + w[j:] or p for low, m, p, _ in graded[s] if low == 0]
         stack.append((w, split, iter(kids)))
         on_stack.add(w)
 
-    enter(p)
+    enter(w)
     while stack:
-        w, split, kids = stack[-1]
-        for u in kids:
-            if u not in ranks and u not in on_stack:
-                enter(u)
+        u, split, kids = stack[-1]
+        for v in kids:
+            if v not in ranks and v not in on_stack:
+                enter(v)
                 break
         else:
             stack.pop()
-            on_stack.discard(w)
-            ranks[w] = (len(ranks), split)
-    return ranks[p]
+            on_stack.discard(u)
+            ranks[u] = (len(ranks), split)
+    return ranks[w]
 
 
 def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET,
                 rewrites: list | None = None) -> Element:
     """Iterate right-most reductions to the normal form (or raise BudgetExceeded).
 
-    Reducible words wait in ``pending`` with their lowest parameter degree,
-    and a heap hands them out lowest degree first and, within a degree, by
-    descending rank (``_rank``).  Degree-0 rule terms lead to lower ranks and
-    the other terms to higher degrees, so when the degree-0 rules terminate,
-    every (word, degree) state is rewritten once, after all its mass has
-    arrived.  The normal form is linear in the pending terms, so it does not
-    depend on this order whenever rewriting terminates.  ``budget`` bounds the
-    number of rewrite steps; the ranking walk goes deep for at most ``budget``
-    new words per call, so a growing system still ends in BudgetExceeded.
-    Each rewrite c*(q s r) -> c*q*phi_s*r made is appended to ``rewrites``,
-    if given, as (its split, c).
+    A word is its arrow tuple here, or its trivial path if it has length 0 (a
+    rule term that empties the word); paths are built only for the result,
+    ``rewrites`` and BudgetExceeded.  Reducible words wait in ``pending``
+    with their lowest parameter degree, and a heap hands them out lowest
+    degree first and, within a degree, by descending rank (``_rank``).
+    Degree-0 rule terms lead to lower ranks and the other terms to higher
+    degrees, so when the degree-0 rules terminate, every (word, degree) state
+    is rewritten once, after all its mass has arrived.  The normal form is
+    linear in the pending terms, so it does not depend on this order whenever
+    rewriting terminates.  ``budget`` bounds the number of rewrite steps; the
+    ranking walk goes deep for at most ``budget`` new words per call, so a
+    growing system still ends in BudgetExceeded.  Each rewrite
+    c*(q s r) -> c*q*phi_s*r made is appended to ``rewrites``, if given, as
+    (its split, c).
     """
     if budget <= 0:
         raise UsageError("budget must be positive")
     S = R.lhs_set()
     quiver = a.quiver
-    ranks = R.ranks
+    ranks, graded = R.ranks, R.graded
     limit = len(ranks) + budget
-    done: dict[Path, PolyScalar] = {}
-    pending: dict[Path, tuple[PolyScalar, int]] = {}  # word -> (coefficient, level)
-    heap: list[tuple[int, int, int, Path]] = []  # (level, -rank, arrival tick, word)
+    done: dict = {}  # word -> PolyScalar
+    pending: dict = {}  # word -> (coefficient, level)
+    heap: list = []  # (level, -rank, arrival tick, word)
     tick = itertools.count()
 
-    def add(p: Path, c: PolyScalar):
-        entry = pending.get(p)
+    def add(w, c: PolyScalar):
+        entry = pending.get(w)
         if entry is not None:
             c = entry[0] + c
             if c.is_zero():
-                del pending[p]  # its heap entries are skipped when popped
+                del pending[w]  # its heap entries are skipped when popped
                 return
             level = c.min_param_degree()
             if level != entry[1]:
-                heapq.heappush(heap, (level, -ranks[p][0], next(tick), p))
-            pending[p] = (c, level)
-        elif p in done:
-            c = done[p] + c
+                heapq.heappush(heap, (level, -ranks[w][0], next(tick), w))
+            pending[w] = (c, level)
+        elif w in done:
+            c = done[w] + c
             if c.is_zero():
-                del done[p]
+                del done[w]
             else:
-                done[p] = c
+                done[w] = c
         else:
-            rank, split = ranks.get(p) or _rank(p, R, S, limit)
+            rank, split = ranks.get(w) or _rank(w, R, S, limit)
             if split is None:
-                done[p] = c
+                done[w] = c
             else:
                 level = c.min_param_degree()
-                pending[p] = (c, level)
-                heapq.heappush(heap, (level, -rank, next(tick), p))
+                pending[w] = (c, level)
+                heapq.heappush(heap, (level, -rank, next(tick), w))
 
     for p, c in a.terms.items():
-        add(p, c)
+        add(p.arrows or p, c)
     steps = 0
     while heap:
-        level, _, _, p = heapq.heappop(heap)
-        entry = pending.get(p)
+        level, _, _, w = heapq.heappop(heap)
+        entry = pending.get(w)
         if entry is None or entry[1] != level:
             continue  # stale: the word was rewritten or its level changed
-        del pending[p]
-        c, split = entry[0], ranks[p][1]
+        del pending[w]
+        c = entry[0]
+        i, j, s = ranks[w][1]
         steps += 1
         if steps > budget:
-            rest = {w: cw for w, (cw, _) in pending.items()}
-            partial = Element(quiver, done) + Element(quiver, rest) + Element(quiver, {p: c})
-            raise BudgetExceeded(partial, steps - 1, p, split.s)
+            rest = {**done, **{u: cu for u, (cu, _) in pending.items()}, w: c}
+            partial = Element(quiver, {_path(quiver, u): cu for u, cu in rest.items()})
+            raise BudgetExceeded(partial, steps - 1, _path(quiver, w), s)
         if rewrites is not None:
-            rewrites.append((split, c))
-        for q, cq in _replacement_terms(quiver, split, R.graded[split.s], c):
-            add(q, cq)
-    return Element(quiver, done)
+            rewrites.append((_split_result(quiver, w, i, j, s), c))
+        # c * w[:i] * phi_s * w[j:]; the graded terms stop at the first whose
+        # lowest parameter degree exceeds c.trunc - low(c), and low(c) is the level
+        head, tail = w[:i], w[j:]
+        room = math.inf if c.trunc is None else c.trunc - level
+        for low, m, p, cm in graded[s]:
+            if low > room:
+                break
+            coeff = cm * c
+            if not coeff.is_zero():
+                add(head + m + tail or p, coeff)
+    return Element(quiver, {_path(quiver, w): c for w, c in done.items()})
 
 
 # ---------------------------------------------------------------------------

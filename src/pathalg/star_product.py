@@ -130,7 +130,8 @@ class DeformationCochain:
             value = self.value(rule.lhs)
             rhs = rule.rhs + (value if tag is None else value.scale(tag))
             rules.append(Rule(rule.lhs, rhs))
-        return ReductionSystem(self.system.quiver, rules)
+        # the base system's sides and right sides, plus values checked in __init__
+        return ReductionSystem(self.system.quiver, rules, validate=False)
 
     def __repr__(self):
         return f"DeformationCochain({len(self.values)} values, trunc={self.trunc})"

@@ -21,6 +21,7 @@ from .quiver_core import (
     Path,
     PolyScalar,
     UsageError,
+    _mono_key,
 )
 from .reduction_engine import DEFAULT_BUDGET, ReductionSystem
 from .star_product import (
@@ -121,10 +122,6 @@ class EquationSet:
         return "EquationSet(" + ", ".join(repr(p) for p in self.polys) + ")"
 
 
-def _deglex_mono_key(m: Mono):
-    return (sum(e for _, e in m), tuple((name, e) for name, e in m))
-
-
 def canonical_poly(p: PolyScalar) -> PolyScalar:
     """Clear denominators and content, make the deglex-leading coefficient positive.
 
@@ -156,7 +153,7 @@ def canonical_set(polys) -> EquationSet:
     canon = {canonical_poly(p) for p in polys}
     canon.discard(PolyScalar.zero())
     ordered = sorted(canon, key=lambda p: sorted(
-        (_deglex_mono_key(m), c) for m, c in p.terms.items()))
+        (_mono_key(m), c) for m, c in p.terms.items()))
     return EquationSet(tuple(ordered))
 
 

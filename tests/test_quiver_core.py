@@ -8,7 +8,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathalg.quiver_core import (
     AdmissibleOrder,
@@ -274,14 +274,39 @@ def _pair(operand):
         lambda metas: st.tuples(operand(metas[0]), operand(metas[1])))
 
 
-@settings(max_examples=100, deadline=None)
-@given(_pair(_poly))
+def _unit_or_poly(meta):
+    """The rational 1 in a third of the draws, else a polynomial."""
+    return st.one_of(_poly(meta), _poly(meta),
+                     st.builds(PolyScalar.rational, st.just(1), st.just(meta[0]),
+                               st.just(meta[1])))
+
+
+_TWO_PLUS_T2 = PolyScalar({(("t", 2),): 1, (): 2}, None, frozenset({"t"}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair(_unit_or_poly))
+# a 1 with a lower trunc, and a 1 with a param the other lacks: no shortcut
+@example((PolyScalar.rational(1, 1, frozenset({"t"})), _TWO_PLUS_T2))
+@example((_TWO_PLUS_T2, PolyScalar.rational(1, 1, frozenset())))
+@example((PolyScalar.rational(1, None, frozenset({"h"})), _TWO_PLUS_T2))
+# a 1 that widens neither: the other factor itself
+@example((PolyScalar.rational(1), _TWO_PLUS_T2))
+@example((_TWO_PLUS_T2, PolyScalar.rational(1, None, frozenset({"t"}))))
 def test_graded_scalar_product_matches_reference(pair):
+    """The product against the reference, and the rational 1 times x is x
+    itself exactly when x's trunc and params are the product's."""
     a, b = pair
     a.min_param_degree(), b.min_param_degree()  # known, so a product may carry them
     ab = a * b
+    truncs = [t for t in (a.trunc, b.trunc) if t is not None]
     assert ab.terms == _reference_mul(a, b)
-    assert ab.min_param_degree() == _ref_low(ab.terms, a.params | b.params)
+    assert ab.trunc == (min(truncs) if truncs else None)
+    assert ab.params == a.params | b.params
+    assert ab.min_param_degree() == _ref_low(ab.terms, ab.params)
+    shortcut = any(one.terms == {(): 1} and (x.trunc, x.params) == (ab.trunc, ab.params)
+                   for one, x in ((a, b), (b, a)))
+    assert (ab is a or ab is b) == shortcut
 
 
 @settings(max_examples=60, deadline=None)

@@ -80,12 +80,31 @@ def _formal_lam_mu(trunc: int = 8):
         Rule(q.path("y2", "z"), Element.from_path(q.path("y1", "z"), mu))])
 
 
+def _cycle_to_vertices(n: int, trunc: int = 4):
+    """The cycle x1: 1 -> 2, ..., xn: n -> 1 with each rotation of x1*...*xn
+    rewritten to lam times the trivial path at its vertex, so words empty
+    out at every vertex.  For n = 2, lam is an unknown: those rewrites keep
+    the parameter degree, and the ranking walk meets the empty words too."""
+    vertices = [str(v) for v in range(1, n + 1)]
+    q = Quiver(vertices, [(f"x{v}", vertices[v - 1], vertices[v % n])
+                          for v in range(1, n + 1)])
+    lam = (PolyScalar.var("lam") if n == 2
+           else PolyScalar.var("lam", is_param=True, trunc=trunc))
+    rules = []
+    for v in range(n):
+        word = [f"x{(v + k) % n + 1}" for k in range(n)]
+        rules.append(Rule(q.path(*word), Element.from_path(q.trivial(vertices[v]), lam)))
+    return q, ReductionSystem(q, rules)
+
+
 SYSTEMS = {
     "commutator-2": _deformed_commutator(2),
     "commutator-3": _deformed_commutator(3),
     "deep-deformed-3": make_deformed3(4),
     "brauer-6": make_brauer(6),
     "formal-lam-mu": _formal_lam_mu(),
+    "two-cycle-to-vertices": _cycle_to_vertices(2),
+    "three-cycle-to-vertices": _cycle_to_vertices(3),
 }
 
 
