@@ -167,10 +167,6 @@ class ElementParser:
         except UsageError as exc:
             raise ParseError(str(exc), line) from exc
 
-    def _symbol(self, name: str, power: int) -> PolyScalar:
-        return PolyScalar({((name, power),): 1} if power else {(): 1},
-                          self.trunc, self.params)
-
     def parse_element(self, text: str, line: int | None = None) -> Element:
         text = _ascii(text).strip()
         if text in ("0", ""):
@@ -178,12 +174,18 @@ class ElementParser:
         chunks = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
         if "".join(chunks) != text.replace(" ", ""):
             raise ParseError(f"cannot tokenize element {text!r}", line)
-        out = Element.zero(self.quiver)
+        terms: dict[Path, PolyScalar] = {}
         for chunk in chunks:
-            out = out + self._parse_term(chunk, line)
-        return out
+            path, c = self._parse_term(chunk, line)
+            c = terms[path] + c if path in terms else c
+            if c.is_zero():  # dropped: a later term re-enters the path last
+                terms.pop(path, None)
+            else:
+                terms[path] = c
+        return Element(self.quiver, terms)
 
-    def _parse_term(self, chunk: str, line: int | None) -> Element:
+    def _parse_term(self, chunk: str, line: int | None) -> tuple[Path, PolyScalar]:
+        """One term as (path, coefficient), read in one pass over its factors."""
         sign = 1
         while chunk and chunk[0] in "+-":
             if chunk[0] == "-":
@@ -191,14 +193,15 @@ class ElementParser:
             chunk = chunk[1:]
         if not chunk:
             raise ParseError("empty term", line)
-        coeff = PolyScalar.rational(sign, self.trunc, self.params)
+        q = sign
+        powers: dict[str, int] = {}
         arrows: list[str] = []
         vertex: str | None = None
         for factor in chunk.split("*"):
             if not factor:
                 raise ParseError(f"empty factor in term {chunk!r}", line)
             if _RATIONAL.match(factor):
-                coeff = coeff.scale(_number(Fraction, factor, line))
+                q = q * _number(Fraction, factor, line)
                 continue
             m = _SYMBOL.match(factor)
             if not m:
@@ -210,21 +213,22 @@ class ElementParser:
                                      f"{MAX_TERM_ARROWS} arrows", line)
                 arrows.extend([name] * power)
             elif name in self.params or name in self.unknowns:
-                coeff = coeff * self._symbol(name, power)
+                powers[name] = powers.get(name, 0) + power
             elif name.startswith("e") and name[1:] in self.quiver._vertex_index:
                 vertex = name[1:]
             else:
                 raise ParseError(f"undeclared symbol {name!r}", line)
         if arrows and vertex is not None:
             raise ParseError(f"term {chunk!r} mixes a vertex and arrows", line)
-        if arrows:
-            path = self.parse_path("*".join(arrows), line)
-        elif vertex is not None:
-            path = Path(self.quiver, vertex=vertex)
-        else:
+        if not arrows and vertex is None:
             raise ParseError(f"term {chunk!r} has no path part "
                              "(use e<vertex> for scalars)", line)
-        return Element.from_path(path, coeff)
+        try:
+            path = Path(self.quiver, arrows=tuple(arrows), vertex=vertex)
+        except UsageError as exc:  # non-composable arrows
+            raise ParseError(str(exc), line) from exc
+        mono = tuple(sorted((n, e) for n, e in powers.items() if e))
+        return path, PolyScalar({mono: q}, self.trunc, self.params)  # 0 if over trunc
 
 
 def _number(kind, text: str, line: int | None):
@@ -316,6 +320,16 @@ def parse_problem(text: str) -> ProblemFile:
         order = AdmissibleOrder(quiver, order_names) if order_names else None
     except UsageError as exc:
         raise ParseError(str(exc)) from exc
+    # one meaning per name: e<V> is the trivial path at V, and an arrow is no
+    # coefficient symbol (a name both param and unknown is read as a param)
+    meaning = {f"e{v}": f"the trivial path at vertex {v}" for v in vertices}
+    for role, names in (("an arrow", quiver.arrow_names()),
+                        ("a param", params), ("an unknown", unknowns)):
+        for name in names:
+            if name in meaning:
+                raise ParseError(f"name {name!r} is both {role} and {meaning[name]}")
+        if role == "an arrow":
+            meaning.update(dict.fromkeys(names, role))
 
     plain = ElementParser(quiver, params, unknowns, trunc=None)
     rules = []

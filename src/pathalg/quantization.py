@@ -25,7 +25,7 @@ from math import comb, factorial, prod
 
 from .quiver_core import Element, PolyScalar, Quiver, UsageError
 from .reduction_engine import DEFAULT_BUDGET, ReductionSystem, Rule, reduce_full
-from .star_product import DeformationCochain, mc_check
+from .star_product import DefectReport, DeformationCochain, mc_check
 
 __all__ = [
     "HBAR",
@@ -72,11 +72,11 @@ def commutator_system(d: int) -> tuple[Quiver, ReductionSystem]:
 def monomial(quiver: Quiver, exponents: dict[int, int] | tuple[int, ...],
              coeff: PolyScalar | None = None) -> Element:
     """The normal-form monomial prod x_i^{e_i}."""
-    if not isinstance(exponents, dict):
-        exponents = {i + 1: e for i, e in enumerate(exponents)}
-    arrows = [f"x{i}" for i in sorted(exponents) for _ in range(exponents[i])]
-    path = quiver.path(*arrows) if arrows else quiver.trivial("0")
-    return Element.from_path(path, coeff)
+    if isinstance(exponents, dict):
+        exponents = tuple(exponents.get(i, 0)
+                          for i in range(1, max(exponents, default=0) + 1))
+    return _element(quiver, {tuple(exponents): PolyScalar.rational(1)
+                             if coeff is None else coeff})
 
 
 def _exponents(a: Element, d: int) -> dict[tuple[int, ...], PolyScalar]:
@@ -102,35 +102,33 @@ def _derive(a: dict, m: tuple[int, ...]) -> dict:
     for e, c in a.items():
         if all(mi <= ei for mi, ei in zip(m, e)):
             b = prod(comb(ei, mi) for ei, mi in zip(e, m))
-            out[tuple(ei - mi for ei, mi in zip(e, m))] = c.scale(b) if b != 1 else c
+            out[tuple(ei - mi for ei, mi in zip(e, m))] = c.scale(b)
     return out
 
 
 def _exp_mul(a: dict, b: dict) -> dict:
-    """The product of two exponent forms."""
+    """The product of two exponent forms.  A coefficient of b that is a plain
+    rational (no truncation order, no parameters) scales: the same product."""
+    bq = [(e2, c2, c2.terms[()] if c2.trunc is None and not c2.params
+           and c2.is_rational() else None) for e2, c2 in b.items()]
     out: dict = {}
     for e1, c1 in a.items():
-        for e2, c2 in b.items():
+        for e2, c2, q in bq:
             e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+            c = c1 * c2 if q is None else c1.scale(q)
+            out[e] = out[e] + c if e in out else c
     return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _unit(d: int, *indices: int) -> tuple[int, ...]:
+    """prod x_i over ``indices`` as an exponent tuple of length d."""
+    return tuple(indices.count(n) for n in range(1, d + 1))
 
 
 def poly_diff(a: Element, i: int) -> Element:
     """d/dx_i of a normal-form polynomial."""
-    d = len(a.quiver.arrow_names())
-    m = tuple(int(n == i) for n in range(1, d + 1))  # all 0 if i is no index
-    return _element(a.quiver, _derive(_exponents(a, d), m) if any(m) else {})
-
-
-def _poly_mul(a: Element, b: Element) -> Element:
-    """Product of normal-form polynomials by exponent merging.
-
-    Equivalent to multiplying in the path algebra and reducing with the
-    commutator rules, but without the rewriting detour.
-    """
-    d = len(a.quiver.arrow_names())
-    return _element(a.quiver, _exp_mul(_exponents(a, d), _exponents(b, d)))
+    m = _unit(len(a.quiver.arrow_names()), i)  # all 0 if i is no index
+    return _element(a.quiver, _derive(_exponents(a, len(m)), m) if any(m) else {})
 
 
 class PoissonBivector:
@@ -170,30 +168,24 @@ class PoissonBivector:
         return f"PoissonBivector(d={self.d}, {body})"
 
 
-@dataclass
-class JacobiReport:
-    defects: list[tuple[tuple[int, int, int], Element]]
-
-    @property
-    def verdict(self) -> bool:
-        return all(v.is_zero() for _, v in self.defects)
-
-
-def schouten_jacobi_check(eta: PoissonBivector) -> JacobiReport:
+def schouten_jacobi_check(eta: PoissonBivector) -> DefectReport:
     """[eta, eta] = 0: the standard trivector formula, componentwise.
 
     For each i < j < k the component is
     sum_l pi^{li} d_l pi^{jk} + pi^{lj} d_l pi^{ki} + pi^{lk} d_l pi^{ij}.
     """
+    d = eta.d
+    pi = {(j, i): _exponents(eta.entry(j, i), d)
+          for j in range(1, d + 1) for i in range(1, d + 1)}
     defects = []
-    for i, j, k in itertools.combinations(range(1, eta.d + 1), 3):
-        total = Element.zero(eta.quiver)
-        for l in range(1, eta.d + 1):
+    for i, j, k in itertools.combinations(range(1, d + 1), 3):
+        total: dict = {}
+        for l in range(1, d + 1):
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                total = total + _poly_mul(eta.entry(l, a),
-                                          poly_diff(eta.entry(b, c), l))
-        defects.append(((i, j, k), total))
-    return JacobiReport(defects)
+                for e, v in _exp_mul(pi[l, a], _derive(pi[b, c], _unit(d, l))).items():
+                    total[e] = total[e] + v if e in total else v
+        defects.append(((i, j, k), _element(eta.quiver, total)))
+    return DefectReport(defects)
 
 
 def poisson_to_cochain(eta: PoissonBivector, trunc: int = 4) -> DeformationCochain:
@@ -468,9 +460,7 @@ def _apply_operator(cochain: DeformationCochain, key, table: tuple,
     fe and ge, truncated at ``trunc``.
 
     A row is built, once per cochain and ``key``, only when fe and ge both
-    have a nonzero divided derivative for its label counts.  A rational
-    product of derivative coefficients scales the row; any other coefficient
-    is multiplied out.
+    have a nonzero divided derivative for its label counts.
     """
     rows = cochain.__dict__.setdefault("_graph_operators", {}).setdefault(key, {})
     df: dict = {}  # rows repeat label counts; f and g are fixed here
@@ -486,14 +476,8 @@ def _apply_operator(cochain: DeformationCochain, key, table: tuple,
             continue
         if (mf, mg) not in rows:
             rows[mf, mg] = _graph_operator(items, cochain)
-        pairs = [(s, r, r.terms[()] if r.trunc is None and not r.params
-                  and r.is_rational() else None)
-                 for s, r in _exp_mul(df[mf], dg[mg]).items()]
-        for e, c in rows[mf, mg].items():
-            for s, r, q in pairs:
-                term = c * r if q is None else c.scale(q)
-                e2 = tuple(x + y for x, y in zip(e, s))
-                total[e2] = total[e2] + term if e2 in total else term
+        for e, c in _exp_mul(rows[mf, mg], _exp_mul(df[mf], dg[mg])).items():
+            total[e] = total[e] + c if e in total else c
     return _element(cochain.system.quiver, total).truncated(trunc)
 
 
@@ -535,48 +519,45 @@ def _constant_entries(eta: PoissonBivector) -> dict[tuple[int, int], PolyScalar]
     return {ji: next(iter(v.terms.values())) for ji, v in eta.entries.items()}
 
 
-def moyal(f: Element, g: Element, eta: PoissonBivector, trunc: int = 4) -> Element:
-    """The Moyal product exp((hbar/2) sum eta_ji (d_j x d_i - d_i x d_j))."""
-    consts = _constant_entries(eta)
+def _exp_series(form: dict, ops: list, trunc: int) -> dict:
+    """exp((hbar/2) D) of an exponent form, cut after hbar^trunc: the sum over
+    n <= trunc of (1/n!) ((hbar/2) D)^n form, where D is the sum of c times
+    the divided derivative m over ``ops`` (c, m)."""
     hbar_half = PolyScalar.var(HBAR, is_param=True, trunc=trunc).scale(Fraction(1, 2))
-    terms = [(PolyScalar.rational(1, trunc=trunc), f, g)]
-    total = Element.zero(eta.quiver)
+    ops = [(hbar_half * c, m) for c, m in ops]
+    total: dict = {}
     for n in range(trunc + 1):
-        for c, a, b in terms:
-            total = total + _poly_mul(a, b).scale(
-                c.scale(Fraction(1, factorial(n))))
-        nxt = []
-        for c, a, b in terms:
-            for (j, i), e in consts.items():
-                coeff = c * hbar_half * e
-                if coeff.is_zero():
-                    continue
-                nxt.append((coeff, poly_diff(a, j), poly_diff(b, i)))
-                nxt.append((coeff.scale(-1), poly_diff(a, i), poly_diff(b, j)))
-        terms = [(c, a, b) for c, a, b in nxt
-                 if not (c.is_zero() or a.is_zero() or b.is_zero())]
-        if not terms:
+        for e, c in form.items():
+            c = c.scale(Fraction(1, factorial(n)))
+            total[e] = total[e] + c if e in total else c
+        nxt: dict = {}
+        for h, m in ops:
+            for e, c in _derive(form, m).items():
+                nxt[e] = nxt[e] + c * h if e in nxt else c * h
+        form = {e: c for e, c in nxt.items() if not c.is_zero()}
+        if not form:
             break
-    return total.truncated(trunc)
+    return total
+
+
+def moyal(f: Element, g: Element, eta: PoissonBivector, trunc: int = 4) -> Element:
+    """The Moyal product exp((hbar/2) sum eta_ji (d_j x d_i - d_i x d_j)), as
+    a series on f x g in 2d variables, each term multiplied out at the end."""
+    d = eta.d
+    ops = [(c.scale(sign), _unit(d, a) + _unit(d, b))
+           for (j, i), c in _constant_entries(eta).items()
+           for sign, a, b in ((1, j, i), (-1, i, j))]
+    fg = {a + b: ca * cb for a, ca in _exponents(f, d).items()
+          for b, cb in _exponents(g, d).items()}
+    total: dict = {}
+    for ab, c in _exp_series(fg, ops, trunc).items():
+        e = tuple(x + y for x, y in zip(ab[:d], ab[d:]))
+        total[e] = total[e] + c if e in total else c
+    return _element(eta.quiver, total).truncated(trunc)
 
 
 def gauge_phi(f: Element, eta: PoissonBivector, trunc: int = 4) -> Element:
     """Phi(f) = exp((hbar/2) sum eta_ji d^2/dx_i dx_j)(f)."""
-    consts = _constant_entries(eta)
-    hbar_half = PolyScalar.var(HBAR, is_param=True, trunc=trunc).scale(Fraction(1, 2))
-    total = Element.zero(eta.quiver)
-    current = [(PolyScalar.rational(1, trunc=trunc), f)]
-    for n in range(trunc + 1):
-        for c, a in current:
-            total = total + a.scale(c.scale(Fraction(1, factorial(n))))
-        nxt = []
-        for c, a in current:
-            for (j, i), e in consts.items():
-                coeff = c * hbar_half * e
-                da = poly_diff(poly_diff(a, i), j)
-                if not (coeff.is_zero() or da.is_zero()):
-                    nxt.append((coeff, da))
-        current = nxt
-        if not current:
-            break
-    return total.truncated(trunc)
+    ops = [(c, _unit(eta.d, i, j)) for (j, i), c in _constant_entries(eta).items()]
+    phi = _exp_series(_exponents(f, eta.d), ops, trunc)
+    return _element(eta.quiver, phi).truncated(trunc)

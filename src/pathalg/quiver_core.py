@@ -374,6 +374,8 @@ class PolyScalar:
 
     def scale(self, q) -> "PolyScalar":
         q = _q(q)
+        if q == 1:
+            return self
         return PolyScalar._exact({m: c * q for m, c in self.terms.items()}, self.trunc, self.params)
 
     def __eq__(self, other) -> bool:
@@ -588,9 +590,7 @@ class AdmissibleOrder:
         self.ranks = {a: i for i, a in enumerate(names)}
 
     def less(self, p: Path, q: Path) -> bool:
-        if len(p) != len(q):
-            return len(p) < len(q)
-        return p.sort_key(self.ranks) < q.sort_key(self.ranks)
+        return self.key(p) < self.key(q)  # the key starts with the length
 
     def key(self, p: Path):
         return p.sort_key(self.ranks)

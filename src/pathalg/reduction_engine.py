@@ -442,7 +442,6 @@ def irreducible_paths(S: Sequence[Path], quiver: Quiver, max_len: int | None = N
     if max_len is not None and max_len < 0:
         raise UsageError("max_len must be >= 0")
     S = _indexed(S)
-    by_word = S.by_word
     out: list[Path] = list(quiver.idempotents())
     layer: list[Path] = list(out)
     length = 0
@@ -450,14 +449,8 @@ def irreducible_paths(S: Sequence[Path], quiver: Quiver, max_len: int | None = N
     while max_len is None or length < max_len:
         if max_len is None and length == span and _pumpable(layer, quiver, S):
             raise UsageError("cannot certify a finite irreducible basis; pass max_len")
-        nxt = []
-        for p in layer:
-            for a in quiver.arrows_from(p.target):
-                # p is irreducible, so p*a is iff no side is a suffix of it
-                # (w[-n:] is all of w when n > len(w), a suffix all the same)
-                w = p.arrows + (a,)
-                if not any(w[-n:] in by_word for n in S.lengths):
-                    nxt.append(Path._trusted(quiver, w, None))
+        nxt = [Path._trusted(quiver, w, None) for p in layer
+               for w in _extensions(p, quiver, S)]
         if not nxt:
             break
         out.extend(nxt)
@@ -471,6 +464,16 @@ def irreducible_paths(S: Sequence[Path], quiver: Quiver, max_len: int | None = N
     return out
 
 
+def _extensions(p: Path, quiver: Quiver, S: LeftSides):
+    """The arrow words p*a that are irreducible, for an irreducible path p:
+    those that no side is a suffix of (w[-n:] is all of w when n > len(w),
+    a suffix all the same)."""
+    for a in quiver.arrows_from(p.target):
+        w = p.arrows + (a,)
+        if not any(w[-n:] in S.by_word for n in S.lengths):
+            yield w
+
+
 def _pumpable(states: list[Path], quiver: Quiver, S: LeftSides) -> bool:
     """Whether the irreducible paths of length L-1 (``states``, L the longest
     left side; vertices when there is no side) admit irreducible paths of
@@ -482,14 +485,10 @@ def _pumpable(states: list[Path], quiver: Quiver, S: LeftSides) -> bool:
     graph has a cycle, which Kahn's topological sort finds in
     O(states x arrows).
     """
-    succ = {}  # state (its arrows, or its vertex) -> the states that follow it
-    for p in states:
-        nxt = []
-        for a in quiver.arrows_from(p.target):
-            w = p.arrows + (a,)
-            if not any(w[-n:] in S.by_word for n in S.lengths):
-                nxt.append(w[1:] or quiver.target(a))
-        succ[p.arrows or p.vertex] = nxt
+    # state (its arrows, or its vertex) -> the states that follow it
+    succ = {p.arrows or p.vertex: [w[1:] or quiver.target(w[-1])
+                                   for w in _extensions(p, quiver, S)]
+            for p in states}
     indegree = Counter(q for qs in succ.values() for q in qs)
     ready = [p for p in succ if not indegree[p]]
     for p in ready:  # the list grows while it is walked

@@ -18,7 +18,7 @@ on the left sides with values in parallel irreducible paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .quiver_core import Element, Path, PolyScalar, UsageError
 from .reduction_engine import (
@@ -39,7 +39,7 @@ __all__ = [
     "generic_values",
     "DeformationCochain",
     "GaugeOnArrows",
-    "McReport",
+    "DefectReport",
     "star",
     "star_k",
     "associator_defects",
@@ -184,8 +184,10 @@ def star_k(a: Element, b: Element, cochain: DeformationCochain, k: int,
 
 
 @dataclass
-class McReport:
-    defects: list[tuple[Path, Element]] = field(default_factory=list)
+class DefectReport:
+    """Named defects, such as (overlap word, associator); all zero is a pass."""
+
+    defects: list[tuple[object, Element]]
 
     @property
     def verdict(self) -> bool:
@@ -206,10 +208,10 @@ def associator_defects(cochain: DeformationCochain, budget: int = DEFAULT_BUDGET
         yield idx, amb.word, resolve_overlap(amb, D, cochain.trunc, budget)
 
 
-def mc_check(cochain: DeformationCochain, budget: int = DEFAULT_BUDGET) -> McReport:
+def mc_check(cochain: DeformationCochain, budget: int = DEFAULT_BUDGET) -> DefectReport:
     """Associativity of the star product on every overlap word uvw."""
-    return McReport([(word, defect) for _, word, defect
-                     in associator_defects(cochain, budget)])
+    return DefectReport([(word, defect) for _, word, defect
+                         in associator_defects(cochain, budget)])
 
 
 def _t_of_element(a: Element, psi: GaugeOnArrows, cochain: DeformationCochain,

@@ -11,7 +11,7 @@ import pytest
 
 from pathalg import cli
 from pathalg.cli import ElementParser, main
-from pathalg.quiver_core import PolyScalar, Quiver
+from pathalg.quiver_core import Element, PolyScalar, Quiver
 
 COMM3 = """
 vertex 0
@@ -659,12 +659,62 @@ class TestSymbolPowers:
     @pytest.mark.parametrize("power", [0, 1, 2, 3])
     def test_power_equals_repeated_product(self, name, power):
         trunc = 2  # hbar^3 lies above it and is 0
-        parser = ElementParser(Quiver(["0"], []), ["hbar"], ["lam"], trunc)
+        quiver = Quiver(["0"], [])
+        parser = ElementParser(quiver, ["hbar"], ["lam"], trunc)
         want = PolyScalar.rational(1, trunc=trunc, params=frozenset(["hbar"]))
         v = PolyScalar.var(name, is_param=name == "hbar", trunc=trunc)
         for _ in range(power):
             want = want * v
-        got = parser._symbol(name, power)
-        assert got == want
-        assert (got.trunc, got.params) == (want.trunc, want.params)
+        got = parser.parse_element(f"{name}^{power}*e0")
+        assert got == Element(quiver, {quiver.trivial("0"): want})
         assert got.is_zero() == (name == "hbar" and power > trunc)
+        for c in got.terms.values():
+            assert (c.trunc, c.params) == (want.trunc, want.params)
+
+
+DOUBLE_MEANING = """
+vertex 1 2
+arrow e2 : 1 -> 2
+arrow a : 1 -> 2
+arrow c : 2 -> 2
+rule a*c -> e2
+"""
+
+
+class TestNameCollisions:
+    """A name has one meaning: e<V> is the trivial path at vertex V, and an
+    arrow is no coefficient symbol."""
+
+    def test_arrow_named_like_a_trivial_path_exits_2(self, tmp_path):
+        p = tmp_path / "double.txt"
+        p.write_text(DOUBLE_MEANING)
+        for command in (["diamond"], ["irr", "--max-len", "2"]):
+            code, out = run([str(p), *command])
+            assert code == 2
+            assert last_json(out)["error"] == (
+                "name 'e2' is both an arrow and the trivial path at vertex 2")
+        p.write_text(DOUBLE_MEANING.replace("e2", "f2"))
+        assert run([str(p), "diamond"])[0] == 0
+
+    @pytest.mark.parametrize("decl, error", [
+        ("param e0", "name 'e0' is both a param and the trivial path at vertex 0"),
+        ("unknown e0",
+         "name 'e0' is both an unknown and the trivial path at vertex 0"),
+        ("param x1", "name 'x1' is both a param and an arrow"),
+        ("unknown hbar x2", "name 'x2' is both an unknown and an arrow"),
+    ])
+    def test_symbol_named_like_a_path_exits_2(self, tmp_path, decl, error):
+        p = tmp_path / "symbol.txt"
+        p.write_text(COMM3 + decl + "\n")
+        code, out = run([str(p), "reduce", "e0"])
+        assert code == 2
+        assert out.splitlines()[0] == f"error: {error}"
+        assert last_json(out) == {"command": "reduce", "error": error}
+
+    def test_a_name_may_be_both_param_and_unknown(self, tmp_path):
+        p = tmp_path / "both.txt"
+        p.write_text(COMM3 + "param t\nunknown t\nset trunc 1\n"
+                     "deform x2*x1 -> t*x1*x2 + t^2*x1*x2\n")
+        code, out = run([str(p), "star", "x2", "x1"])
+        assert code == 0
+        assert last_json(out)["star"] == "(1 + t)*x1*x2"  # t^2 is cut: a param

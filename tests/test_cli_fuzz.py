@@ -23,7 +23,8 @@ ARROWS = {"x1": "arrow x1 : 0 -> 0", "x2": "arrow x2 : 0 -> 0",
           "x3": "arrow x3 : 0 -> 0", "a": "arrow a : 0 -> 1",
           "b": "arrow b : 1 -> 0"}
 BAD_LINES = ["arrow c : 0 -> 7", "arrow x1 0 0", "frobnicate x1",
-             "order x1 <", "set frob 1", "rule x2*x1", "vertex"]
+             "order x1 <", "set frob 1", "rule x2*x1", "vertex",
+             "arrow e0 : 0 -> 0"]
 
 # valid tokens come first (hypothesis leans to the first choices) and are
 # listed more often than bad ones, so most files parse and runs reach the
