@@ -185,15 +185,10 @@ class ElementParser:
         return Element(self.quiver, terms)
 
     def _parse_term(self, chunk: str, line: int | None) -> tuple[Path, PolyScalar]:
-        """One term as (path, coefficient), read in one pass over its factors."""
-        sign = 1
-        while chunk and chunk[0] in "+-":
-            if chunk[0] == "-":
-                sign = -sign
-            chunk = chunk[1:]
-        if not chunk:
-            raise ParseError("empty term", line)
-        q = sign
+        """One term as (path, coefficient), read in one pass over its factors.
+        The tokenizer hands over a nonempty chunk with at most one sign."""
+        q = -1 if chunk[0] == "-" else 1
+        chunk = chunk[1:] if chunk[0] in "+-" else chunk
         powers: dict[str, int] = {}
         arrows: list[str] = []
         vertex: str | None = None

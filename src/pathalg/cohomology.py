@@ -10,7 +10,8 @@ right-most rewrites, and each distinct word is reduced once, with the
 undeformed rules; only the part of a coefficient free of parameters enters,
 so the parameters of the rules are set to 0 whatever their names.  One
 incremental exact elimination (``Echelon``) gives the kernel, the image and
-the representatives.
+the representatives.  Every vector is a ``Vector``: a {column: value} dict
+that stores no zero.
 """
 
 from __future__ import annotations
@@ -43,11 +44,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # exact linear algebra over Q
 
+Vector = dict[int, int | Fraction]
+
 
 class Echelon:
     """A reduced row echelon basis over Q, grown one vector at a time.
 
-    ``rows`` maps each pivot column to its row {column: value}.  A row is 1 at
+    ``rows`` maps each pivot column to its row, a ``Vector``.  A row is 1 at
     its pivot, 0 at every other pivot and 0 left of its pivot, so the rows
     are the (unique) reduced row echelon form of the vectors absorbed so far.
     Entries are ints or Fractions; the one division goes through ``Fraction``,
@@ -55,16 +58,17 @@ class Echelon:
     """
 
     def __init__(self, vectors=()):
-        self.rows: dict[int, dict[int, int | Fraction]] = {}
+        self.rows: dict[int, Vector] = {}
         for vec in vectors:
             self.absorb(vec)
 
-    def absorb(self, vec) -> bool:
-        """Add a dense vector to the span; False if it already lay in it."""
-        v = {j: c for j, c in enumerate(vec) if c}
-        for pivot, row in self.rows.items():
-            if pivot in v:
-                _axpy(v, -v[pivot], row)
+    def absorb(self, vec: Vector) -> bool:
+        """Add a vector {column: value} to the span; False if it already lay
+        in it.  Only the pivots the vector holds are eliminated: a row is 0
+        at every other pivot, so no elimination brings in a new one."""
+        v = dict(vec)
+        for pivot in [j for j in v if j in self.rows]:
+            _axpy(v, -v[pivot], self.rows[pivot])
         if not v:
             return False
         pivot = min(v)
@@ -75,27 +79,18 @@ class Echelon:
         self.rows[pivot] = new
         return True
 
-    def dense_rows(self, ncols: int) -> list[tuple[int | Fraction, ...]]:
-        """The rows as dense tuples, in pivot order."""
-        return [tuple(row.get(j, 0) for j in range(ncols))
-                for _, row in sorted(self.rows.items())]
-
-    def kernel(self, ncols: int) -> list[tuple[int | Fraction, ...]]:
-        """Basis of the null space, one vector per free column."""
-        basis = []
-        for j in range(ncols):
-            if j in self.rows:
-                continue
-            vec = [0] * ncols
-            vec[j] = 1
-            for pivot, row in self.rows.items():
-                vec[pivot] = -row.get(j, 0)
-            basis.append(tuple(vec))
-        return basis
+    def kernel(self, ncols: int) -> list[Vector]:
+        """Basis of the null space, one vector per free column j: 1 at j and
+        -row[j] at each pivot whose row holds j."""
+        basis = {j: {j: 1} for j in range(ncols) if j not in self.rows}
+        for pivot, row in self.rows.items():
+            for j, a in row.items():
+                if j != pivot:
+                    basis[j][pivot] = -a
+        return list(basis.values())
 
 
-def _axpy(v: dict[int, int | Fraction], f: int | Fraction,
-          row: dict[int, int | Fraction]):
+def _axpy(v: Vector, f: int | Fraction, row: Vector):
     """v += f * row in place, dropping entries that cancel."""
     for j, a in row.items():
         c = v.get(j, 0) + f * a
@@ -111,16 +106,16 @@ def _axpy(v: dict[int, int | Fraction], f: int | Fraction,
 @dataclass(frozen=True)
 class CocycleSpace:
     basis: list[tuple[Path, Path]]
-    matrix: list[tuple[int | Fraction, ...]]  # rows of the linearized defect map
-    kernel: list[tuple[int | Fraction, ...]]
+    matrix: list[Vector]  # rows of the linearized defect map
+    kernel: list[Vector]
 
 
 @dataclass(frozen=True)
 class CoboundarySpace:
     basis: list[tuple[Path, Path]]       # 2-cochain coordinates
     domain: list[tuple[Path, Path]]      # 1-cochain basis
-    columns: list[tuple[int | Fraction, ...]]  # image of each 1-cochain basis vector
-    image: list[tuple[int | Fraction, ...]]    # row-reduced basis of the image
+    columns: list[Vector]  # image of each 1-cochain basis vector
+    image: list[Vector]    # row-reduced basis of the image
 
 
 @dataclass(frozen=True)
@@ -195,14 +190,13 @@ def cocycle_space(R: ReductionSystem, bound: int | None = None,
     """
     basis = two_cochain_basis(R, bound)
     image = _first_order_map(R, basis, budget, normal_forms)
-    rows: dict[tuple[int, Path], list[int | Fraction]] = {}
+    rows: dict[tuple[int, Path], Vector] = {}
     for idx, amb in enumerate(overlaps(R.lhs_set()) if basis else ()):
         rewrites: list = []
         resolve_overlap(amb, R, 1, budget, rewrites)
         for (p, j), q in image(rewrites, f"the defect on the overlap {amb.word!r}"):
-            rows.setdefault((idx, p), [0] * len(basis))[j] = q
-    keys = sorted(rows, key=lambda k: (k[0], k[1].sort_key()))
-    matrix = [tuple(rows[k]) for k in keys]
+            rows.setdefault((idx, p), {})[j] = q
+    matrix = [rows[k] for k in sorted(rows, key=lambda k: (k[0], k[1].sort_key()))]
     return CocycleSpace(basis=basis, matrix=matrix,
                         kernel=Echelon(matrix).kernel(len(basis)))
 
@@ -225,7 +219,7 @@ def coboundary_space(R: ReductionSystem, bound: int | None = None,
     index = {pair: i for i, pair in enumerate(basis2)}
     basis1 = one_cochain_basis(R, bound)
     image = _first_order_map(R, basis1, budget, normal_forms)
-    columns = [[0] * len(basis2) for _ in basis1]
+    columns: list[Vector] = [{} for _ in basis1]
     for rule in R.rules:
         s = rule.lhs
         splits = [(SplitResult(p.subword(0, i), p.subword(i, i + 1),
@@ -238,9 +232,8 @@ def coboundary_space(R: ReductionSystem, bound: int | None = None,
                 raise UsageError(f"coboundary target {target!r} outside the "
                                  "capped basis; raise the bound")
             columns[j][k] = q
-    columns = [tuple(col) for col in columns]
-    return CoboundarySpace(basis=basis2, domain=basis1, columns=columns,
-                           image=Echelon(columns).dense_rows(len(basis2)))
+    image = [row for _, row in sorted(Echelon(columns).rows.items())]
+    return CoboundarySpace(basis=basis2, domain=basis1, columns=columns, image=image)
 
 
 def hh2(R: ReductionSystem, bound: int | None = None,
@@ -254,13 +247,13 @@ def hh2(R: ReductionSystem, bound: int | None = None,
     normal_forms: dict = {}
     cocycles = cocycle_space(R, bound, budget, normal_forms=normal_forms)
     coboundaries = coboundary_space(R, bound, budget, normal_forms=normal_forms)
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cocycles.matrix]
     for vec in coboundaries.image:
-        if any(sum(a * vec[j] for j, a in row if vec[j]) for row in rows):
+        if any(sum(a * vec[j] for j, a in row.items() if j in vec)
+               for row in cocycles.matrix):
             raise RuntimeError("coboundary is not a cocycle: d^2 != 0 at first order")
     dim = len(cocycles.kernel) - len(coboundaries.image)
     span = Echelon(coboundaries.image)
-    reps: list[tuple[int | Fraction, ...]] = []
+    reps: list[Vector] = []
     for vec in cocycles.kernel:
         if len(reps) == dim:
             break
@@ -269,10 +262,10 @@ def hh2(R: ReductionSystem, bound: int | None = None,
     representatives = []
     for vec in reps:
         values: dict[Path, Element] = {}
-        for coeff, (s, u) in zip(vec, cocycles.basis):
-            if coeff != 0:
-                term = Element.from_path(u, PolyScalar.rational(coeff))
-                values[s] = values.get(s, Element.zero(R.quiver)) + term
+        for j, coeff in sorted(vec.items()):
+            s, u = cocycles.basis[j]
+            term = Element.from_path(u, PolyScalar.rational(coeff))
+            values[s] = values.get(s, Element.zero(R.quiver)) + term
         representatives.append(values)
     return Hh2Result(dimension=dim, basis=cocycles.basis,
                      representatives=representatives)

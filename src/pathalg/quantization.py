@@ -248,9 +248,6 @@ class KGraph:
         if _has_cycle(self.targets):
             raise UsageError("graph has an oriented cycle")
 
-    def order_at(self, n: int) -> tuple[int, ...]:
-        return dict(self.orders).get(n, ())
-
 
 def _has_cycle(targets) -> bool:
     """Whether the edges v -> targets[v] close an oriented cycle: placing,

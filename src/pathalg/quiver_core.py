@@ -54,6 +54,8 @@ class Quiver:
         self._tgt = {a: t for a, _, t in self.arrows}
         self._arrow_index = {a: i for i, (a, _, _) in enumerate(self.arrows)}
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        self._out: dict[str, tuple[str, ...]] = {
+            v: tuple(a for a, s, _ in self.arrows if s == v) for v in self.vertices}
 
     def source(self, arrow: str) -> str:
         return self._src[arrow]
@@ -64,8 +66,8 @@ class Quiver:
     def arrow_names(self) -> tuple[str, ...]:
         return tuple(a for a, _, _ in self.arrows)
 
-    def arrows_from(self, vertex: str) -> list[str]:
-        return [a for a, s, _ in self.arrows if s == vertex]
+    def arrows_from(self, vertex: str) -> tuple[str, ...]:
+        return self._out.get(vertex, ())
 
     def trivial(self, vertex: str) -> "Path":
         return Path(self, vertex=vertex)
@@ -302,11 +304,6 @@ class PolyScalar:
         if not self.is_rational():
             raise UsageError(f"not a rational constant: {self}")
         return Fraction(self.terms[_ONE])
-
-    def param_degree(self, m: Mono | None = None) -> int:
-        if m is not None:
-            return _mono_deg(m, self.params)
-        return max((_mono_deg(m, self.params) for m in self.terms), default=0)
 
     def min_param_degree(self) -> int:
         if self._low is None:

@@ -8,6 +8,15 @@ from pathalg.quiver_core import Element, PolyScalar, Quiver
 from pathalg.reduction_engine import ReductionSystem, Rule
 
 
+def dense(vectors, ncols: int) -> list[tuple]:
+    """{column: value} vectors as tuples of length ncols, to compare with a
+    dense reference.  Fails on a stored zero or a column outside the range,
+    which the dense form would hide."""
+    for v in vectors:
+        assert all(c != 0 and 0 <= j < ncols for j, c in v.items()), v
+    return [tuple(v.get(j, 0) for j in range(ncols)) for v in vectors]
+
+
 @pytest.fixture
 def two_cycle():
     """The 2-cycle quiver with rules ab -> 0, ba -> 0."""

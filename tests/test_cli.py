@@ -152,6 +152,13 @@ class TestUsageErrors:
         code, out = run([comm3, "reduce", "q*x1"])
         assert code == 2
 
+    @pytest.mark.parametrize("args", [["x1 - -x1"], ["--", "--x1"]])
+    def test_repeated_sign_exits_2(self, comm3, args):
+        """A term takes at most one sign: the tokenizer refuses a second."""
+        code, out = run([comm3, "reduce", *args])
+        assert code == 2
+        assert last_json(out)["error"] == f"cannot tokenize element {args[-1]!r}"
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, comm3):

@@ -13,8 +13,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import dense
 from test_cli_fuzz import commutator, random_file
-from test_cohomology import REFERENCE_SYSTEMS
+from test_cohomology import REFERENCE_SYSTEMS, _echelon_rows, _sparse
 from test_reduction_engine import _homogeneous_relations
 from pathalg.cli import ParseError, parse_problem
 from pathalg.cohomology import Echelon, coboundary_space, one_cochain_basis, two_cochain_basis
@@ -75,7 +76,7 @@ def reference_coboundary_space(R, bound=None, budget=DEFAULT_BUDGET):
                 for col, c in zip(columns, entries):
                     col[index[(s, p)]] = c
     columns = [tuple(col) for col in columns]
-    return columns, Echelon(columns).dense_rows(len(basis2))
+    return columns, _echelon_rows(Echelon(map(_sparse, columns)), len(basis2))
 
 
 def _outcome(compute):
@@ -89,7 +90,8 @@ def check_agrees(R, bound):
     """Equal columns and image, or the same exception type; returns the outcome."""
     def new():
         space = coboundary_space(R, bound, ORACLE_BUDGET)
-        return space.columns, space.image
+        n = len(space.basis)
+        return dense(space.columns, n), dense(space.image, n)
 
     got = _outcome(new)
     assert got == _outcome(lambda: reference_coboundary_space(R, bound, ORACLE_BUDGET))

@@ -15,10 +15,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import make_brauer
+from conftest import dense, make_brauer
 from test_cli_fuzz import commutator, random_file
 from test_coboundary import _outcome, lower_terms
-from test_cohomology import REFERENCE_SYSTEMS
+from test_cohomology import REFERENCE_SYSTEMS, _sparse
 from test_reduction_engine import _homogeneous_relations
 from pathalg.cli import ParseError, parse_problem
 from pathalg.cohomology import Echelon, cocycle_space, two_cochain_basis
@@ -62,14 +62,15 @@ def reference_cocycle_space(R, bound=None, budget=DEFAULT_BUDGET):
                                        for j in range(len(basis)))
     keys = sorted(rows, key=lambda k: (k[0], k[1].sort_key()))
     matrix = [rows[k] for k in keys if any(rows[k])]
-    return matrix, Echelon(matrix).kernel(len(basis))
+    return matrix, dense(Echelon(map(_sparse, matrix)).kernel(len(basis)), len(basis))
 
 
 def check_agrees(R, bound):
     """Equal matrix and kernel, or the same exception type; returns the outcome."""
     def new():
         space = cocycle_space(R, bound, ORACLE_BUDGET)
-        return space.matrix, space.kernel
+        n = len(space.basis)
+        return dense(space.matrix, n), dense(space.kernel, n)
 
     got = _outcome(new)
     assert got == _outcome(lambda: reference_cocycle_space(R, bound, ORACLE_BUDGET))

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_brauer
+from conftest import dense, make_brauer
 from pathalg.cohomology import (
     Echelon,
     coboundary_space,
@@ -61,8 +61,9 @@ class TestSpaces:
         for _, R in (four_dim, two_cycle, make_brauer(5)):
             cocycles = cocycle_space(R)
             coboundaries = coboundary_space(R)
-            matrix = [list(row) for row in cocycles.matrix]
-            for vec in coboundaries.image:
+            n = len(cocycles.basis)
+            matrix = dense(cocycles.matrix, n)
+            for vec in dense(coboundaries.image, n):
                 residual = [sum(row[j] * vec[j] for j in range(len(vec)))
                             for row in matrix]
                 assert all(c == 0 for c in residual)
@@ -76,7 +77,7 @@ class TestSpaces:
                if (repr(s), repr(u)) in must_vanish]
         assert len(idx) == 5
         assert len(cs.kernel) == len(cs.basis) - 5
-        assert all(v[i] == 0 for v in cs.kernel for i in idx)
+        assert all(v[i] == 0 for v in dense(cs.kernel, len(cs.basis)) for i in idx)
 
 
 class TestHh2:
@@ -140,7 +141,7 @@ class TestHh2:
 
 class TestHkrOracle:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_commutator_dimension(self, d, n):
         """HKR: HH^2(k[x1..xd]) in cochain lengths <= n is the bivectors
         sum_{i<j} f_ij d_i ^ d_j with deg f_ij <= n."""
@@ -247,12 +248,15 @@ class TestGenericPasses:
     def _check(self, R, bound):
         cocycles = cocycle_space(R, bound)
         coboundaries = coboundary_space(R, bound)
-        assert cocycles.matrix == _reference_cocycle_matrix(R, bound)
-        assert coboundaries.columns == _reference_coboundary_columns(R, bound)
-        assert cocycles.kernel == _reference_kernel(cocycles.matrix,
-                                                    len(cocycles.basis))
-        assert coboundaries.image == _reference_rref(coboundaries.columns)[0]
-        return len(coboundaries.image)
+        n = len(cocycles.basis)
+        # dense() also fails on a stored 0 or a column >= n
+        matrix, kernel = dense(cocycles.matrix, n), dense(cocycles.kernel, n)
+        columns, image = dense(coboundaries.columns, n), dense(coboundaries.image, n)
+        assert matrix == _reference_cocycle_matrix(R, bound)
+        assert columns == _reference_coboundary_columns(R, bound)
+        assert kernel == _reference_kernel(matrix, n)
+        assert image == _reference_rref(columns)[0]
+        return len(image)
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_SYSTEMS))
     def test_matches_per_basis_reference(self, name):
@@ -264,6 +268,16 @@ class TestGenericPasses:
     def test_four_dim_matches_per_basis_reference(self, four_dim):
         _, R = four_dim
         assert self._check(R, None) > 0
+
+
+def _sparse(row):
+    """A dense row as a {column: value} dict, the input ``Echelon`` takes."""
+    return {j: c for j, c in enumerate(row) if c}
+
+
+def _echelon_rows(echelon, ncols):
+    """The echelon's rows in pivot order, dense."""
+    return dense([row for _, row in sorted(echelon.rows.items())], ncols)
 
 
 fractions = st.one_of(st.just(Fraction(0)),
@@ -281,9 +295,9 @@ def test_echelon_matches_dense_rref(shape):
     for i, row in enumerate(rows):
         before = len(_reference_rref(rows[:i])[0])
         after = len(_reference_rref(rows[:i + 1])[0])
-        assert echelon.absorb(row) == (after > before)
-    assert echelon.dense_rows(ncols) == _reference_rref(rows)[0]
-    assert echelon.kernel(ncols) == _reference_kernel(rows, ncols)
+        assert echelon.absorb(_sparse(row)) == (after > before)
+    assert _echelon_rows(echelon, ncols) == _reference_rref(rows)[0]
+    assert dense(echelon.kernel(ncols), ncols) == _reference_kernel(rows, ncols)
 
 
 @settings(max_examples=100, deadline=None)
@@ -294,11 +308,10 @@ def test_echelon_on_int_vectors_matches_a_fraction_elimination(shape):
     """Int input divides exactly: the entries equal a Fraction-only
     elimination, and none of them is a float."""
     ncols, rows = shape
-    echelon = Echelon(rows)
+    echelon = Echelon(map(_sparse, rows))
     want = [[Fraction(c) for c in row] for row in rows]
-    dense, kernel = echelon.dense_rows(ncols), echelon.kernel(ncols)
-    assert dense == _reference_rref(want)[0]
-    assert kernel == _reference_kernel(want, ncols)
-    entries = [c for row in echelon.rows.values() for c in row.values()]
-    entries += [c for vec in dense + kernel for c in vec]
+    kernel = echelon.kernel(ncols)
+    assert _echelon_rows(echelon, ncols) == _reference_rref(want)[0]
+    assert dense(kernel, ncols) == _reference_kernel(want, ncols)
+    entries = [c for vec in [*echelon.rows.values(), *kernel] for c in vec.values()]
     assert all(type(c) in (int, Fraction) for c in entries)

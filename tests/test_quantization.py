@@ -144,7 +144,7 @@ class TestGraphEnumeration:
     def test_k1_graph_shape(self):
         (g,) = enumerate_graphs(1)
         assert g.targets == ((G_SLOT, F_SLOT),)
-        assert g.order_at(F_SLOT) == (0,) and g.order_at(G_SLOT) == (0,)
+        assert dict(g.orders) == {F_SLOT: (0,), G_SLOT: (0,)}
 
     def test_every_graph_has_two_out_edges_per_vertex(self):
         for g in enumerate_graphs(2):
