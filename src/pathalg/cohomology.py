@@ -23,7 +23,7 @@ from .quiver_core import Element, Path, PolyScalar, UsageError, _mono_deg, _mono
 from .reduction_engine import (
     DEFAULT_BUDGET,
     ReductionSystem,
-    SplitResult,
+    _path,
     overlaps,
     reduce_full,
     resolve_overlap,
@@ -134,31 +134,32 @@ def _order_zero(c: PolyScalar) -> dict:
 def _first_order_map(R: ReductionSystem, basis, budget: int,
                      normal_forms: dict | None):
     """The kernel of both maps: ``image(rewrites, where)`` sums c * red(q u r)
-    over the rewrites (split q s r, c) and the basis vectors j = (s, u), and
-    yields ((target, j), entry) for every nonzero entry.
+    over the rewrites ((q, s, r), c), in the arrow-word format of
+    ``reduce_full``, and the basis vectors j = (s, u), and yields
+    ((target, j), entry) for every nonzero entry.
 
     Only the order-zero part of c counts.  Each distinct word is reduced
     once per ``normal_forms`` memo (a fresh one if None), with the undeformed
     rules at truncation order 1, and only the order-zero part of its normal
-    form is kept.  An entry that is not rational raises a usage error naming
-    ``where``.
+    form is kept.  The memo is keyed as in ``reduce_full``: by arrow word, or
+    by the trivial path u for a word of length 0.  An entry that is not
+    rational raises a usage error naming ``where``.
     """
-    by_path: dict[Path, list[tuple[int, Path]]] = {}
+    by_side: dict[tuple, list[tuple[int, Path]]] = {}
     for j, (s, u) in enumerate(basis):
-        by_path.setdefault(s, []).append((j, u))
+        by_side.setdefault(s.arrows, []).append((j, u))
     one = PolyScalar.rational(1, trunc=1)
     if normal_forms is None:
         normal_forms = {}  # word -> [(path, order-zero coefficient)]
 
     def image(rewrites, where: str):
         sums: dict[tuple[Path, int], dict] = {}  # (target, j) -> monomials
-        for split, c in rewrites:
+        for (head, side, tail), c in rewrites:
             c = _order_zero(c)
-            for j, u in (by_path.get(split.s, ()) if c else ()):
-                arrows = split.q.arrows + u.arrows + split.r.arrows
-                w = Path._trusted(R.quiver, arrows, None) if arrows else u  # u is parallel to s
+            for j, u in (by_side.get(side, ()) if c else ()):
+                w = head + u.arrows + tail or u  # u is parallel to the side
                 if w not in normal_forms:
-                    red = reduce_full(Element.from_path(w, one), R, budget)
+                    red = reduce_full(Element.from_path(_path(R.quiver, w), one), R, budget)
                     nf = ((p, _order_zero(a)) for p, a in red.terms.items())
                     normal_forms[w] = [(p, a) for p, a in nf if a]
                 for target, a in normal_forms[w]:
@@ -222,8 +223,7 @@ def coboundary_space(R: ReductionSystem, bound: int | None = None,
     columns: list[Vector] = [{} for _ in basis1]
     for rule in R.rules:
         s = rule.lhs
-        splits = [(SplitResult(p.subword(0, i), p.subword(i, i + 1),
-                               p.subword(i + 1, len(p))), c)
+        splits = [((p.arrows[:i], p.arrows[i:i + 1], p.arrows[i + 1:]), c)
                   for p, c in (Element.from_path(s) - rule.rhs).terms.items()
                   for i in range(len(p))]
         for (target, j), q in image(splits, f"the coboundary of the rule for {s!r}"):

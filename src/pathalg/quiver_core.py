@@ -168,7 +168,7 @@ def compose(p: Path, q: Path) -> Path | None:
         return q
     if q.is_trivial:
         return p
-    return Path(p.quiver, arrows=p.arrows + q.arrows)
+    return Path._trusted(p.quiver, p.arrows + q.arrows, None)  # the joint is checked
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ system from uniform relations.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import Counter
 from collections.abc import Sequence
@@ -24,7 +23,6 @@ from .quiver_core import (
     PolyScalar,
     Quiver,
     UsageError,
-    compose,
 )
 
 __all__ = [
@@ -218,16 +216,13 @@ def _scan(w, S: LeftSides):
 
 def rightmost_split(p: Path, S: Sequence[Path]) -> SplitResult | None:
     """The right-most occurrence of an S-word inside p, or None (``_scan``)."""
-    found = _scan(p.arrows, _indexed(S))
-    return None if found is None else _split_result(p.quiver, p.arrows, *found)
-
-
-def _split_result(quiver: Quiver, w: tuple, i: int, j: int, s: Path) -> SplitResult:
-    """The split q s r of the arrow word w at w[i:j] = s, as paths."""
-    q = Path._trusted(quiver, w[:i], None) if i else Path._trusted(quiver, (), quiver.source(w[0]))
-    r = (Path._trusted(quiver, w[j:], None) if j < len(w)
-         else Path._trusted(quiver, (), quiver.target(w[-1])))
-    return SplitResult(q, s, r)
+    w = p.arrows
+    found = _scan(w, _indexed(S))
+    if found is None:
+        return None
+    i, j, s = found
+    return SplitResult(Path._trusted(p.quiver, w[:i], None if i else s.source), s,
+                       Path._trusted(p.quiver, w[j:], None if j < len(w) else s.target))
 
 
 def _path(quiver: Quiver, w) -> Path:
@@ -272,8 +267,8 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET,
     """Iterate right-most reductions to the normal form (or raise BudgetExceeded).
 
     A word is its arrow tuple here, or its trivial path if it has length 0 (a
-    rule term that empties the word); paths are built only for the result,
-    ``rewrites`` and BudgetExceeded.  Reducible words wait in ``pending``
+    rule term that empties the word); paths are built only for the result
+    and BudgetExceeded.  Reducible words wait in ``pending``
     with their lowest parameter degree, and a heap hands them out lowest
     degree first and, within a degree, by descending rank (``_rank``).
     Degree-0 rule terms lead to lower ranks and the other terms to higher
@@ -284,7 +279,8 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET,
     ranking walk goes deep for at most ``budget`` new words per call, so a
     growing system still ends in BudgetExceeded.  Each rewrite
     c*(q s r) -> c*q*phi_s*r made is appended to ``rewrites``, if given, as
-    (its split, c).
+    ((q, s, r), c): three arrow words whose concatenation is the rewritten
+    word, s the left side's.
     """
     if budget <= 0:
         raise UsageError("budget must be positive")
@@ -294,8 +290,7 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET,
     limit = len(ranks) + budget
     done: dict = {}  # word -> PolyScalar
     pending: dict = {}  # word -> (coefficient, level)
-    heap: list = []  # (level, -rank, arrival tick, word)
-    tick = itertools.count()
+    heap: list = []  # (level, -rank, word): ranks are unique, so no word is ever ordered
 
     def add(w, c: PolyScalar):
         entry = pending.get(w)
@@ -306,7 +301,7 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET,
                 return
             level = c.min_param_degree()
             if level != entry[1]:
-                heapq.heappush(heap, (level, -ranks[w][0], next(tick), w))
+                heapq.heappush(heap, (level, -ranks[w][0], w))
             pending[w] = (c, level)
         elif w in done:
             c = done[w] + c
@@ -321,13 +316,13 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET,
             else:
                 level = c.min_param_degree()
                 pending[w] = (c, level)
-                heapq.heappush(heap, (level, -rank, next(tick), w))
+                heapq.heappush(heap, (level, -rank, w))
 
     for p, c in a.terms.items():
         add(p.arrows or p, c)
     steps = 0
     while heap:
-        level, _, _, w = heapq.heappop(heap)
+        level, _, w = heapq.heappop(heap)
         entry = pending.get(w)
         if entry is None or entry[1] != level:
             continue  # stale: the word was rewritten or its level changed
@@ -339,11 +334,11 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET,
             rest = {**done, **{u: cu for u, (cu, _) in pending.items()}, w: c}
             partial = Element(quiver, {_path(quiver, u): cu for u, cu in rest.items()})
             raise BudgetExceeded(partial, steps - 1, _path(quiver, w), s)
-        if rewrites is not None:
-            rewrites.append((_split_result(quiver, w, i, j, s), c))
-        # c * w[:i] * phi_s * w[j:]; the graded terms stop at the first whose
-        # lowest parameter degree exceeds c.trunc - low(c), and low(c) is the level
         head, tail = w[:i], w[j:]
+        if rewrites is not None:
+            rewrites.append(((head, s.arrows, tail), c))
+        # c * head * phi_s * tail; the graded terms stop at the first whose
+        # lowest parameter degree exceeds c.trunc - low(c), and low(c) is the level
         room = math.inf if c.trunc is None else c.trunc - level
         for low, m, p, cm in graded[s]:
             if low > room:
@@ -417,13 +412,11 @@ def ambiguities_n(S: Sequence[Path], n: int) -> list[Ambiguity]:
             for k in range(1, min(len(w), len(sw) - 1) + 1):
                 if w[len(w) - k:] != sw[:k]:
                     continue
-                u_next = Path(quiver, arrows=sw[k:])
                 # last * d is irreducible for every proper left subpath d of
-                # u_next iff it is for the longest one: subwords of an
+                # u_next = sw[k:] iff it is for the longest one: subwords of an
                 # irreducible path are irreducible
-                if (is_irreducible(u_next, S)
-                        and is_irreducible(Path(quiver, arrows=w + sw[k:-1]), S)):
-                    stack.append(chain + [u_next])
+                if _scan(sw[k:], S) is None and _scan(w + sw[k:-1], S) is None:
+                    stack.append(chain + [Path._trusted(quiver, sw[k:], None)])
     out.sort(key=lambda amb: (amb.word.sort_key(), tuple(len(f) for f in amb.factors)))
     return out
 
@@ -510,17 +503,18 @@ def resolve_overlap(amb: Ambiguity, R: ReductionSystem, trunc: int | None = None
     sides are irreducible), so on a deformed system this is the associator
     (u*v)*w - u*(v*w) of the star product; the diamond condition is its
     vanishing at phitilde = 0.  ``rewrites``, if given, receives the rewrites
-    that resolve the overlap as (split, coefficient) pairs: uvw by uv with 1
-    and by vw with -1, then those of ``reduce_full`` on each side, the right
-    side negated."""
+    that resolve the overlap in the format of ``reduce_full``: uvw by uv with
+    1 and by vw with -1, as ((), uv, w) and (u, vw, ()), then those of
+    ``reduce_full`` on each side, the right side negated."""
     u, v, w = amb.factors
-    uv, vw = compose(u, v), compose(v, w)
+    by_word = R.lhs_set().by_word
+    uv, vw = by_word[u.arrows + v.arrows], by_word[v.arrows + w.arrows]
     left = (R.by_lhs[uv].rhs * Element.from_path(w)).truncated(trunc)
     right = (Element.from_path(u) * R.by_lhs[vw].rhs).truncated(trunc)
     if rewrites is not None:
         one = PolyScalar.rational(1)
-        rewrites += [(SplitResult(R.quiver.trivial(u.source), uv, w), one),
-                     (SplitResult(u, vw, R.quiver.trivial(w.target)), -one)]
+        rewrites += [(((), uv.arrows, w.arrows), one),
+                     ((u.arrows, vw.arrows, ()), -one)]
     return reduce_full(left, R, budget, rewrites) + reduce_full(-right, R, budget, rewrites)
 
 

@@ -115,9 +115,6 @@ class EquationSet:
     def __len__(self):
         return len(self.polys)
 
-    def __eq__(self, other):
-        return isinstance(other, EquationSet) and self.polys == other.polys
-
     def __repr__(self):
         return "EquationSet(" + ", ".join(repr(p) for p in self.polys) + ")"
 

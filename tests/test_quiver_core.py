@@ -65,6 +65,40 @@ class TestPath:
         assert p.subword(1, 1).is_trivial
 
 
+# -- compose against the validating constructor -----------------------------
+
+_MULTI = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3"),
+                                  ("d", "3", "1"), ("e", "2", "2")])
+
+
+@st.composite
+def _multi_path(draw):
+    """A random path of _MULTI, trivial when it takes no step."""
+    v = start = draw(st.sampled_from(_MULTI.vertices))
+    arrows = []
+    for _ in range(draw(st.integers(0, 4))):
+        arrows.append(draw(st.sampled_from(_MULTI.arrows_from(v))))
+        v = _MULTI.target(arrows[-1])
+    return Path(_MULTI, arrows=tuple(arrows)) if arrows else Path(_MULTI, vertex=start)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multi_path(), _multi_path())
+def test_compose_matches_the_validating_constructor(p, q):
+    if p.is_trivial or q.is_trivial:
+        other = q if p.is_trivial else p
+        want = other if p.target == q.source else None
+    else:
+        try:
+            want = Path(_MULTI, arrows=p.arrows + q.arrows)
+        except UsageError:
+            want = None
+    got = compose(p, q)
+    assert got == want
+    if want is not None:
+        assert (got.quiver, type(got.arrows), hash(got)) == (_MULTI, tuple, hash(want))
+
+
 class TestPolyScalar:
     def test_rational_arithmetic(self):
         a = PolyScalar.rational(Fraction(1, 2))

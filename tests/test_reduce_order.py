@@ -150,6 +150,15 @@ def test_worklist_matches_lifo_reference(name, terms):
     assert reduce_full(a, R) == lifo_normal_form(a, R)
 
 
+def _split_paths(q: Quiver, record):
+    """The validated paths of a rewrite record (head, side, tail) of arrow words."""
+    assert all(type(word) is tuple for word in record)
+    head, side, tail = record
+    s = Path(q, arrows=side)
+    return (Path(q, arrows=head) if head else q.trivial(s.source), s,
+            Path(q, arrows=tail) if tail else q.trivial(s.target))
+
+
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 @settings(max_examples=30, deadline=None)
 @given(terms=terms, budget=st.integers(1, 40))
@@ -172,10 +181,11 @@ def test_rewrite_record_replays_the_normal_form(name, terms, budget):
     assert got == reduce_full(a, ReductionSystem(q, R.rules), budget)
     assert len(rewrites) <= budget
     replay = a
-    for split, c in rewrites:
-        step = R.by_lhs[split.s].rhs - Element.from_path(split.s)
-        replay = replay + (Element.from_path(split.q) * step
-                           * Element.from_path(split.r)).scale(c)
+    for record, c in rewrites:
+        head, s, tail = _split_paths(q, record)
+        step = R.by_lhs[s].rhs - Element.from_path(s)
+        replay = replay + (Element.from_path(head) * step
+                           * Element.from_path(tail)).scale(c)
     assert replay.truncated(a.max_trunc()) == got
 
 
@@ -190,10 +200,11 @@ def test_overlap_record_replays_the_defect(name, trunc):
         defect = resolve_overlap(amb, R, trunc, 10_000, rewrites)
         assert defect == resolve_overlap(amb, R, trunc, 10_000)
         replay = Element.zero(q)
-        for split, c in rewrites:
-            step = R.by_lhs[split.s].rhs - Element.from_path(split.s)
-            replay = replay + (Element.from_path(split.q) * step
-                               * Element.from_path(split.r)).scale(c)
+        for record, c in rewrites:
+            head, s, tail = _split_paths(q, record)
+            step = R.by_lhs[s].rhs - Element.from_path(s)
+            replay = replay + (Element.from_path(head) * step
+                               * Element.from_path(tail)).scale(c)
         assert replay.truncated(trunc) == defect
 
 

@@ -169,6 +169,17 @@ class TestGauge:
             GaugeOnArrows(R, {q.path("a", "b"):
                               Element.from_path(Path(q, vertex="1"), _t())})
 
+    @pytest.mark.parametrize("word, coeff, message", [
+        (("b",), _t(), "gauge value for a not parallel: b"),
+        (("a", "b", "a"), _t(), "gauge value for a has reducible term a*b*a"),
+        (("a",), PolyScalar.rational(2), "gauge value for a has a parameter-degree-0 term"),
+    ])
+    def test_gauge_values_are_checked(self, deformed_two_cycle, word, coeff, message):
+        q, R, coc = deformed_two_cycle
+        with pytest.raises(UsageError) as info:
+            GaugeOnArrows(R, {q.path("a"): Element.from_path(q.path(*word), coeff)})
+        assert str(info.value) == message
+
 
 class TestNonFormal:
     """The 4-vertex example separates termination regimes."""
