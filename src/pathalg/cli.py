@@ -534,11 +534,11 @@ def _cmd_variety(problem: ProblemFile, args, flags, report: Report):
     names = problem.unknowns or None
     eqs = mc_equations(problem.system, cond, names=names,
                        budget=problem.budget)
-    report.doc["equations"] = [repr(p) for p in eqs.polys]
-    if not eqs.polys:
+    report.doc["equations"] = texts = eqs.texts()
+    if not texts:
         report.say("no equations (the variety is the whole space)")
-    for p in eqs.polys:
-        report.say(f"{p!r} = 0")
+    for text in texts:
+        report.say(f"{text} = 0")
 
 
 def _cmd_complete(problem: ProblemFile, args, flags, report: Report):

@@ -53,12 +53,15 @@ class Echelon:
     ``rows`` maps each pivot column to its row, a ``Vector``.  A row is 1 at
     its pivot, 0 at every other pivot and 0 left of its pivot, so the rows
     are the (unique) reduced row echelon form of the vectors absorbed so far.
-    Entries are ints or Fractions; the one division goes through ``Fraction``,
-    so int input never yields a float.
+    ``holders`` maps each column to the pivots of the rows that hold it, so
+    back-substitution visits only the rows it changes.  Entries are ints or
+    Fractions; the one division goes through ``Fraction``, so int input never
+    yields a float.
     """
 
     def __init__(self, vectors=()):
         self.rows: dict[int, Vector] = {}
+        self.holders: dict[int, set[int]] = {}
         for vec in vectors:
             self.absorb(vec)
 
@@ -73,10 +76,25 @@ class Echelon:
             return False
         pivot = min(v)
         new = {j: _q(Fraction(c, v[pivot])) for j, c in v.items()}
-        for row in self.rows.values():
-            if pivot in row:
-                _axpy(row, -row[pivot], new)
+        holders = self.holders
+        for r in holders.pop(pivot, ()):
+            row = self.rows[r]
+            f = -row[pivot]
+            for j, a in new.items():
+                c = row.get(j, 0) + f * a
+                if c:
+                    if j not in row:
+                        holders.setdefault(j, set()).add(r)
+                    row[j] = c
+                else:
+                    del row[j]
+                    if j != pivot:  # the pivot's own holders are popped
+                        holders[j].remove(r)
+                        if not holders[j]:
+                            del holders[j]
         self.rows[pivot] = new
+        for j in new:
+            holders.setdefault(j, set()).add(pivot)
         return True
 
     def kernel(self, ncols: int) -> list[Vector]:

@@ -175,7 +175,9 @@ def compose(p: Path, q: Path) -> Path | None:
 # Exact polynomial scalars
 # ---------------------------------------------------------------------------
 
-Mono = tuple[tuple[str, int], ...]  # sorted ((symbol, exponent), ...)
+# ((symbol, exponent), ...): sorted by symbol name, each symbol once, every
+# exponent positive; the rational 1 is the empty monomial
+Mono = tuple[tuple[str, int], ...]
 
 _ONE: Mono = ()
 _UNIT = {_ONE: 1}  # the terms of the rational 1
@@ -216,10 +218,23 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     if len(a) == len(b) == 1:  # one symbol each, as in hbar^k
         (n, e), (n2, e2) = a[0], b[0]
         return ((n, e + e2),) if n == n2 else (a[0], b[0]) if n < n2 else (b[0], a[0])
-    d = dict(a)
-    for name, e in b:
-        d[name] = d.get(name, 0) + e
-    return tuple(sorted((n, e) for n, e in d.items() if e))
+    # merge the two name-sorted tuples; exponents are positive, so none cancels
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        n, e = a[i]
+        n2, e2 = b[j]
+        if n == n2:
+            out.append((n, e + e2))
+            i += 1
+            j += 1
+        elif n < n2:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def _mono_deg(m: Mono, params: frozenset[str]) -> int:
@@ -381,7 +396,7 @@ class PolyScalar:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    # -- extraction / substitution ----------------------------------------
+    # -- extraction -------------------------------------------------------
     def truncated(self, n: int | None) -> "PolyScalar":
         if n is None or self.trunc is not None and n >= self.trunc:
             return self  # the order cuts nothing
@@ -397,41 +412,32 @@ class PolyScalar:
                 d[tuple(sorted(md.items()))] = c
         return PolyScalar(d, self.trunc, self.params)
 
-    def substitute(self, values: Mapping[str, "PolyScalar"]) -> "PolyScalar":
-        """Substitute polynomials for symbols (unmentioned symbols survive)."""
-        out = PolyScalar.zero(self.trunc, self.params)
-        for m, c in self.terms.items():
-            term = PolyScalar.rational(c, self.trunc, self.params)
-            for name, e in m:
-                if name in values:
-                    for _ in range(e):
-                        term = term * values[name]
-                else:
-                    term = term * PolyScalar({((name, e),): 1}, self.trunc, self.params)
-            out = out + term
-        return out
-
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms, key=_mono_key):
-            c = self.terms[m]
-            mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in m)
-            if mono:
-                if c == 1:
-                    s = mono
-                elif c == -1:
-                    s = f"-{mono}"
-                else:
-                    s = f"{_rational_str(c)}*{mono}"
+        return _poly_text((m, self.terms[m]) for m in sorted(self.terms, key=_mono_key))
+
+
+def _poly_text(terms: Iterable[tuple[Mono, int | Fraction]]) -> str:
+    """The text of a polynomial from its (monomial, coefficient) pairs, in the
+    order given; "0" when there are none."""
+    bits = []
+    for m, c in terms:
+        mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in m)
+        if mono:
+            if c == 1:
+                s = mono
+            elif c == -1:
+                s = f"-{mono}"
             else:
-                s = _rational_str(c)
-            bits.append(s)
-        out = bits[0]
-        for s in bits[1:]:
-            out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
-        return out
+                s = f"{_rational_str(c)}*{mono}"
+        else:
+            s = _rational_str(c)
+        bits.append(s)
+    if not bits:
+        return "0"
+    out = bits[0]
+    for s in bits[1:]:
+        out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
+    return out
 
 
 def _grade(c: PolyScalar) -> tuple[int, float]:
@@ -488,13 +494,6 @@ class Element:
         """True when all paths share one source and one target."""
         st = {(p.source, p.target) for p in self.terms}
         return len(st) <= 1
-
-    def max_trunc(self) -> int | None:
-        tr = None
-        for c in self.terms.values():
-            if c.trunc is not None:
-                tr = c.trunc if tr is None else min(tr, c.trunc)
-        return tr
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other: "Element") -> "Element":

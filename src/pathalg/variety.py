@@ -11,7 +11,6 @@ terminates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .quiver_core import (
@@ -22,6 +21,7 @@ from .quiver_core import (
     PolyScalar,
     UsageError,
     _mono_key,
+    _poly_text,
 )
 from .reduction_engine import DEFAULT_BUDGET, ReductionSystem
 from .star_product import (
@@ -96,8 +96,14 @@ def symbolic_cochain(R: ReductionSystem, basis, names=None):
         names = [f"c{i + 1}" for i in range(len(basis))]
     if isinstance(names, dict):
         names = [names[pair] for pair in basis]
-    if len(names) != len(set(names)) or len(names) != len(basis):
-        raise UsageError("unknown names must be distinct, one per basis pair")
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise UsageError(f"unknown name {name!r} is given twice")
+        seen.add(name)
+    n, m = len(names), len(basis)
+    if n != m:
+        raise UsageError(f"{n} unknown name{'s' * (n != 1)} for {m} basis pair{'s' * (m != 1)}")
     cochain = DeformationCochain(R, generic_values(R, basis, names),
                                  trunc=None, formal=False)
     return cochain, list(names)
@@ -105,7 +111,8 @@ def symbolic_cochain(R: ReductionSystem, basis, names=None):
 
 @dataclass(frozen=True)
 class EquationSet:
-    """Canonicalized polynomial equations over Q in the unknowns."""
+    """Canonicalized polynomial equations over Q in the unknowns, as
+    ``canonical_set`` builds them: each poly's terms in display order."""
 
     polys: tuple[PolyScalar, ...]
 
@@ -118,19 +125,25 @@ class EquationSet:
     def __repr__(self):
         return "EquationSet(" + ", ".join(repr(p) for p in self.polys) + ")"
 
+    def texts(self) -> list[str]:
+        """``repr`` of each poly, read off the terms in their stored order:
+        ``canonical_set`` stores them in display order."""
+        return [_poly_text(p.terms.items()) for p in self.polys]
+
 
 def canonical_poly(p: PolyScalar) -> PolyScalar:
     """Clear denominators and content, make the deglex-leading coefficient positive.
 
     Monomials are compared by total degree, ties broken lexicographically with
-    earlier-named unknowns ranked higher.
+    earlier-named unknowns ranked higher.  The work is done in ints: each
+    coefficient times the lcm of the denominators, divided by the gcd of those
+    products (which is the gcd of the numerators).
     """
-    terms = {m: c for m, c in p.terms.items() if c != 0}
+    terms = p.terms
     if not terms:
         return PolyScalar.zero()
     denom = lcm(*(c.denominator for c in terms.values()))
-    numer = gcd(*(abs(c.numerator) for c in terms.values()))
-    scale = Fraction(denom, numer)
+    ints = {m: c.numerator * (denom // c.denominator) for m, c in terms.items()}
     names = sorted({name for m in terms for name, _ in m})
     rank = {name: i for i, name in enumerate(names)}
 
@@ -140,18 +153,23 @@ def canonical_poly(p: PolyScalar) -> PolyScalar:
             vec[rank[name]] = e
         return (sum(vec), tuple(vec))
 
-    lead = max(terms, key=lead_key)
-    if terms[lead] < 0:
-        scale = -scale
-    return PolyScalar({m: c * scale for m, c in terms.items()})
+    g = gcd(*ints.values())
+    if ints[max(ints, key=lead_key)] < 0:
+        g = -g
+    return PolyScalar._exact({m: n // g for m, n in ints.items()}, None, frozenset())
 
 
 def canonical_set(polys) -> EquationSet:
+    """The distinct nonzero canonical polys, ordered by their sorted terms.
+    Each poly's terms are stored in display order, so ``texts`` does not sort
+    them again."""
     canon = {canonical_poly(p) for p in polys}
     canon.discard(PolyScalar.zero())
-    ordered = sorted(canon, key=lambda p: sorted(
-        (_mono_key(m), c) for m, c in p.terms.items()))
-    return EquationSet(tuple(ordered))
+    keyed = sorted(sorted((_mono_key(m), c) for m, c in p.terms.items())
+                   for p in canon)
+    return EquationSet(tuple(PolyScalar._exact({m: c for (_, m), c in terms},
+                                               None, frozenset())
+                             for terms in keyed))
 
 
 def mc_equations(R: ReductionSystem, cond: DegreeCondition, names=None,

@@ -17,6 +17,26 @@ def dense(vectors, ncols: int) -> list[tuple]:
     return [tuple(v.get(j, 0) for j in range(ncols)) for v in vectors]
 
 
+def substitute(p: PolyScalar, values: dict[str, PolyScalar]) -> PolyScalar:
+    """p with polynomials substituted for symbols (unmentioned symbols survive)."""
+    out = PolyScalar.zero(p.trunc, p.params)
+    for m, c in p.terms.items():
+        term = PolyScalar.rational(c, p.trunc, p.params)
+        for name, e in m:
+            if name in values:
+                for _ in range(e):
+                    term = term * values[name]
+            else:
+                term = term * PolyScalar({((name, e),): 1}, p.trunc, p.params)
+        out = out + term
+    return out
+
+
+def max_trunc(a: Element) -> int | None:
+    """The lowest truncation order among a's coefficients (None if none has one)."""
+    return min((c.trunc for c in a.terms.values() if c.trunc is not None), default=None)
+
+
 @pytest.fixture
 def two_cycle():
     """The 2-cycle quiver with rules ab -> 0, ba -> 0."""

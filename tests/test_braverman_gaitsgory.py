@@ -20,6 +20,7 @@ from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import substitute
 from pathalg.quantization import commutator_system
 from pathalg.quiver_core import Element, PolyScalar
 from pathalg.reduction_engine import ReductionSystem, Rule, check_diamond
@@ -157,7 +158,7 @@ def on_variety(br) -> bool:
         j, i = (int(a[1:]) for a in s.arrows)
         k = 0 if u.is_trivial else int(u.arrows[0][1:])
         point[f"c{idx + 1}"] = PolyScalar.rational(br.get((j, i), {}).get(k, 0))
-    return all(eq.substitute(point).is_zero() for eq in equations)
+    return all(substitute(eq, point).is_zero() for eq in equations)
 
 
 @settings(max_examples=60, deadline=None)

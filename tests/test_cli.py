@@ -159,6 +159,21 @@ class TestUsageErrors:
         assert code == 2
         assert last_json(out)["error"] == f"cannot tokenize element {args[-1]!r}"
 
+    @pytest.mark.parametrize("unknowns, error", [
+        ("a", "1 unknown name for 3 basis pairs"),
+        ("a b c d", "4 unknown names for 3 basis pairs"),
+        ("a b a", "unknown name 'a' is given twice"),
+    ])
+    def test_variety_unknown_names_exit_2(self, tmp_path, unknowns, error):
+        """y*x has three strict basis pairs (targets e0, x, y): a wrong count
+        and a repeated name each get their own message."""
+        p = tmp_path / "yx.txt"
+        p.write_text("vertex 0\narrow x : 0 -> 0\narrow y : 0 -> 0\n"
+                     f"unknown {unknowns}\nrule y*x -> x*y\n")
+        code, out = run([str(p), "variety"])
+        assert code == 2
+        assert last_json(out)["error"] == error
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, comm3):

@@ -300,6 +300,24 @@ def test_echelon_matches_dense_rref(shape):
     assert dense(echelon.kernel(ncols), ncols) == _reference_kernel(rows, ncols)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=12)
+    .map(lambda rows: (n, rows))))
+def test_echelon_holders_equal_the_map_from_rows(shape):
+    """After every absorb, ``holders`` is the column -> {pivots of the rows
+    holding it} map recomputed from ``rows``: no empty set, no stale pivot."""
+    _, rows = shape
+    echelon = Echelon()
+    for row in rows:
+        echelon.absorb(_sparse(row))
+        want: dict[int, set[int]] = {}
+        for pivot, r in echelon.rows.items():
+            for j in r:
+                want.setdefault(j, set()).add(pivot)
+        assert echelon.holders == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 5).flatmap(
     lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=8)

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import substitute
 from pathalg.quiver_core import (
     AdmissibleOrder,
     Element,
@@ -18,6 +19,7 @@ from pathalg.quiver_core import (
     Quiver,
     UsageError,
     _mono_deg,
+    _mono_mul,
     compose,
 )
 
@@ -129,7 +131,7 @@ class TestPolyScalar:
     def test_substitute(self):
         t = PolyScalar.var("t")
         p = t * t + PolyScalar.rational(1)
-        assert p.substitute({"t": PolyScalar.rational(2)}) == \
+        assert substitute(p, {"t": PolyScalar.rational(2)}) == \
             PolyScalar.rational(5)
 
     def test_repr_is_deterministic(self):
@@ -314,6 +316,20 @@ def _unit_or_poly(meta):
     return st.one_of(_poly(meta), _poly(meta),
                      st.builds(PolyScalar.rational, st.just(1), st.just(meta[0]),
                                st.just(meta[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial, monomial)
+# one operand runs out first, leaving a tail of the other
+@example((("h", 1), ("t", 2)), (("lam", 1), ("mu", 1)))
+@example((("lam", 1), ("mu", 1)), (("h", 1), ("lam", 2), ("t", 3)))
+def test_mono_mul_matches_a_dict_and_a_sort(a, b):
+    """Merging two name-sorted monomials equals adding the exponents in a
+    dict and sorting by name."""
+    exps = dict(a)
+    for n, e in b:
+        exps[n] = exps.get(n, 0) + e
+    assert _mono_mul(a, b) == tuple(sorted(exps.items()))
 
 
 _TWO_PLUS_T2 = PolyScalar({(("t", 2),): 1, (): 2}, None, frozenset({"t"}))

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_brauer, make_deformed3
+from conftest import make_brauer, make_deformed3, substitute
 from pathalg.quantization import commutator_system
 from pathalg.quiver_core import Element, Path, PolyScalar, Quiver, UsageError
 from pathalg.reduction_engine import (
@@ -236,7 +236,7 @@ def _tagged_system(R, cochain):
 
 def _set_z_to_one(a):
     one = {Z_SYMBOL: PolyScalar.rational(1)}
-    return Element(a.quiver, {p: c.substitute(one) for p, c in a.terms.items()})
+    return Element(a.quiver, {p: substitute(c, one) for p, c in a.terms.items()})
 
 
 def reference_star(a, b, R, cochain, budget=DEFAULT_BUDGET):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_brauer
 from pathalg.quiver_core import (
@@ -14,6 +16,7 @@ from pathalg.quiver_core import (
     PolyScalar,
     Quiver,
     UsageError,
+    _mono_key,
 )
 from pathalg.reduction_engine import ReductionSystem, Rule
 from pathalg.variety import (
@@ -128,6 +131,66 @@ class TestCanonicalPoly:
         b = canonical_set([_poly({(("lam", 1),): -1})])
         assert a == b
         assert a != EquationSet(())
+
+
+def _fraction_canonical_poly(p: PolyScalar) -> PolyScalar:
+    """The reference: every coefficient scaled by one Fraction, lcm of the
+    denominators over gcd of the numerators, negated when the deglex lead
+    is negative."""
+    terms = {m: c for m, c in p.terms.items() if c != 0}
+    if not terms:
+        return PolyScalar.zero()
+    scale = Fraction(lcm(*(c.denominator for c in terms.values())),
+                     gcd(*(abs(c.numerator) for c in terms.values())))
+    names = sorted({name for m in terms for name, _ in m})
+
+    def lead_key(m):
+        exps = dict(m)
+        vec = tuple(exps.get(name, 0) for name in names)
+        return (sum(vec), vec)
+
+    if terms[max(terms, key=lead_key)] < 0:
+        scale = -scale
+    return PolyScalar({m: c * scale for m, c in terms.items()})
+
+
+_UNKNOWNS = ("c1", "c2", "c3")
+_monomial = st.lists(st.integers(0, 2), min_size=3, max_size=3).map(
+    lambda exps: tuple((n, e) for n, e in zip(_UNKNOWNS, exps) if e))
+_coefficient = st.one_of(
+    st.integers(-60, 60),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12)
+).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_monomial, _coefficient, max_size=5))
+# a negative lead: c1 outranks c2 at equal degree
+@example({(("c1", 1),): Fraction(-3, 4), (("c2", 1),): Fraction(9, 8)})
+# single terms of either sign
+@example({(("c2", 2),): Fraction(-7, 3)})
+@example({(): 12})
+def test_canonical_poly_matches_the_fraction_reference(terms):
+    """The int canonicalisation equals scaling by one Fraction: same terms,
+    same text, and every coefficient an int."""
+    p = PolyScalar(terms)
+    got, want = canonical_poly(p), _fraction_canonical_poly(p)
+    assert got.terms == want.terms
+    assert repr(got) == repr(want)
+    assert all(type(c) is int for c in got.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(_monomial, _coefficient, max_size=5), max_size=6))
+def test_equation_texts_are_the_reprs(polys):
+    """``texts`` reads the stored term order without sorting: it must equal
+    ``repr``, which sorts.  The equations come out in the order of their
+    sorted terms, zero and repeats dropped."""
+    eqs = canonical_set(PolyScalar(t) for t in polys)
+    assert eqs.texts() == [repr(p) for p in eqs]
+    canon = {canonical_poly(PolyScalar(t)) for t in polys} - {PolyScalar.zero()}
+    assert list(eqs) == sorted(canon, key=lambda p: sorted(
+        (_mono_key(m), c) for m, c in p.terms.items()))
 
 
 class TestMcEquations:
