@@ -398,11 +398,18 @@ def _commutator_dimension(problem: ProblemFile) -> int:
 
 
 def _bivector_from_deform(problem: ProblemFile, d: int) -> PoissonBivector:
-    """The hbar-linear part of the deform block as a Poisson bivector."""
+    """The part of the deform block linear in the deformation parameter, as a
+    Poisson bivector.  The parameter is hbar when it is declared, otherwise
+    the file's one parameter."""
+    params = list(dict.fromkeys(problem.params))
+    if HBAR not in params and len(params) != 1:
+        raise UsageError("quantize jacobi needs the parameter hbar or a single "
+                         "param; the file declares " + (", ".join(params) or "none"))
+    param = HBAR if HBAR in params else params[0]
     entries: dict[tuple[int, int], Element] = {}
     for s, v in problem.deform_values.items():
         j, i = int(s.arrows[0][1:]), int(s.arrows[1][1:])
-        entries[(j, i)] = v.coefficient_of(HBAR, 1)
+        entries[(j, i)] = v.coefficient_of(param, 1)
     return PoissonBivector(d, entries, quiver=problem.quiver,
                            system=problem.system)
 

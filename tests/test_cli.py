@@ -575,6 +575,61 @@ def test_compare_order_defaults_to_the_file_order_up_to_3(tmp_path):
         assert f"compare (36 pairs, order {order}): pass" in out.splitlines()
 
 
+@pytest.mark.parametrize("param", ["hbar", "t"])
+def test_quantize_jacobi_reads_the_declared_parameter(tmp_path, param):
+    """The bracket of NON_JACOBI fails jacobi and check alike, whatever the
+    file names its one parameter."""
+    p = tmp_path / "problem.txt"
+    p.write_text(NON_JACOBI.replace("hbar", param))
+    for command, line in (("jacobi", "jacobi: fail"),
+                          ("check", "associativity: fail")):
+        code, out = run([str(p), "quantize", command])
+        assert code == 1
+        assert line in out.splitlines()
+
+
+@pytest.mark.parametrize("params, named", [("", "none"), ("param s t\n", "s, t")])
+def test_quantize_jacobi_needs_hbar_or_one_parameter(tmp_path, params, named):
+    p = tmp_path / "problem.txt"
+    p.write_text(COMM3 + params + "deform x3*x2 -> x1\n")
+    code, out = run([str(p), "quantize", "jacobi"])
+    assert code == 2
+    assert last_json(out)["error"] == (
+        "quantize jacobi needs the parameter hbar or a single param; "
+        f"the file declares {named}")
+
+
+STRATUM_LIMIT = ("graph stratum 5 is above the limit 4: strata above 4 are "
+                 "not enumerated")
+
+
+@pytest.mark.parametrize("args, code, last", [
+    (["graphs", "5", "--cap", "5"], 2, {"error": STRATUM_LIMIT}),
+    (["compare", "--trunc", "5", "--cap", "5"], 2, {"error": STRATUM_LIMIT}),
+    (["graphs", "5"], 2, {"error": "k=5 exceeds the enumeration cap 4"}),
+    # order 3: no stratum above 3 is built
+    (["compare", "--cap", "5"], 0, {"verdict": "pass", "pairs": 36}),
+])
+def test_graph_strata_above_4_exit_2_at_once(tmp_path, args, code, last):
+    p = tmp_path / "weyl.txt"
+    p.write_text(WEYL.format(trunc=5))
+    start = time.perf_counter()
+    got, out = run([str(p), "quantize", *args])
+    assert time.perf_counter() - start < 10
+    assert got == code
+    doc = last_json(out)
+    assert {key: doc[key] for key in last} == last
+
+
+def test_compare_takes_any_name_for_the_one_vertex(tmp_path):
+    p = tmp_path / "weyl.txt"
+    p.write_text(WEYL.format(trunc=3).replace("vertex 0", "vertex v")
+                 .replace("0 -> 0", "v -> v").replace("e0", "ev"))
+    code, out = run([str(p), "quantize", "compare"])
+    assert code == 0
+    assert "compare (36 pairs, order 3): pass" in out.splitlines()
+
+
 @pytest.mark.parametrize("psi", ["deform a*b -> lam*e1\ndeform b*a -> lam*e2\n", ""],
                          ids=["deform lines", "empty"])
 def test_gauge_needs_a_formal_deform_block(tmp_path, psi):

@@ -25,8 +25,10 @@ from pathalg.quantization import (
     PoissonBivector,
     _element,
     _exponents,
+    _derive,
     _history_count,
     _label_weights,
+    _reach,
     _stratum_weights,
     commutator_system,
     enumerate_graphs,
@@ -156,12 +158,15 @@ def ref_graphical_star(f, g, cochain, trunc=None, cap=4) -> Element:
 
 
 def _flat(table: tuple) -> dict:
-    """A grouped table as the flat {(factors, mf, mg): weight}."""
+    """A grouped table (rows, mgs) as the flat {(factors, mf, mg): weight}."""
+    rows, mgs = table
+    assert mgs == {mg for by_mg in rows.values() for mg in by_mg}
     out: dict = {}
-    for (mf, mg), items in table:
-        for factors, w in items:
-            assert (factors, mf, mg) not in out
-            out[factors, mf, mg] = w
+    for mf, by_mg in rows.items():
+        for mg, items in by_mg.items():
+            for factors, w in items:
+                assert (factors, mf, mg) not in out
+                out[factors, mf, mg] = w
     return out
 
 
@@ -277,6 +282,45 @@ def test_low_degree_inputs_build_only_the_rows_they_reach(monkeypatch):
     for f in monos:
         for g in monos:
             graphical_star(f, g, cochain)
-    table = _stratum_weights(3, 3)
-    reached = [key for key, _ in table if sum(key[0]) <= 2 and sum(key[1]) <= 2]
-    assert len(built) == len(reached) < len(table)
+    keys = {(mf, mg) for _, mf, mg in _flat(_stratum_weights(3, 3))}
+    reached = [key for key in keys if sum(key[0]) <= 2 and sum(key[1]) <= 2]
+    assert len(built) == len(reached) < len(keys)
+
+
+@st.composite
+def reach_cases(draw):
+    """An exponent form of 1-6 terms with exponents 0-6 in d = 1..4 variables,
+    and a set of label counts, some of them above every exponent."""
+    d = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 6)] * d)
+    form = {e: PolyScalar.rational(q) for e, q in draw(st.lists(
+        st.tuples(exps, st.integers(-3, 3).filter(bool)),
+        min_size=1, max_size=6, unique_by=lambda t: t[0]))}
+    counts = draw(st.sets(st.tuples(*[st.integers(0, 8)] * d), max_size=40))
+    return form, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(reach_cases())
+def test_reach_is_the_nonzero_divided_derivatives(case):
+    form, counts = case
+    want = {m: der for m in counts if (der := _derive(form, m))}
+    assert _reach(form, counts) == want
+    assert _reach(form, frozenset(counts)) == want
+
+
+def test_dense_factors_match_the_eager_build():
+    """Every monomial of degree <= 4 in x1..x3 (35 terms) in f and in g, so
+    that a term reaches most label counts and many terms share each."""
+    q, _ = commutator_system(3)
+    dense = Element(q, {p: c for e in itertools.product(range(5), repeat=3)
+                        if sum(e) <= 4
+                        for p, c in monomial(q, e, PolyScalar.rational(
+                            1 + e[0] - 5 * e[1] + 25 * e[2])).terms.items()})
+    assert len(dense.terms) == 35
+    eta = PoissonBivector(3, {(2, 1): monomial(q, (0, 0, 1)),
+                              (3, 1): monomial(q, (0, 2, 0)),
+                              (3, 2): monomial(q, (1, 1, 0))})
+    for f, g in ((dense, dense), (dense, monomial(q, (2, 0, 1)))):
+        got = graphical_star(f, g, poisson_to_cochain(eta, trunc=3))
+        assert got == ref_graphical_star(f, g, poisson_to_cochain(eta, trunc=3))
