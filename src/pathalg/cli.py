@@ -40,9 +40,9 @@ from .quantization import (
     HBAR,
     PoissonBivector,
     enumerate_graphs,
-    graphical_star,
     monomial,
     quantize_check,
+    quantize_compare,
     schouten_jacobi_check,
 )
 from .quiver_core import (
@@ -608,18 +608,12 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
         cochain = problem.cochain(flags.trunc)
         default = 3 if cochain.trunc is None else min(cochain.trunc, 3)
         trunc = default if flags.trunc is None else flags.trunc
-        mismatches = []
         monos = _monomials_up_to(problem.quiver, d, 2)
-        for f in monos:
-            for g in monos:
-                lhs = graphical_star(f, g, cochain, trunc=trunc, cap=cap)
-                rhs = star(f, g, cochain, problem.budget).truncated(trunc)
-                if lhs != rhs:
-                    mismatches.append((repr(f), repr(g)))
+        mismatches = quantize_compare(cochain, monos, trunc, cap, problem.budget)
         report.verdict(f"compare ({len(monos) ** 2} pairs, order {trunc})",
                        not mismatches)
         report.doc["pairs"] = len(monos) ** 2
-        report.doc["mismatches"] = [list(m) for m in mismatches]
+        report.doc["mismatches"] = [[repr(f), repr(g)] for f, g in mismatches]
     else:
         raise UsageError(f"unknown quantize subcommand {sub!r}")
 

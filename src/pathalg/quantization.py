@@ -25,7 +25,7 @@ from math import comb, factorial, prod
 
 from .quiver_core import Element, Path, PolyScalar, Quiver, UsageError
 from .reduction_engine import DEFAULT_BUDGET, ReductionSystem, Rule, reduce_full
-from .star_product import DefectReport, DeformationCochain, mc_check
+from .star_product import DefectReport, DeformationCochain, mc_check, star
 
 __all__ = [
     "HBAR",
@@ -38,6 +38,7 @@ __all__ = [
     "schouten_jacobi_check",
     "poisson_to_cochain",
     "quantize_check",
+    "quantize_compare",
     "KGraph",
     "MAX_STRATUM",
     "enumerate_graphs",
@@ -80,11 +81,18 @@ def monomial(quiver: Quiver, exponents: dict[int, int] | tuple[int, ...],
                              if coeff is None else coeff})
 
 
+@lru_cache(maxsize=None)
+def _names(d: int) -> tuple[str, ...]:
+    """The arrow names x1..xd."""
+    return tuple(f"x{i}" for i in range(1, d + 1))
+
+
 def _exponents(a: Element, d: int) -> dict[tuple[int, ...], PolyScalar]:
     """A polynomial in x1..xd as {exponent tuple: coefficient}."""
+    names = _names(d)
     out: dict[tuple[int, ...], PolyScalar] = {}
     for p, c in a.terms.items():
-        e = tuple(p.arrows.count(f"x{i}") for i in range(1, d + 1))
+        e = tuple(map(p.arrows.count, names))
         out[e] = out[e] + c if e in out else c
     return out
 
@@ -93,10 +101,22 @@ def _element(quiver: Quiver, a: dict[tuple[int, ...], PolyScalar]) -> Element:
     """The normal-form element of an exponent form: exponent i counts the
     arrow named x{i}, whatever the order the arrows were declared in."""
     one = Path._trusted(quiver, (), quiver.vertices[0])
+    names = _names(len(next(iter(a), ())))
     return Element(quiver, {
-        Path._trusted(quiver, tuple(f"x{i}" for i, n in enumerate(e, 1)
+        Path._trusted(quiver, tuple(x for x, n in zip(names, e)
                                     for _ in range(n)), None)
         if any(e) else one: c for e, c in a.items()})
+
+
+def _truncated(a: dict, n: int | None) -> dict:
+    """An exponent form cut at parameter order n, coefficient by coefficient
+    as ``Element.truncated`` cuts, without the coefficients that vanish."""
+    out = {}
+    for e, c in a.items():
+        c = c.truncated(n)
+        if not c.is_zero():
+            out[e] = c
+    return out
 
 
 def _derive(a: dict, m: tuple[int, ...]) -> dict:
@@ -209,6 +229,36 @@ def quantize_check(cochain: DeformationCochain, *, budget: int = DEFAULT_BUDGET)
     words are exactly x_k x_j x_i with k > j > i.
     """
     return mc_check(cochain, budget)
+
+
+def quantize_compare(cochain: DeformationCochain, factors: list[Element],
+                     trunc: int, cap: int = 4, budget: int = DEFAULT_BUDGET
+                     ) -> list[tuple[Element, Element]]:
+    """The pairs (f, g) of ``factors`` whose graph expansion up to stratum
+    ``cap`` (``graphical_star``) differs from the reduction star, both cut at
+    parameter order ``trunc``.
+
+    Each factor's exponent form and its two reaches are read once, and the
+    two sides of a pair are compared as exponent forms.  That is exact on the
+    commutator system, the only one ``quantize`` admits (see
+    ``cli._commutator_dimension``): its normal words are the sorted words
+    ``_element`` builds, one per exponent tuple.  The pairs run f by f, then
+    g by g, graph side first, so an error (a stratum above MAX_STRATUM, an
+    exhausted budget) is the one the first failing pair meets.
+    """
+    d = len(cochain.system.quiver.arrow_names())
+    strata, (rows, mgs) = _summed_table(d, trunc, cap)
+    forms = [_exponents(f, d) for f in factors]
+    reach_f = [_reach(fe, rows) for fe in forms]
+    reach_g = [_reach(ge, mgs) for ge in forms]
+    mismatches = []
+    for f, fe, df in zip(factors, forms, reach_f):
+        for g, ge, dg in zip(factors, forms, reach_g):
+            lhs = _apply_operator(cochain, strata, rows, df, dg, trunc,
+                                  _exp_mul(fe, ge))
+            if lhs != _exponents(star(f, g, cochain, budget).truncated(trunc), d):
+                mismatches.append((f, g))
+    return mismatches
 
 
 # ---------------------------------------------------------------------------
@@ -505,36 +555,46 @@ def _reach(a: dict, counts) -> dict:
     return out
 
 
-def _apply_operator(cochain: DeformationCochain, key, table: tuple,
-                    fe: dict, ge: dict, trunc: int | None,
-                    total: dict) -> Element:
-    """``total`` plus the operator of ``table`` applied to the exponent forms
-    fe and ge, truncated at ``trunc``.
+def _apply_operator(cochain: DeformationCochain, key, rows: dict, df: dict,
+                    dg: dict, trunc: int | None, total: dict) -> dict:
+    """``total`` plus the operator of a table's ``rows`` applied to f and g,
+    truncated at ``trunc``, as an exponent form.
 
-    Only the rows (mf, mg) that fe and ge both reach are visited.  A row is
-    built once per cochain and ``key``, when it is first visited.
+    df and dg are the reaches (``_reach``) of f against the rows and of g
+    against the table's mg counts, so only the rows (mf, mg) that both reach
+    are visited.  A row is built once per cochain and ``key``, when it is
+    first visited.
     """
     built = cochain.__dict__.setdefault("_graph_operators", {}).setdefault(key, {})
-    rows, mgs = table
-    dg = _reach(ge, mgs)
-    for mf, df in (_reach(fe, rows) if dg else {}).items():
+    for mf, dfm in (df if dg else {}).items():
         for mg, items in rows[mf].items():
             if mg not in dg:
                 continue
             if (mf, mg) not in built:
                 built[mf, mg] = _graph_operator(items, cochain)
-            for e, c in _exp_mul(built[mf, mg], _exp_mul(df, dg[mg])).items():
+            for e, c in _exp_mul(built[mf, mg], _exp_mul(dfm, dg[mg])).items():
                 total[e] = total[e] + c if e in total else c
-    return _element(cochain.system.quiver, total).truncated(trunc)
+    return _truncated(total, trunc)
 
 
 def eval_graph(graph: KGraph, cochain: DeformationCochain, f: Element,
                g: Element, trunc: int | None = None) -> Element:
     """The bidifferential operator of a graph applied to (f, g)."""
-    d = len(cochain.system.quiver.arrow_names())
-    return _apply_operator(cochain, graph, _label_weights(graph, d),
-                           _exponents(f, d), _exponents(g, d),
-                           cochain.trunc if trunc is None else trunc, {})
+    quiver = cochain.system.quiver
+    d = len(quiver.arrow_names())
+    rows, mgs = _label_weights(graph, d)
+    return _element(quiver, _apply_operator(
+        cochain, graph, rows, _reach(_exponents(f, d), rows),
+        _reach(_exponents(g, d), mgs),
+        cochain.trunc if trunc is None else trunc, {}))
+
+
+def _summed_table(d: int, trunc: int, cap: int) -> tuple[int, tuple]:
+    """(strata, table) of the graph expansion at order ``trunc``: strata
+    beyond the order cannot contribute, and none may be above MAX_STRATUM."""
+    strata = min(trunc, cap)
+    _check_stratum(strata)
+    return strata, _stratum_weights(d, strata)
 
 
 def graphical_star(f: Element, g: Element, cochain: DeformationCochain,
@@ -550,12 +610,13 @@ def graphical_star(f: Element, g: Element, cochain: DeformationCochain,
         trunc = cochain.trunc
     if trunc is None:
         raise UsageError("graphical_star needs a finite truncation order")
-    d = len(cochain.system.quiver.arrow_names())
-    strata = min(trunc, cap)
-    _check_stratum(strata)
+    quiver = cochain.system.quiver
+    d = len(quiver.arrow_names())
+    strata, (rows, mgs) = _summed_table(d, trunc, cap)
     fe, ge = _exponents(f, d), _exponents(g, d)
-    return _apply_operator(cochain, strata, _stratum_weights(d, strata),
-                           fe, ge, trunc, _exp_mul(fe, ge))
+    return _element(quiver, _apply_operator(
+        cochain, strata, rows, _reach(fe, rows), _reach(ge, mgs), trunc,
+        _exp_mul(fe, ge)))
 
 
 # ---------------------------------------------------------------------------

@@ -575,6 +575,33 @@ def test_compare_order_defaults_to_the_file_order_up_to_3(tmp_path):
         assert f"compare (36 pairs, order {order}): pass" in out.splitlines()
 
 
+# a d=2 quadratic bracket at order 4: the stratum-1 graphs alone miss its
+# order-2 terms
+QUADRATIC2 = ("vertex 0\narrow x1 : 0 -> 0\narrow x2 : 0 -> 0\nparam hbar\n"
+              "set trunc 4\nrule x2*x1 -> x1*x2\n"
+              "deform x2*x1 -> hbar*x1*x2 + 2*hbar*x2*x2\n")
+
+
+@pytest.mark.parametrize("text, args, last", [
+    (LIE, ["--cap", "1"],
+     '{"command": "quantize", "mismatches": [["x3*x3", "x2*x2"]], '
+     '"pairs": 100, "verdict": "fail"}'),
+    (QUADRATIC2, ["--trunc", "2", "--cap", "1"],
+     '{"command": "quantize", "mismatches": [["x2", "x1*x1"], ["x2*x2", "x1"], '
+     '["x2*x2", "x1*x2"], ["x2*x2", "x1*x1"], ["x1*x2", "x1*x1"]], '
+     '"pairs": 36, "verdict": "fail"}'),
+], ids=["d3-cap1", "d2-trunc2-cap1"])
+def test_failing_compare_lists_its_mismatches_in_pair_order(tmp_path, text,
+                                                             args, last):
+    """The whole last line of a failing compare: the pairs that differ, in
+    the order the pairs run (f, then g, over the monomials)."""
+    p = tmp_path / "problem.txt"
+    p.write_text(text)
+    code, out = run([str(p), "quantize", "compare", *args])
+    assert code == 1
+    assert out.splitlines()[-1] == last
+
+
 @pytest.mark.parametrize("param", ["hbar", "t"])
 def test_quantize_jacobi_reads_the_declared_parameter(tmp_path, param):
     """The bracket of NON_JACOBI fails jacobi and check alike, whatever the

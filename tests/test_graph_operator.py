@@ -36,9 +36,10 @@ from pathalg.quantization import (
     graphical_star,
     monomial,
     poisson_to_cochain,
+    quantize_compare,
 )
 from pathalg.quiver_core import Element, PolyScalar
-from pathalg.star_product import DeformationCochain
+from pathalg.star_product import DeformationCochain, star
 
 # -- the eager reference ------------------------------------------------------
 
@@ -204,7 +205,8 @@ def polynomials(draw, d: int, trunc: int, max_terms: int = 3,
 
 @st.composite
 def cases(draw):
-    """(a maker of fresh equal cochains, f, g, trunc, cap) in d = 1..3."""
+    """(a maker of fresh equal cochains, f, g, trunc, cap) in d = 1..3.  The
+    maker takes an optional order to build the cochain at instead."""
     d = draw(st.integers(1, 3))
     cochain_trunc = draw(st.integers(1, 3))
     trunc = draw(st.integers(1, 3))
@@ -220,9 +222,9 @@ def cases(draw):
     f = draw(polynomials(d, factor_trunc, kinds=kinds))
     g = draw(polynomials(d, factor_trunc, kinds=kinds))
 
-    def cochain():
+    def cochain(order=cochain_trunc):
         eta = PoissonBivector(d, entries)
-        return poisson_to_cochain(eta, trunc=cochain_trunc)
+        return poisson_to_cochain(eta, trunc=order)
 
     return cochain, f, g, trunc, cap
 
@@ -324,3 +326,20 @@ def test_dense_factors_match_the_eager_build():
     for f, g in ((dense, dense), (dense, monomial(q, (2, 0, 1)))):
         got = graphical_star(f, g, poisson_to_cochain(eta, trunc=3))
         assert got == ref_graphical_star(f, g, poisson_to_cochain(eta, trunc=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases(), st.integers(1, 2))
+def test_compare_returns_the_pairs_whose_stars_differ(case, cap):
+    """quantize_compare on the four pairs of [f, g] returns exactly the pairs
+    where graphical_star differs from the reduction star cut at the same
+    order.  The cochain is built at order 3 and cut at order 2, so the cut
+    can remove terms, and a cap of 1 leaves out stratum 2, so both verdicts
+    occur."""
+    make, f, g, _, _ = case
+    cochain, other = make(3), make(3)
+    trunc = 2
+    want = [(a, b) for a in (f, g) for b in (f, g)
+            if graphical_star(a, b, other, trunc, cap)
+            != star(a, b, other).truncated(trunc)]
+    assert quantize_compare(cochain, [f, g], trunc, cap) == want
