@@ -509,7 +509,7 @@ def _cmd_gauge(problem: ProblemFile, args, flags, report: Report):
                              line_no)
         values[head][parser.parse_path(lhs, line_no)] = \
             parser.parse_element(rhs, line_no)
-    psi = GaugeOnArrows(problem.system, values["gauge"], trunc=cochain.trunc)
+    psi = GaugeOnArrows(problem.system, values["gauge"])
     primed = DeformationCochain(problem.system, values["deform"],
                                 trunc=cochain.trunc)
     report.verdict("gauge", gauge_check(psi, cochain, primed, problem.budget))
@@ -606,7 +606,7 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
         report.verdict("associativity", result.verdict)
     elif sub == "compare":
         cochain = problem.cochain(flags.trunc)
-        default = 3 if cochain.trunc is None else min(cochain.trunc, 3)
+        default = min(cochain.trunc, 3) if cochain.formal else 3
         trunc = default if flags.trunc is None else flags.trunc
         monos = _monomials_up_to(problem.quiver, d, 2)
         mismatches = quantize_compare(cochain, monos, trunc, cap, problem.budget)

@@ -7,8 +7,8 @@ gauge action T = id + psi*t linearizes to a map from 1-cochains to
 2-cochains.  HH^2 is the kernel of the first map modulo the image of the
 second.  Both maps are sums of normal forms of single words taken along
 right-most rewrites, and each distinct word is reduced once, with the
-undeformed rules; only the part of a coefficient free of parameters enters,
-so the parameters of the rules are set to 0 whatever their names.  One
+undeformed rules entered at order 0: the parameters of the rules are set to 0
+whatever their names (a parameter times a cochain term lies past t).  One
 incremental exact elimination (``Echelon``) gives the kernel, the image and
 the representatives.  Every vector is a ``Vector``: a {column: value} dict
 that stores no zero.
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quiver_core import Element, Path, PolyScalar, UsageError, _mono_deg, _mono_mul, _q
+from .quiver_core import Element, Path, PolyScalar, UsageError, _mono_mul, _q
 from .reduction_engine import (
     DEFAULT_BUDGET,
     ReductionSystem,
@@ -143,12 +143,6 @@ class Hh2Result:
     representatives: list[dict[Path, Element]]
 
 
-def _order_zero(c: PolyScalar) -> dict:
-    """The monomials of c free of parameters: the part of c that survives in
-    t*c modulo t^2."""
-    return {m: q for m, q in c.terms.items() if not _mono_deg(m, c.params)}
-
-
 def _first_order_map(R: ReductionSystem, basis, budget: int,
                      normal_forms: dict | None):
     """The kernel of both maps: ``image(rewrites, where)`` sums c * red(q u r)
@@ -156,33 +150,29 @@ def _first_order_map(R: ReductionSystem, basis, budget: int,
     ``reduce_full``, and the basis vectors j = (s, u), and yields
     ((target, j), entry) for every nonzero entry.
 
-    Only the order-zero part of c counts.  Each distinct word is reduced
-    once per ``normal_forms`` memo (a fresh one if None), with the undeformed
-    rules at truncation order 1, and only the order-zero part of its normal
-    form is kept.  The memo is keyed as in ``reduce_full``: by arrow word, or
-    by the trivial path u for a word of length 0.  An entry that is not
+    R is entered at order 0 by the callers, so no coefficient holds a
+    parameter.  Each distinct word is reduced once per ``normal_forms`` memo
+    (a fresh one if None), keyed as in ``reduce_full``: by arrow word, or by
+    the trivial path u for a word of length 0.  An entry that is not
     rational raises a usage error naming ``where``.
     """
     by_side: dict[tuple, list[tuple[int, Path]]] = {}
     for j, (s, u) in enumerate(basis):
         by_side.setdefault(s.arrows, []).append((j, u))
-    one = PolyScalar.rational(1, trunc=1)
     if normal_forms is None:
-        normal_forms = {}  # word -> [(path, order-zero coefficient)]
+        normal_forms = {}  # word -> [(path, coefficient terms)]
 
     def image(rewrites, where: str):
         sums: dict[tuple[Path, int], dict] = {}  # (target, j) -> monomials
         for (head, side, tail), c in rewrites:
-            c = _order_zero(c)
-            for j, u in (by_side.get(side, ()) if c else ()):
+            for j, u in by_side.get(side, ()):
                 w = head + u.arrows + tail or u  # u is parallel to the side
                 if w not in normal_forms:
-                    red = reduce_full(Element.from_path(_path(R.quiver, w), one), R, budget)
-                    nf = ((p, _order_zero(a)) for p, a in red.terms.items())
-                    normal_forms[w] = [(p, a) for p, a in nf if a]
+                    red = reduce_full(Element.from_path(_path(R.quiver, w)), R, budget)
+                    normal_forms[w] = [(p, a.terms) for p, a in red.terms.items()]
                 for target, a in normal_forms[w]:
                     entry = sums.setdefault((target, j), {})
-                    for m1, q1 in c.items():
+                    for m1, q1 in c.terms.items():
                         for m2, q2 in a.items():
                             m = _mono_mul(m1, m2)
                             entry[m] = entry.get(m, 0) + q1 * q2
@@ -205,14 +195,15 @@ def cocycle_space(R: ReductionSystem, bound: int | None = None,
     On the overlap uvw, the order-t defect of t*(s -> u) sums c * red(q u r)
     over the rewrites c*(q s r) that resolve the overlap (``resolve_overlap``).
     Rows are keyed by (overlap index, path).  ``normal_forms`` is a word memo
-    to share with ``coboundary_space`` on the same R.
+    to share with ``coboundary_space`` on the same R.  R is entered at order 0.
     """
+    R = R.truncated(0)
     basis = two_cochain_basis(R, bound)
     image = _first_order_map(R, basis, budget, normal_forms)
     rows: dict[tuple[int, Path], Vector] = {}
     for idx, amb in enumerate(overlaps(R.lhs_set()) if basis else ()):
         rewrites: list = []
-        resolve_overlap(amb, R, 1, budget, rewrites)
+        resolve_overlap(amb, R, budget, rewrites)
         for (p, j), q in image(rewrites, f"the defect on the overlap {amb.word!r}"):
             rows.setdefault((idx, p), {})[j] = q
     matrix = [rows[k] for k in sorted(rows, key=lambda k: (k[0], k[1].sort_key()))]
@@ -232,8 +223,9 @@ def coboundary_space(R: ReductionSystem, bound: int | None = None,
     w = p_{<i} u p_{>i} with p_i = x.  When R satisfies the diamond
     condition, red(w) is the product T(x_1) * ... * T(x_m) of the gauge
     T = id + psi*t read at order t.  ``normal_forms`` is as for
-    ``cocycle_space``.
+    ``cocycle_space``, and R is entered at order 0 as there.
     """
+    R = R.truncated(0)
     basis2 = two_cochain_basis(R, bound)
     index = {pair: i for i, pair in enumerate(basis2)}
     basis1 = one_cochain_basis(R, bound)

@@ -23,9 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .quiver_core import Element, Path, PolyScalar, Quiver, UsageError
+from .quiver_core import Element, Path, PolyScalar, Quiver, UsageError, lowest_order
 from .reduction_engine import DEFAULT_BUDGET, ReductionSystem, Rule, reduce_full
-from .star_product import DefectReport, DeformationCochain, mc_check, star
+from .star_product import DefectReport, DeformationCochain, _entered, mc_check, star
 
 __all__ = [
     "HBAR",
@@ -108,17 +108,6 @@ def _element(quiver: Quiver, a: dict[tuple[int, ...], PolyScalar]) -> Element:
         if any(e) else one: c for e, c in a.items()})
 
 
-def _truncated(a: dict, n: int | None) -> dict:
-    """An exponent form cut at parameter order n, coefficient by coefficient
-    as ``Element.truncated`` cuts, without the coefficients that vanish."""
-    out = {}
-    for e, c in a.items():
-        c = c.truncated(n)
-        if not c.is_zero():
-            out[e] = c
-    return out
-
-
 def _derive(a: dict, m: tuple[int, ...]) -> dict:
     """The divided derivative prod_i (1/m_i!) d^{m_i}/dx_i^{m_i} of a: it
     takes x^e to prod_i C(e_i, m_i) x^(e - m), and to 0 if some m_i > e_i."""
@@ -131,10 +120,10 @@ def _derive(a: dict, m: tuple[int, ...]) -> dict:
 
 
 def _exp_mul(a: dict, b: dict) -> dict:
-    """The product of two exponent forms.  A coefficient of b that is a plain
-    rational (no truncation order, no parameters) scales: the same product."""
-    bq = [(e2, c2, c2.terms[()] if c2.trunc is None and not c2.params
-           and c2.is_rational() else None) for e2, c2 in b.items()]
+    """The product of two exponent forms.  A coefficient of b that is a
+    rational with no order lies in every ring, so it scales: the same product."""
+    bq = [(e2, c2, c2.terms[()] if c2.trunc is None and c2.is_rational() else None)
+          for e2, c2 in b.items()]
     out: dict = {}
     for e1, c1 in a.items():
         for e2, c2, q in bq:
@@ -213,12 +202,14 @@ def schouten_jacobi_check(eta: PoissonBivector) -> DefectReport:
 
 
 def poisson_to_cochain(eta: PoissonBivector, trunc: int = 4) -> DeformationCochain:
-    """First-order cochain phitilde(x_j x_i) = eta_ji * hbar."""
+    """First-order cochain phitilde(x_j x_i) = eta_ji * hbar, at the lowest
+    of ``trunc`` and the entries' orders."""
+    trunc = lowest_order(trunc, *(v.order() for v in eta.entries.values()))
     hbar = PolyScalar.var(HBAR, is_param=True, trunc=trunc)
     values = {}
     for (j, i), v in eta.entries.items():
         s = eta.quiver.path(f"x{j}", f"x{i}")
-        values[s] = v.scale(hbar)
+        values[s] = v.truncated(trunc).scale(hbar)
     return DeformationCochain(eta.system, values, trunc=trunc)
 
 
@@ -235,8 +226,8 @@ def quantize_compare(cochain: DeformationCochain, factors: list[Element],
                      trunc: int, cap: int = 4, budget: int = DEFAULT_BUDGET
                      ) -> list[tuple[Element, Element]]:
     """The pairs (f, g) of ``factors`` whose graph expansion up to stratum
-    ``cap`` (``graphical_star``) differs from the reduction star, both cut at
-    parameter order ``trunc``.
+    ``cap`` (``graphical_star``) differs from the reduction star, both at
+    the lowest of ``trunc`` and the orders of the cochain and the factors.
 
     Each factor's exponent form and its two reaches are read once, and the
     two sides of a pair are compared as exponent forms.  That is exact on the
@@ -248,15 +239,15 @@ def quantize_compare(cochain: DeformationCochain, factors: list[Element],
     """
     d = len(cochain.system.quiver.arrow_names())
     strata, (rows, mgs) = _summed_table(d, trunc, cap)
-    forms = [_exponents(f, d) for f in factors]
+    cochain, *entered = _entered(cochain, trunc, *factors)
+    forms = [_exponents(f, d) for f in entered]
     reach_f = [_reach(fe, rows) for fe in forms]
     reach_g = [_reach(ge, mgs) for ge in forms]
     mismatches = []
-    for f, fe, df in zip(factors, forms, reach_f):
-        for g, ge, dg in zip(factors, forms, reach_g):
-            lhs = _apply_operator(cochain, strata, rows, df, dg, trunc,
-                                  _exp_mul(fe, ge))
-            if lhs != _exponents(star(f, g, cochain, budget).truncated(trunc), d):
+    for f, fn, fe, df in zip(factors, entered, forms, reach_f):
+        for g, gn, ge, dg in zip(factors, entered, forms, reach_g):
+            lhs = _apply_operator(cochain, strata, rows, df, dg, _exp_mul(fe, ge))
+            if lhs != _exponents(star(fn, gn, cochain, budget), d):
                 mismatches.append((f, g))
     return mismatches
 
@@ -556,9 +547,9 @@ def _reach(a: dict, counts) -> dict:
 
 
 def _apply_operator(cochain: DeformationCochain, key, rows: dict, df: dict,
-                    dg: dict, trunc: int | None, total: dict) -> dict:
+                    dg: dict, total: dict) -> dict:
     """``total`` plus the operator of a table's ``rows`` applied to f and g,
-    truncated at ``trunc``, as an exponent form.
+    as an exponent form, in the cochain's ring (f and g entered into it).
 
     df and dg are the reaches (``_reach``) of f against the rows and of g
     against the table's mg counts, so only the rows (mf, mg) that both reach
@@ -573,20 +564,22 @@ def _apply_operator(cochain: DeformationCochain, key, rows: dict, df: dict,
             if (mf, mg) not in built:
                 built[mf, mg] = _graph_operator(items, cochain)
             for e, c in _exp_mul(built[mf, mg], _exp_mul(dfm, dg[mg])).items():
-                total[e] = total[e] + c if e in total else c
-    return _truncated(total, trunc)
+                c = total.pop(e) + c if e in total else c
+                if not c.is_zero():
+                    total[e] = c
+    return total
 
 
 def eval_graph(graph: KGraph, cochain: DeformationCochain, f: Element,
                g: Element, trunc: int | None = None) -> Element:
     """The bidifferential operator of a graph applied to (f, g)."""
+    cochain, f, g = _entered(cochain, trunc, f, g)
     quiver = cochain.system.quiver
     d = len(quiver.arrow_names())
     rows, mgs = _label_weights(graph, d)
     return _element(quiver, _apply_operator(
         cochain, graph, rows, _reach(_exponents(f, d), rows),
-        _reach(_exponents(g, d), mgs),
-        cochain.trunc if trunc is None else trunc, {}))
+        _reach(_exponents(g, d), mgs), {}))
 
 
 def _summed_table(d: int, trunc: int, cap: int) -> tuple[int, tuple]:
@@ -606,27 +599,30 @@ def graphical_star(f: Element, g: Element, cochain: DeformationCochain,
     1..min(trunc, cap) are applied as one summed table, added to f*g; that
     stratum may not be above MAX_STRATUM.
     """
-    if trunc is None:
-        trunc = cochain.trunc
+    trunc = cochain.trunc if trunc is None else trunc
     if trunc is None:
         raise UsageError("graphical_star needs a finite truncation order")
     quiver = cochain.system.quiver
     d = len(quiver.arrow_names())
     strata, (rows, mgs) = _summed_table(d, trunc, cap)
+    cochain, f, g = _entered(cochain, trunc, f, g)
     fe, ge = _exponents(f, d), _exponents(g, d)
     return _element(quiver, _apply_operator(
-        cochain, strata, rows, _reach(fe, rows), _reach(ge, mgs), trunc,
-        _exp_mul(fe, ge)))
+        cochain, strata, rows, _reach(fe, rows), _reach(ge, mgs), _exp_mul(fe, ge)))
 
 
 # ---------------------------------------------------------------------------
 # Moyal product and gauge transformation for constant Poisson structures
 
 
-def _constant_entries(eta: PoissonBivector) -> dict[tuple[int, int], PolyScalar]:
+def _constant_entries(eta: PoissonBivector, trunc: int, *factors: Element):
+    """(order, {(j, i): constant entry}, factors) entered at the lowest of
+    ``trunc`` and the orders the entries and the factors carry."""
     if not eta.is_constant():
         raise UsageError("this operation needs a constant Poisson bivector")
-    return {ji: next(iter(v.terms.values())) for ji, v in eta.entries.items()}
+    n = lowest_order(trunc, *(a.order() for a in (*eta.entries.values(), *factors)))
+    return (n, {ji: next(iter(v.terms.values())).truncated(n) for ji, v in eta.entries.items()},
+            [a.truncated(n) for a in factors])
 
 
 def _exp_series(form: dict, ops: list, trunc: int) -> dict:
@@ -654,8 +650,9 @@ def moyal(f: Element, g: Element, eta: PoissonBivector, trunc: int = 4) -> Eleme
     """The Moyal product exp((hbar/2) sum eta_ji (d_j x d_i - d_i x d_j)), as
     a series on f x g in 2d variables, each term multiplied out at the end."""
     d = eta.d
+    trunc, consts, (f, g) = _constant_entries(eta, trunc, f, g)
     ops = [(c.scale(sign), _unit(d, a) + _unit(d, b))
-           for (j, i), c in _constant_entries(eta).items()
+           for (j, i), c in consts.items()
            for sign, a, b in ((1, j, i), (-1, i, j))]
     fg = {a + b: ca * cb for a, ca in _exponents(f, d).items()
           for b, cb in _exponents(g, d).items()}
@@ -663,11 +660,11 @@ def moyal(f: Element, g: Element, eta: PoissonBivector, trunc: int = 4) -> Eleme
     for ab, c in _exp_series(fg, ops, trunc).items():
         e = tuple(x + y for x, y in zip(ab[:d], ab[d:]))
         total[e] = total[e] + c if e in total else c
-    return _element(eta.quiver, total).truncated(trunc)
+    return _element(eta.quiver, total)
 
 
 def gauge_phi(f: Element, eta: PoissonBivector, trunc: int = 4) -> Element:
     """Phi(f) = exp((hbar/2) sum eta_ji d^2/dx_i dx_j)(f)."""
-    ops = [(c, _unit(eta.d, i, j)) for (j, i), c in _constant_entries(eta).items()]
-    phi = _exp_series(_exponents(f, eta.d), ops, trunc)
-    return _element(eta.quiver, phi).truncated(trunc)
+    trunc, consts, (f,) = _constant_entries(eta, trunc, f)
+    ops = [(c, _unit(eta.d, i, j)) for (j, i), c in consts.items()]
+    return _element(eta.quiver, _exp_series(_exponents(f, eta.d), ops, trunc))

@@ -8,27 +8,37 @@ integral and as a ``Fraction`` otherwise; the two mix exactly under ``+ - *``
 division has to go through ``Fraction``.  Symbols are split into two roles:
 *deformation parameters* (t, hbar, ...) which count toward the truncation
 order, and *unknowns* (lam, mu, ...) which never get truncated.
+
+A computation works in one coefficient ring, k[params]/(params)^(n+1) over
+the unknowns.  Values enter it through one cut (``truncated``) at its order,
+the lowest of the one asked for and its inputs' (``lowest_order``); inside,
+arithmetic that would mix two orders raises ``RingError``.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "UsageError",
+    "RingError",
     "Quiver",
     "Path",
     "PolyScalar",
     "Element",
     "AdmissibleOrder",
     "compose",
+    "lowest_order",
 ]
 
 
 class UsageError(ValueError):
     """Raised for malformed inputs (wrong quiver, undeclared symbols, ...)."""
+
+
+class RingError(RuntimeError):
+    """Scalars of two coefficient rings met: a value skipped its entry cut."""
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +259,14 @@ def _mono_key(m: Mono):
 
 
 class PolyScalar:
-    """Multivariate polynomial over Q with optional parameter-degree truncation.
+    """Multivariate polynomial over Q in the ring (``trunc``, ``params``).
 
     ``params`` names the symbols whose total degree is capped by ``trunc``
     (None = unbounded); all other symbols are unknowns and never truncated.
-    Instances are never changed after construction, so the lowest parameter
-    degree is worked out at most once (``_low``, None until asked for).
+    The operands of an operation lie in one ring (``_ring``), or it raises
+    ``RingError``.  Instances are never changed after construction, so the
+    lowest parameter degree is worked out at most once (``_low``, None until
+    asked for).
     """
 
     __slots__ = ("terms", "trunc", "params", "_low")
@@ -271,30 +283,20 @@ class PolyScalar:
     @classmethod
     def _exact(cls, terms: dict[Mono, int | Fraction], trunc: int | None,
                params: frozenset[str]) -> "PolyScalar":
-        """Construct from exact coefficients without converting them.
-
-        Only zero coefficients are dropped; callers guarantee int or Fraction
-        coefficients, a frozenset of params and no monomial over the truncation.
-        """
+        """Construct from ``terms`` as it is: callers guarantee nonzero int or
+        Fraction coefficients, a frozenset of params and no term over trunc."""
         ps = object.__new__(cls)
         ps.trunc = trunc
         ps.params = params
-        ps.terms = {m: c for m, c in terms.items() if c}
+        ps.terms = terms
         ps._low = None
         return ps
-
-    @classmethod
-    def _cut(cls, terms: dict[Mono, int | Fraction], trunc: int | None,
-             params: frozenset[str]) -> "PolyScalar":
-        """``_exact`` for terms that may lie over the truncation: drops them."""
-        if trunc is not None:
-            terms = {m: c for m, c in terms.items() if _mono_deg(m, params) <= trunc}
-        return cls._exact(terms, trunc, params)
 
     # -- constructors -----------------------------------------------------
     @staticmethod
     def rational(q, trunc: int | None = None, params: frozenset[str] = frozenset()) -> "PolyScalar":
-        return PolyScalar._cut({_ONE: _q(q)}, trunc, frozenset(params))
+        q = _q(q)
+        return PolyScalar._exact({_ONE: q} if q else {}, trunc, frozenset(params))
 
     @staticmethod
     def zero(trunc: int | None = None, params: frozenset[str] = frozenset()) -> "PolyScalar":
@@ -326,27 +328,37 @@ class PolyScalar:
             self._low = min((_mono_deg(m, ps) for m in self.terms), default=0) if ps else 0
         return self._low
 
-    def symbols(self) -> set[str]:
-        return {n for m in self.terms for n, _ in m}
+    def _uses(self, params: frozenset[str]) -> bool:
+        """Whether a term holds a symbol of ``params``."""
+        return any(n in params for m in self.terms for n, _ in m)
 
-    def _merge_meta(self, other: "PolyScalar") -> tuple[int | None, frozenset[str]]:
-        if self.trunc is None:
-            tr = other.trunc
-        elif other.trunc is None:
-            tr = self.trunc
+    def _ring(self, other: "PolyScalar") -> tuple[int | None, frozenset[str]]:
+        """The one ring of self and other: their order on the union of their
+        params (no symbol a parameter of one and an unknown of the other), or
+        the ring of one side if the other has no order and no parameter term."""
+        a, b = self, other
+        if a.trunc == b.trunc:
+            if a.params == b.params:
+                return a.trunc, a.params
+            if not (a._uses(b.params - a.params) or b._uses(a.params - b.params)):
+                return a.trunc, a.params | b.params
         else:
-            tr = min(self.trunc, other.trunc)
-        return tr, self.params | other.params
+            if a.trunc is not None:
+                a, b = b, a
+            if a.trunc is None and not a._uses(a.params | b.params):
+                return b.trunc, b.params
+        raise RingError(f"{self!r} at order {self.trunc} in {sorted(self.params)} meets "
+                        f"{other!r} at order {other.trunc} in {sorted(other.params)}")
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other: "PolyScalar") -> "PolyScalar":
-        tr, ps = self._merge_meta(other)
+        tr, ps = self._ring(other)
         d = dict(self.terms)
         for m, c in other.terms.items():
-            d[m] = d[m] + c if m in d else c
-        if self.trunc == other.trunc and self.params == other.params:
-            return PolyScalar._exact(d, tr, ps)  # no term can lie over the order
-        return PolyScalar._cut(d, tr, ps)
+            d[m] = c = d.get(m, 0) + c
+            if not c:
+                del d[m]
+        return PolyScalar._exact(d, tr, ps)
 
     def __sub__(self, other: "PolyScalar") -> "PolyScalar":
         return self + (-other)
@@ -355,19 +367,18 @@ class PolyScalar:
         return PolyScalar._exact({m: -c for m, c in self.terms.items()}, self.trunc, self.params)
 
     def __mul__(self, other: "PolyScalar") -> "PolyScalar":
-        tr, ps = meta = self._merge_meta(other)
-        # the rational 1 times x is x when x's trunc and params are the product's
-        if self.terms == _UNIT and meta == (other.trunc, other.params):
+        tr, ps = self._ring(other)
+        if self.terms == _UNIT:  # the rational 1 times x is x
             return other
-        if other.terms == _UNIT and meta == (self.trunc, self.params):
+        if other.terms == _UNIT:
             return self
         outer, inner = self.terms, other.terms
         if len(inner) == 1 < len(outer):
             # a one-term operand goes outside, so the other is walked once; the
             # products are distinct and come out in the same order
             outer, inner = inner, outer
-        # pair two monomials only if their parameter degrees, counted with the
-        # merged params, sum to at most the truncation
+        # pair two monomials only if their parameter degrees sum to at most
+        # the truncation
         cut = tr is not None and bool(ps)
         d: dict[Mono, int | Fraction] = {}
         for m1, c1 in outer.items():
@@ -376,11 +387,11 @@ class PolyScalar:
                 if cut and _mono_deg(m2, ps) > room:
                     continue
                 m = _mono_mul(m1, m2)
-                c = c1 * c2
-                d[m] = d[m] + c if m in d else c
+                d[m] = c = d.get(m, 0) + c1 * c2
+                if not c:
+                    del d[m]
         out = PolyScalar._exact(d, tr, ps)
-        if (out.terms and self.params == other.params
-                and self._low is not None and other._low is not None):
+        if d and self._low is not None and other._low is not None:
             out._low = self._low + other._low  # Q[symbols] is a domain
         return out
 
@@ -388,7 +399,8 @@ class PolyScalar:
         q = _q(q)
         if q == 1:
             return self
-        return PolyScalar._exact({m: c * q for m, c in self.terms.items()}, self.trunc, self.params)
+        return PolyScalar._exact({m: c * q for m, c in self.terms.items()} if q else {},
+                                 self.trunc, self.params)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyScalar) and self.terms == other.terms
@@ -398,9 +410,14 @@ class PolyScalar:
 
     # -- extraction -------------------------------------------------------
     def truncated(self, n: int | None) -> "PolyScalar":
-        if n is None or self.trunc is not None and n >= self.trunc:
-            return self  # the order cuts nothing
-        return PolyScalar._cut(self.terms, n, self.params)
+        """The scalar entered at order n: cut to n, unless n is None or it has
+        an order of at most n, or none and no parameter term (then itself)."""
+        if n is None or (self.trunc <= n if self.trunc is not None
+                         else not self._uses(self.params)):
+            return self
+        ps = self.params
+        return PolyScalar._exact({m: c for m, c in self.terms.items() if _mono_deg(m, ps) <= n},
+                                 n, ps)
 
     def coefficient_of(self, name: str, power: int) -> "PolyScalar":
         """The coefficient of name**power (the symbol is removed)."""
@@ -432,19 +449,20 @@ def _poly_text(terms: Iterable[tuple[Mono, int | Fraction]]) -> str:
         else:
             s = _rational_str(c)
         bits.append(s)
-    if not bits:
-        return "0"
-    out = bits[0]
+    return _joined(bits)
+
+
+def _joined(bits: list[str]) -> str:
+    """Signed terms joined by " + " and " - "; "0" when there are none."""
+    out = bits[0] if bits else "0"
     for s in bits[1:]:
         out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
     return out
 
 
-def _grade(c: PolyScalar) -> tuple[int, float]:
-    """(lowest parameter degree, truncation minus it): a factor whose lowest
-    degree exceeds the second entry multiplies ``c`` to zero."""
-    low = c.min_param_degree()
-    return low, math.inf if c.trunc is None else c.trunc - low
+def lowest_order(*orders: int | None) -> int | None:
+    """The lowest of ``orders`` that is not None (None if none is)."""
+    return min((n for n in orders if n is not None), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +534,9 @@ class Element:
     def __mul__(self, other: "Element") -> "Element":
         if self.quiver is not other.quiver:
             raise UsageError("elements from different quivers")
-        # skip a pair whose lowest parameter degrees (each counted with its own
-        # params) already sum over either truncation: its product is zero
-        right = [(q, cq, *_grade(cq)) for q, cq in other.terms.items()]
         d: dict[Path, PolyScalar] = {}
         for p, cp in self.terms.items():
-            lp, rp = _grade(cp)
-            for q, cq, lq, rq in right:
-                if lq > rp or lp > rq:
-                    continue
+            for q, cq in other.terms.items():
                 pq = compose(p, q)
                 if pq is None:
                     continue
@@ -542,18 +554,20 @@ class Element:
     def __hash__(self):
         return hash(frozenset((p, frozenset(c.terms.items())) for p, c in self.terms.items()))
 
+    def order(self) -> int | None:
+        """The lowest order a coefficient carries, None if none has one."""
+        return lowest_order(*(c.trunc for c in self.terms.values()))
+
     def truncated(self, n: int | None) -> "Element":
-        if n is None or all(c.trunc is not None and c.trunc <= n
-                            for c in self.terms.values()):
-            return self  # the order cuts nothing
+        """The element entered at order n: itself when that cuts nothing."""
+        if all(c.truncated(n) is c for c in self.terms.values()):
+            return self
         return Element(self.quiver, {p: c.truncated(n) for p, c in self.terms.items()})
 
     def coefficient_of(self, name: str, power: int) -> "Element":
         return Element(self.quiver, {p: c.coefficient_of(name, power) for p, c in self.terms.items()})
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
         bits = []
         for p, c in self.sorted_terms():
             cs = repr(c)
@@ -565,10 +579,7 @@ class Element:
                 bits.append(f"({cs})*{p!r}")
             else:
                 bits.append(f"{cs}*{p!r}")
-        out = bits[0]
-        for s in bits[1:]:
-            out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
-        return out
+        return _joined(bits)
 
 
 # ---------------------------------------------------------------------------

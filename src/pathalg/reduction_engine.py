@@ -23,6 +23,7 @@ from .quiver_core import (
     PolyScalar,
     Quiver,
     UsageError,
+    lowest_order,
 )
 
 __all__ = [
@@ -164,6 +165,8 @@ class ReductionSystem:
         self.graded = {r.lhs: sorted(((c.min_param_degree(), p.arrows, p, c)
                                       for p, c in r.rhs.terms.items()),
                                      key=lambda term: term[0]) for r in self.rules}
+        # the order of the ring the right sides lie in (None: exact)
+        self.trunc = lowest_order(*(t[3].trunc for ts in self.graded.values() for t in ts))
         # word -> (rank, right-most split (i, j, side) or None), filled by reduce_full
         self.ranks: dict = {}
         # bound -> sorted irreducible paths up to it, filled by star_product
@@ -183,6 +186,13 @@ class ReductionSystem:
 
     def lhs_set(self) -> LeftSides:
         return self._sides
+
+    def truncated(self, n: int | None) -> "ReductionSystem":
+        """The system with its right sides entered at order n: itself when
+        that cuts nothing."""
+        rules = [Rule(r.lhs, r.rhs.truncated(n)) for r in self.rules]
+        same = all(new.rhs is r.rhs for new, r in zip(rules, self.rules))
+        return self if same else ReductionSystem(self.quiver, rules, validate=False)
 
     def __repr__(self):
         return f"ReductionSystem({len(self.rules)} rules)"
@@ -286,7 +296,7 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET,
         raise UsageError("budget must be positive")
     S = R.lhs_set()
     quiver = a.quiver
-    ranks, graded = R.ranks, R.graded
+    ranks, graded, order = R.ranks, R.graded, R.trunc
     limit = len(ranks) + budget
     done: dict = {}  # word -> PolyScalar
     pending: dict = {}  # word -> (coefficient, level)
@@ -338,8 +348,8 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET,
         if rewrites is not None:
             rewrites.append(((head, s.arrows, tail), c))
         # c * head * phi_s * tail; the graded terms stop at the first whose
-        # lowest parameter degree exceeds c.trunc - low(c), and low(c) is the level
-        room = math.inf if c.trunc is None else c.trunc - level
+        # lowest parameter degree exceeds the ring's order less low(c), the level
+        room = math.inf if order is None else order - level
         for low, m, p, cm in graded[s]:
             if low > room:
                 break
@@ -496,10 +506,10 @@ def _pumpable(states: list[Path], quiver: Quiver, S: LeftSides) -> bool:
 # Diamond check and completion
 # ---------------------------------------------------------------------------
 
-def resolve_overlap(amb: Ambiguity, R: ReductionSystem, trunc: int | None = None,
-                    budget: int = DEFAULT_BUDGET, rewrites: list | None = None) -> Element:
-    """red(phi_uv * w) - red(u * phi_vw) on the overlap uvw, each product cut
-    at ``trunc``.  phi_uv and phi_vw are the normal forms of uv and vw (right
+def resolve_overlap(amb: Ambiguity, R: ReductionSystem, budget: int = DEFAULT_BUDGET,
+                    rewrites: list | None = None) -> Element:
+    """red(phi_uv * w) - red(u * phi_vw) on the overlap uvw, in the ring of
+    R's right sides.  phi_uv and phi_vw are the normal forms of uv and vw (right
     sides are irreducible), so on a deformed system this is the associator
     (u*v)*w - u*(v*w) of the star product; the diamond condition is its
     vanishing at phitilde = 0.  ``rewrites``, if given, receives the rewrites
@@ -509,8 +519,8 @@ def resolve_overlap(amb: Ambiguity, R: ReductionSystem, trunc: int | None = None
     u, v, w = amb.factors
     by_word = R.lhs_set().by_word
     uv, vw = by_word[u.arrows + v.arrows], by_word[v.arrows + w.arrows]
-    left = (R.by_lhs[uv].rhs * Element.from_path(w)).truncated(trunc)
-    right = (Element.from_path(u) * R.by_lhs[vw].rhs).truncated(trunc)
+    left = R.by_lhs[uv].rhs * Element.from_path(w)
+    right = Element.from_path(u) * R.by_lhs[vw].rhs
     if rewrites is not None:
         one = PolyScalar.rational(1)
         rewrites += [(((), uv.arrows, w.arrows), one),
@@ -523,7 +533,7 @@ def check_diamond(R: ReductionSystem, budget: int = DEFAULT_BUDGET) -> DiamondRe
     report = DiamondReport()
     for amb in overlaps(R.lhs_set()):
         try:
-            diff = resolve_overlap(amb, R, budget=budget)
+            diff = resolve_overlap(amb, R, budget)
         except BudgetExceeded:
             report.statuses.append((amb, "budget", None))
             continue

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiver_core import Element, Path, PolyScalar, UsageError
+from .quiver_core import Element, Path, PolyScalar, UsageError, lowest_order
 from .reduction_engine import (
     DEFAULT_BUDGET,
     ReductionSystem,
@@ -88,13 +88,14 @@ class DeformationCochain:
     Values must be parallel to s and irreducible.  In the formal setting every
     term must lie in the maximal ideal (strictly positive parameter degree);
     pass ``formal=False`` for the algebraized regime where termination comes
-    from a degree condition instead of truncation.
+    from a degree condition instead of truncation.  Its order is the lowest of
+    ``trunc`` and those of the values and rules, which are entered at it.
     """
 
     def __init__(self, system: ReductionSystem, values: dict[Path, Element],
                  trunc: int | None = 4, formal: bool = True):
         self.system = system
-        self.trunc = trunc
+        self.trunc = lowest_order(trunc, system.trunc, *(v.order() for v in values.values()))
         self.formal = formal
         S = system.lhs_set()
         vals: dict[Path, Element] = {}
@@ -106,12 +107,12 @@ class DeformationCochain:
                     raise UsageError(f"cochain value for {s!r} not parallel: {p!r}")
                 if not is_irreducible(p, S):
                     raise UsageError(f"cochain value for {s!r} has reducible term {p!r}")
-                if Z_SYMBOL in c.symbols():
+                if c._uses((Z_SYMBOL,)):
                     raise UsageError(f"symbol {Z_SYMBOL!r} is reserved")
                 if formal and c.min_param_degree() < 1:
                     raise UsageError(
                         f"cochain value for {s!r} has a parameter-degree-0 term")
-            v = v.truncated(trunc)
+            v = v.truncated(self.trunc)
             if not v.is_zero():
                 vals[s] = v
         self.values = vals
@@ -123,12 +124,19 @@ class DeformationCochain:
     def value(self, s: Path) -> Element:
         return self.values.get(s, Element.zero(self.system.quiver))
 
+    def truncated(self, n: int | None) -> "DeformationCochain":
+        """The cochain entered at order n: itself when that cuts nothing."""
+        if n is None or self.trunc is not None and n >= self.trunc:
+            return self
+        return DeformationCochain(self.system, self.values, n, self.formal)
+
     def _build_deformed(self, tag: PolyScalar | None = None) -> ReductionSystem:
-        """The rules s -> phi_s + phitilde_s, each value scaled by ``tag`` if given."""
+        """The rules s -> phi_s + phitilde_s at the cochain's order, each value
+        scaled by ``tag`` if given."""
         rules = []
         for rule in self.system.rules:
             value = self.value(rule.lhs)
-            rhs = rule.rhs + (value if tag is None else value.scale(tag))
+            rhs = rule.rhs.truncated(self.trunc) + (value if tag is None else value.scale(tag))
             rules.append(Rule(rule.lhs, rhs))
         # the base system's sides and right sides, plus values checked in __init__
         return ReductionSystem(self.system.quiver, rules, validate=False)
@@ -138,12 +146,11 @@ class DeformationCochain:
 
 
 class GaugeOnArrows:
-    """psi: arrows -> elements of positive parameter degree; T(x) = x + psi(x)."""
+    """psi: arrows -> elements of positive parameter degree; T(x) = x + psi(x).
+    ``gauge_check`` enters the values at the cochain's order."""
 
-    def __init__(self, system: ReductionSystem, values: dict[Path, Element],
-                 trunc: int | None = 4):
+    def __init__(self, system: ReductionSystem, values: dict[Path, Element]):
         self.system = system
-        self.trunc = trunc
         S = system.lhs_set()
         vals: dict[Path, Element] = {}
         for x, v in values.items():
@@ -157,18 +164,24 @@ class GaugeOnArrows:
                 if c.min_param_degree() < 1:
                     raise UsageError(f"gauge value for {x!r} has a parameter-degree-0 term")
             if not v.is_zero():
-                vals[x] = v.truncated(trunc)
+                vals[x] = v
         self.values = vals
 
     def t_of_arrow(self, x: Path) -> Element:
         return Element.from_path(x) + self.values.get(x, Element.zero(self.system.quiver))
 
 
+def _entered(cochain: DeformationCochain, trunc: int | None, *factors: Element):
+    """(cochain, *factors) entered at the lowest of their orders and trunc."""
+    n = lowest_order(trunc, cochain.trunc, *(a.order() for a in factors))
+    return cochain.truncated(n), *(a.truncated(n) for a in factors)
+
+
 def star(a: Element, b: Element, cochain: DeformationCochain,
          budget: int = DEFAULT_BUDGET) -> Element:
     """a * b followed by deformed reduction to normal form, all strata summed."""
-    prod = (a * b).truncated(cochain.trunc)
-    return reduce_full(prod, cochain._deformed, budget)
+    cochain, a, b = _entered(cochain, None, a, b)
+    return reduce_full(a * b, cochain._deformed, budget)
 
 
 def star_k(a: Element, b: Element, cochain: DeformationCochain, k: int,
@@ -176,11 +189,10 @@ def star_k(a: Element, b: Element, cochain: DeformationCochain, k: int,
     """The stratum of the star product using the deformation part exactly k times."""
     if k < 0:
         raise UsageError("k must be >= 0")
+    cochain, a, b = _entered(cochain, None, a, b)
     if cochain._tagged is None:
         cochain._tagged = cochain._build_deformed(PolyScalar.var(Z_SYMBOL))
-    prod = (a * b).truncated(cochain.trunc)
-    red = reduce_full(prod, cochain._tagged, budget)
-    return red.coefficient_of(Z_SYMBOL, k).truncated(cochain.trunc)
+    return reduce_full(a * b, cochain._tagged, budget).coefficient_of(Z_SYMBOL, k)
 
 
 @dataclass
@@ -205,7 +217,7 @@ def associator_defects(cochain: DeformationCochain, budget: int = DEFAULT_BUDGET
     """
     D = cochain._deformed
     for idx, amb in enumerate(overlaps(D.lhs_set())):
-        yield idx, amb.word, resolve_overlap(amb, D, cochain.trunc, budget)
+        yield idx, amb.word, resolve_overlap(amb, D, budget)
 
 
 def mc_check(cochain: DeformationCochain, budget: int = DEFAULT_BUDGET) -> DefectReport:
@@ -216,18 +228,18 @@ def mc_check(cochain: DeformationCochain, budget: int = DEFAULT_BUDGET) -> Defec
 
 def _t_of_element(a: Element, psi: GaugeOnArrows, cochain: DeformationCochain,
                   budget: int) -> Element:
-    """Extend T(x) = x + psi(x) multiplicatively (via star) and linearly."""
-    quiver = a.quiver
-    out = Element.zero(quiver)
-    for p, c in a.terms.items():
+    """Extend T(x) = x + psi(x), at the cochain's order, multiplicatively (via
+    star) and linearly."""
+    out = Element.zero(a.quiver)
+    for p, c in a.truncated(cochain.trunc).terms.items():
         if p.is_trivial:
             term = Element.from_path(p)
         else:
-            term = psi.t_of_arrow(p.subword(0, 1))
+            term = psi.t_of_arrow(p.subword(0, 1)).truncated(cochain.trunc)
             for i in range(1, len(p)):
                 term = star(term, psi.t_of_arrow(p.subword(i, i + 1)), cochain, budget)
         out = out + term.scale(c)
-    return out.truncated(cochain.trunc)
+    return out
 
 
 def gauge_check(psi: GaugeOnArrows, cochain: DeformationCochain,
@@ -238,16 +250,16 @@ def gauge_check(psi: GaugeOnArrows, cochain: DeformationCochain,
     For every rule left side s = x1...xm this checks
     T(phi_s + phitilde'_s) = red_deformed(T(x1) ... T(xm)) up to the truncation
     order, with T extended multiplicatively through the unprimed star product.
+    T and the primed right sides are entered at the cochain's order.
     """
-    trunc = cochain.trunc
+    primed = cochain_prime.truncated(cochain.trunc)._deformed
     for rule in cochain.system.rules:
         s = rule.lhs
-        lhs_arg = rule.rhs + cochain_prime.value(s)
-        lhs = _t_of_element(lhs_arg, psi, cochain, budget)
+        lhs = _t_of_element(primed.by_lhs[s].rhs, psi, cochain, budget)
         prod = psi.t_of_arrow(s.subword(0, 1))
         for i in range(1, len(s)):
             prod = prod * psi.t_of_arrow(s.subword(i, i + 1))
-        red = reduce_full(prod.truncated(trunc), cochain._deformed, budget)
-        if not (lhs - red).truncated(trunc).is_zero():
+        red = reduce_full(prod.truncated(cochain.trunc), cochain._deformed, budget)
+        if not (lhs - red).is_zero():
             return False
     return True

@@ -765,8 +765,9 @@ class TestSymbolPowers:
         trunc = 2  # hbar^3 lies above it and is 0
         quiver = Quiver(["0"], [])
         parser = ElementParser(quiver, ["hbar"], ["lam"], trunc)
+        # the rational 1 and the symbol in the parser's ring
         want = PolyScalar.rational(1, trunc=trunc, params=frozenset(["hbar"]))
-        v = PolyScalar.var(name, is_param=name == "hbar", trunc=trunc)
+        v = PolyScalar.var(name, is_param=name == "hbar", trunc=trunc, params=want.params)
         for _ in range(power):
             want = want * v
         got = parser.parse_element(f"{name}^{power}*e0")

@@ -54,7 +54,7 @@ def reference_coboundary_space(R, bound=None, budget=DEFAULT_BUDGET):
         t = PolyScalar.var("t", is_param=True, trunc=1)
         unknowns = {f"b[{i}]": i for i in range(len(basis1))}
         values = generic_values(R, basis1, unknowns)
-        psi = GaugeOnArrows(R, {x: v.scale(t) for x, v in values.items()}, trunc=1)
+        psi = GaugeOnArrows(R, {x: v.scale(t) for x, v in values.items()})
         for rule in R.rules:
             s = rule.lhs
             induced = _t_of_element(Element.from_path(s) - rule.rhs, psi, zero, budget)

@@ -180,7 +180,7 @@ def _reference_coboundary_columns(R, bound=None):
     zero = DeformationCochain(R, {}, trunc=1)
     columns = []
     for x, u in one_cochain_basis(R, bound):
-        psi = GaugeOnArrows(R, {x: Element.from_path(u, t)}, trunc=1)
+        psi = GaugeOnArrows(R, {x: Element.from_path(u, t)})
         col = [Fraction(0)] * len(index)
         for rule in R.rules:
             s = rule.lhs

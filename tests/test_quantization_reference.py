@@ -71,14 +71,17 @@ def ref_schouten_jacobi_defects(eta: PoissonBivector) -> list:
     return defects
 
 
-def _constants(eta: PoissonBivector) -> dict:
+def _constants(eta: PoissonBivector, trunc: int) -> dict:
+    """The constant entries, entered at the order of the series (the one
+    ring of a computation)."""
     if not eta.is_constant():
         raise UsageError("this operation needs a constant Poisson bivector")
-    return {ji: next(iter(v.terms.values())) for ji, v in eta.entries.items()}
+    return {ji: next(iter(v.terms.values())).truncated(trunc)
+            for ji, v in eta.entries.items()}
 
 
 def ref_moyal(f: Element, g: Element, eta: PoissonBivector, trunc: int = 4) -> Element:
-    consts = _constants(eta)
+    consts = _constants(eta, trunc)
     hbar_half = PolyScalar.var(HBAR, is_param=True, trunc=trunc).scale(Fraction(1, 2))
     terms = [(PolyScalar.rational(1, trunc=trunc), f, g)]
     total = Element.zero(eta.quiver)
@@ -103,7 +106,7 @@ def ref_moyal(f: Element, g: Element, eta: PoissonBivector, trunc: int = 4) -> E
 
 
 def ref_gauge_phi(f: Element, eta: PoissonBivector, trunc: int = 4) -> Element:
-    consts = _constants(eta)
+    consts = _constants(eta, trunc)
     hbar_half = PolyScalar.var(HBAR, is_param=True, trunc=trunc).scale(Fraction(1, 2))
     total = Element.zero(eta.quiver)
     current = [(PolyScalar.rational(1, trunc=trunc), f)]

@@ -17,10 +17,12 @@ from pathalg.quiver_core import (
     Path,
     PolyScalar,
     Quiver,
+    RingError,
     UsageError,
     _mono_deg,
     _mono_mul,
     compose,
+    lowest_order,
 )
 
 
@@ -117,10 +119,19 @@ class TestPolyScalar:
         lam = PolyScalar.var("lam", trunc=2)
         assert not (lam * lam * lam).is_zero()
 
-    def test_trunc_meta_takes_minimum(self):
+    def test_two_truncated_rings_do_not_meet(self):
+        """Scalars at two orders raise, whatever the operation; entered at
+        one order first (the lower), they combine in its ring."""
         a = PolyScalar.var("t", is_param=True, trunc=5)
-        b = PolyScalar.rational(1, trunc=2)
-        assert (a * b).trunc == 2
+        b = PolyScalar.rational(1, trunc=2, params=a.params)
+        for op in _BINARY.values():
+            with pytest.raises(RingError):
+                op(a, b)
+            with pytest.raises(RingError):
+                op(b, a)
+        assert (a.truncated(2) * b).trunc == 2
+        # a rational with no order lies in every ring
+        assert a * PolyScalar.rational(3) == a.scale(3)
 
     def test_coefficient_of(self):
         t = PolyScalar.var("t", is_param=True, trunc=3)
@@ -146,14 +157,18 @@ class TestExactArithmetic:
         assert p * p == PolyScalar.rational(1) + (t * t).scale(2)
         assert max(_mono_deg(m, p.params) for m in (p * p * t).terms) <= 3
 
-    def test_sums_drop_terms_above_the_smaller_trunc(self):
+    def test_sums_take_exact_terms_only_through_the_entry_cut(self):
+        """An exact sum with parameter terms does not meet a truncated ring:
+        it is cut on entry, which drops the terms above the order."""
         t = PolyScalar.var("t", is_param=True)
         t3 = t * t * t
         assert not t3.is_zero()
         low = PolyScalar.rational(1, trunc=2, params=t.params)
-        assert t3 + low == PolyScalar.rational(1)
-        assert (t3 + low).trunc == 2
-        assert -(t3 + low) == PolyScalar.rational(-1)
+        with pytest.raises(RingError):
+            t3 + low
+        assert t3.truncated(2) + low == PolyScalar.rational(1)
+        assert (t3.truncated(2) + low).trunc == 2
+        assert -(t3.truncated(2) + low) == PolyScalar.rational(-1)
 
     def test_cancellation_leaves_no_zero_terms(self):
         t = PolyScalar.var("t", is_param=True, trunc=2)
@@ -260,12 +275,14 @@ _CYCLE_PATHS = [Path(_CYCLE, vertex="1"), Path(_CYCLE, vertex="2"),
                 _CYCLE.path("b", "a"), _CYCLE.path("a", "b", "a")]
 
 
-def _reference_mul(a: PolyScalar, b: PolyScalar) -> dict:
-    """Every monomial pair formed, then the terms over the merged
-    truncation (degrees counted with the merged params) dropped."""
-    truncs = [t for t in (a.trunc, b.trunc) if t is not None]
-    trunc = min(truncs) if truncs else None
-    params = a.params | b.params
+def _ref_deg(m, params) -> int:
+    return sum(e for n, e in m if n in params)
+
+
+def _reference_mul(a: PolyScalar, b: PolyScalar, ring) -> dict:
+    """Every monomial pair formed, then the terms over the ring's truncation
+    dropped."""
+    trunc, params = ring
     d: dict = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
@@ -275,47 +292,60 @@ def _reference_mul(a: PolyScalar, b: PolyScalar) -> dict:
             m = tuple(sorted(exps.items()))
             d[m] = d.get(m, 0) + c1 * c2
     return {m: c for m, c in d.items() if c and (
-        trunc is None or sum(e for n, e in m if n in params) <= trunc)}
+        trunc is None or _ref_deg(m, params) <= trunc)}
 
 
 def _ref_low(terms: dict, params) -> int:
     """The lowest parameter degree, recomputed from the terms."""
-    return min((sum(e for n, e in m if n in params) for m in terms), default=0)
+    return min((_ref_deg(m, params) for m in terms), default=0)
+
+
+def _in_ring(x: PolyScalar, ring) -> bool:
+    """Whether x lies in the ring: it has the ring's order and params, or no
+    order and no term in a parameter."""
+    return (x.trunc, x.params) == ring or x.trunc is None and not any(
+        _ref_deg(m, ring[1] | x.params) for m in x.terms)
 
 
 monomial = st.lists(st.integers(0, 3), min_size=4, max_size=4).map(
     lambda exps: tuple(sorted((n, e) for n, e in zip(_SYMBOLS, exps) if e)))
+# a monomial in the unknowns lam and mu only
+unknown_monomial = st.lists(st.integers(0, 3), min_size=2, max_size=2).map(
+    lambda exps: tuple((n, e) for n, e in zip(("lam", "mu"), exps) if e))
 coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-# one truncation order and one set of params per side, as for the
-# coefficients of one computation; either may differ between the sides
-side = st.tuples(st.one_of(st.none(), st.integers(0, 3)),
+# one coefficient ring: a truncation order (or none) and a set of params
+ring = st.tuples(st.one_of(st.none(), st.integers(0, 3)),
                  st.frozensets(st.sampled_from(["t", "h"])))
 
 
 @st.composite
-def _poly(draw, meta):
-    trunc, params = meta
-    terms = draw(st.dictionaries(monomial, coefficient, max_size=4))
-    return PolyScalar(terms, trunc, params)
+def _poly(draw, ring):
+    """A scalar in the ring, or in a third of the draws one with no order
+    whose terms are in the unknowns, which lies in every ring."""
+    trunc, params = ring
+    if draw(st.integers(0, 2)):
+        return PolyScalar(draw(st.dictionaries(monomial, coefficient, max_size=4)),
+                          trunc, params)
+    return PolyScalar(draw(st.dictionaries(unknown_monomial, coefficient, max_size=3)),
+                      None, draw(st.sampled_from([frozenset(), params])))
 
 
 @st.composite
-def _element(draw, meta):
+def _element(draw, ring):
     paths = draw(st.lists(st.sampled_from(_CYCLE_PATHS), max_size=4, unique=True))
-    return Element(_CYCLE, {p: draw(_poly(meta)) for p in paths})
+    return Element(_CYCLE, {p: draw(_poly(ring)) for p in paths})
 
 
 def _pair(operand):
-    """Two operands, each drawn with its own side's trunc and params."""
-    return st.tuples(side, side).flatmap(
-        lambda metas: st.tuples(operand(metas[0]), operand(metas[1])))
+    """(ring, a, b): two operands drawn in one ring."""
+    return ring.flatmap(lambda r: st.tuples(st.just(r), operand(r), operand(r)))
 
 
-def _unit_or_poly(meta):
-    """The rational 1 in a third of the draws, else a polynomial."""
-    return st.one_of(_poly(meta), _poly(meta),
-                     st.builds(PolyScalar.rational, st.just(1), st.just(meta[0]),
-                               st.just(meta[1])))
+def _unit_or_poly(ring):
+    """The rational 1 of the ring, or with no order, in a third of the
+    draws, else a polynomial."""
+    return st.one_of(_poly(ring), _poly(ring), st.sampled_from(
+        [PolyScalar.rational(1), PolyScalar.rational(1, ring[0], ring[1])]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -332,38 +362,48 @@ def test_mono_mul_matches_a_dict_and_a_sort(a, b):
     assert _mono_mul(a, b) == tuple(sorted(exps.items()))
 
 
-_TWO_PLUS_T2 = PolyScalar({(("t", 2),): 1, (): 2}, None, frozenset({"t"}))
+_T_RING = (1, frozenset({"t"}))
+_TWO_PLUS_T = PolyScalar({(("t", 1),): 1, (): 2}, *_T_RING)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_pair(_unit_or_poly))
-# a 1 with a lower trunc, and a 1 with a param the other lacks: no shortcut
-@example((PolyScalar.rational(1, 1, frozenset({"t"})), _TWO_PLUS_T2))
-@example((_TWO_PLUS_T2, PolyScalar.rational(1, 1, frozenset())))
-@example((PolyScalar.rational(1, None, frozenset({"h"})), _TWO_PLUS_T2))
-# a 1 that widens neither: the other factor itself
-@example((PolyScalar.rational(1), _TWO_PLUS_T2))
-@example((_TWO_PLUS_T2, PolyScalar.rational(1, None, frozenset({"t"}))))
-def test_graded_scalar_product_matches_reference(pair):
-    """The product against the reference, and the rational 1 times x is x
-    itself exactly when x's trunc and params are the product's."""
-    a, b = pair
+# the ring's 1 and the 1 with no order, on either side: the other factor
+@example((_T_RING, PolyScalar.rational(1, *_T_RING), _TWO_PLUS_T))
+@example((_T_RING, _TWO_PLUS_T, PolyScalar.rational(1)))
+def test_graded_scalar_product_matches_reference(case):
+    """The product against the reference in the operands' one ring, and the
+    rational 1 times x is x itself."""
+    r, a, b = case
     a.min_param_degree(), b.min_param_degree()  # known, so a product may carry them
     ab = a * b
-    truncs = [t for t in (a.trunc, b.trunc) if t is not None]
-    assert ab.terms == _reference_mul(a, b)
-    assert ab.trunc == (min(truncs) if truncs else None)
-    assert ab.params == a.params | b.params
-    assert ab.min_param_degree() == _ref_low(ab.terms, ab.params)
-    shortcut = any(one.terms == {(): 1} and (x.trunc, x.params) == (ab.trunc, ab.params)
-                   for one, x in ((a, b), (b, a)))
-    assert (ab is a or ab is b) == shortcut
+    assert ab.terms == _reference_mul(a, b, r)
+    assert _in_ring(ab, r)
+    assert ab.min_param_degree() == _ref_low(ab.terms, r[1])
+    assert (ab is a or ab is b) == any(one.terms == {(): 1} for one in (a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2), st.integers(1, 3), st.frozensets(st.sampled_from(["t", "h"]),
+                                                          min_size=1), st.data())
+def test_scalars_of_two_orders_raise(low, gap, params, data):
+    """Two scalars with parameter terms at two orders meet in no ring: every
+    operation raises, in either order of the operands."""
+    param_term = st.sampled_from(sorted(params)).map(lambda n: ((n, 1),))
+    a, b = (PolyScalar({data.draw(param_term): 1, **data.draw(
+        st.dictionaries(monomial, coefficient.filter(bool), max_size=2))}, n, params)
+        for n in (low, low + gap))
+    for op in _BINARY.values():
+        with pytest.raises(RingError):
+            op(a, b)
+        with pytest.raises(RingError):
+            op(b, a)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_pair(_element))
-def test_graded_element_product_matches_reference(pair):
-    a, b = pair
+def test_graded_element_product_matches_reference(case):
+    r, a, b = case
     want: dict = {}
     for p, cp in a.terms.items():
         for q, cq in b.terms.items():
@@ -371,11 +411,53 @@ def test_graded_element_product_matches_reference(pair):
             if pq is None:
                 continue
             acc = want.setdefault(pq, {})
-            for m, c in _reference_mul(cp, cq).items():
+            for m, c in _reference_mul(cp, cq, r).items():
                 acc[m] = acc.get(m, 0) + c
     want = {p: {m: c for m, c in d.items() if c} for p, d in want.items()}
     assert {p: c.terms for p, c in (a * b).terms.items()} == \
         {p: d for p, d in want.items() if d}
+
+
+# -- ring laws on elements of one ring ----------------------------------------
+
+def _laws(a: Element, b: Element, c: Element) -> list[str]:
+    """The ring laws of + - * that fail on a, b, c."""
+    laws = {"+ associates": ((a + b) + c, a + (b + c)),
+            "* associates": ((a * b) * c, a * (b * c)),
+            "* distributes over + on the left": (a * (b + c), a * b + a * c),
+            "* distributes over + on the right": ((a + b) * c, a * c + b * c),
+            "- undoes +": ((a + b) - b, a),
+            "- associates": ((a - b) - c, a - (b + c))}
+    return [name for name, (x, y) in laws.items() if x != y]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring.flatmap(lambda r: st.tuples(*[_element(r)] * 3)))
+def test_elements_of_one_ring_satisfy_the_ring_laws(triple):
+    """Addition, subtraction and multiplication of elements entered into
+    one ring (coefficients in it, or with no order and no parameter term)
+    associate and distribute: no grouping cuts differently."""
+    assert _laws(*triple) == []
+
+
+def test_elements_of_two_orders_meet_only_through_the_entry_cut():
+    """a = hbar^2*x at order 3, b = hbar*x and c = -hbar*x at order 1 lie
+    in two rings.  Mixing them raised nothing before, and (a + b) + c was 0
+    while a + (b + c) was hbar^2*x; now it raises.  Entered at the lowest
+    order, a is 0 and the laws hold."""
+    x = _Q.path("x")
+    h2 = PolyScalar({(("hbar", 2),): 1}, 3, frozenset({"hbar"}))
+    h1 = PolyScalar.var("hbar", is_param=True, trunc=1)
+    a, b, c = Element.from_path(x, h2), Element.from_path(x, h1), Element.from_path(x, -h1)
+    for op in _BINARY.values():
+        with pytest.raises(RingError):
+            op(a, b)
+        with pytest.raises(RingError):
+            op(b, a)
+    n = lowest_order(a.order(), b.order(), c.order())
+    assert n == 1
+    a, b, c = (e.truncated(n) for e in (a, b, c))
+    assert a.is_zero() and _laws(a, b, c) == []
 
 
 # -- int coefficients when integral, against a Fraction-only reference -----
@@ -388,25 +470,36 @@ exact = st.one_of(st.integers(-3, 3),
 
 def _ref_cut(terms: dict, trunc, params) -> tuple:
     return ({m: c for m, c in terms.items() if c and (
-        trunc is None or sum(e for n, e in m if n in params) <= trunc)},
-            trunc, params)
+        trunc is None or _ref_deg(m, params) <= trunc)}, trunc, params)
 
 
-def _ref_apply(op: str, a: tuple, b: tuple, q: Fraction, n) -> tuple:
-    """One operation on (Fraction terms, trunc, params) triples."""
+def _ref_fits(x: tuple) -> bool:
+    """A (terms, trunc, params) triple with no order and no parameter term."""
+    terms, trunc, params = x
+    return trunc is None and not any(_ref_deg(m, params) for m in terms)
+
+
+def _ref_truncated(x: tuple, n) -> tuple:
+    """The entry cut: x itself unless n is lower than its order, or x has
+    no order and parameter terms."""
+    terms, trunc, params = x
+    if n is None or (trunc is not None and trunc <= n) or _ref_fits(x):
+        return x
+    return _ref_cut(terms, n, params)
+
+
+def _ref_apply(op: str, a: tuple, b: tuple, q: Fraction) -> tuple:
+    """One operation on (Fraction terms, trunc, params) triples of one ring:
+    the order they share (params joined), or the order of the one that has
+    one when the other has no order and no parameter term."""
     ta, tra, pa = a
     if op == "scale":
         return _ref_cut({m: c * q for m, c in ta.items()}, tra, pa)
-    if op == "truncated":
-        tr = n if tra is None else (n if n is not None and n < tra else tra)
-        return _ref_cut(ta, tr, pa)
     tb, trb, pb = b
-    truncs = [t for t in (tra, trb) if t is not None]
-    tr, ps = (min(truncs) if truncs else None), pa | pb
+    tr, ps = (tra, pa | pb) if tra == trb else (trb, pb) if _ref_fits(a) else (tra, pa)
     if op == "*":
-        return _ref_cut(_reference_mul(SimpleNamespace(terms=ta, trunc=tra, params=pa),
-                                       SimpleNamespace(terms=tb, trunc=trb, params=pb)),
-                        tr, ps)
+        return _ref_cut(_reference_mul(SimpleNamespace(terms=ta), SimpleNamespace(terms=tb),
+                                       (tr, ps)), tr, ps)
     sign = 1 if op == "+" else -1
     d = dict(ta)
     for m, c in tb.items():
@@ -416,10 +509,18 @@ def _ref_apply(op: str, a: tuple, b: tuple, q: Fraction, n) -> tuple:
 
 @st.composite
 def _program(draw):
-    """Two polynomials with int or Fraction coefficients, a scale factor,
-    a truncation order and a sequence of operations."""
-    sides = [draw(side), draw(side)]
-    terms = [draw(st.dictionaries(monomial, exact, max_size=4)) for _ in sides]
+    """Two polynomials in one ring, each in it or with no order and terms in
+    the unknowns only, with int or Fraction coefficients; a scale factor, a
+    truncation order and a sequence of operations."""
+    trunc, params = draw(ring)
+    sides, terms = [], []
+    for _ in range(2):
+        if draw(st.integers(0, 2)):
+            sides.append((trunc, params))
+            terms.append(draw(st.dictionaries(monomial, exact, max_size=4)))
+        else:
+            sides.append((None, draw(st.sampled_from([frozenset(), params]))))
+            terms.append(draw(st.dictionaries(unknown_monomial, exact, max_size=3)))
     return (terms, sides, draw(exact), draw(st.one_of(st.none(), st.integers(0, 3))),
             draw(st.lists(st.sampled_from(_OPS), min_size=1, max_size=5)))
 
@@ -430,7 +531,8 @@ def test_coefficients_are_ints_when_integral(program, b_low_known):
     """Each operation against the reference, and the kernel's shortcuts
     against it too: the lowest degree that a product carries over from its
     factors (which happens when both already know theirs, so ``b`` is asked
-    first in half the draws), and truncations that cut nothing."""
+    first in half the draws), and truncations that cut nothing.  A
+    truncation enters both operands at the order, so they stay in one ring."""
     terms, sides, q, n, ops = program
     a, b = (PolyScalar(t, tr, ps) for t, (tr, ps) in zip(terms, sides))
     ref_a, ref_b = (_ref_cut({m: Fraction(c) for m, c in t.items()}, tr, frozenset(ps))
@@ -442,13 +544,15 @@ def test_coefficients_are_ints_when_integral(program, b_low_known):
         assert b.min_param_degree() == _ref_low(*ref_b[::2])
     for op in ops:
         before = a
-        a = (a.scale(q) if op == "scale" else a.truncated(n) if op == "truncated"
-             else _BINARY[op](a, b))
-        ref_a = _ref_apply(op, ref_a, ref_b, Fraction(q), n)
+        if op == "truncated":
+            a, b = a.truncated(n), b.truncated(n)
+            ref_a, ref_b = _ref_truncated(ref_a, n), _ref_truncated(ref_b, n)
+            assert (a is before) == (ref_a[1:] == (before.trunc, before.params))
+        else:
+            a = a.scale(q) if op == "scale" else _BINARY[op](a, b)
+            ref_a = _ref_apply(op, ref_a, ref_b, Fraction(q))
         assert a.terms == ref_a[0] and a.trunc == ref_a[1] and a.params == ref_a[2]
         assert a.min_param_degree() == _ref_low(ref_a[0], ref_a[2])
-        if op == "truncated" and (n is None or before.trunc is not None and n >= before.trunc):
-            assert a is before
         assert all(type(c) in (int, Fraction) for c in a.terms.values())
         if integral:
             assert all(type(c) is int for c in a.terms.values())
@@ -457,10 +561,12 @@ def test_coefficients_are_ints_when_integral(program, b_low_known):
 @settings(max_examples=60, deadline=None)
 @given(_element((2, frozenset({"t"}))), st.one_of(st.none(), st.integers(0, 3)))
 def test_element_truncation_cuts_only_below_its_order(x, n):
+    """Entering at order n cuts the coefficients at order 2 when n is
+    lower; one with no order and no parameter term lies in every ring and
+    stays.  When nothing is cut, the element itself comes back."""
     cut = x.truncated(n)
-    if n is None or n >= 2:
-        assert cut is x
-    else:
-        assert {p: c.terms for p, c in cut.terms.items()} == {
-            p: d for p, d in ((p, _ref_cut(c.terms, n, c.params)[0])
-                              for p, c in x.terms.items()) if d}
+    exact = all(c.trunc is None for c in x.terms.values())
+    assert (cut is x) == (n is None or n >= 2 or exact)
+    assert {p: c.terms for p, c in cut.terms.items()} == {
+        p: d for p, d in ((p, c.terms if c.trunc is None else _ref_cut(c.terms, n, c.params)[0])
+                          for p, c in x.terms.items()) if d}

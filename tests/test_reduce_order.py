@@ -131,13 +131,14 @@ terms = st.lists(
     min_size=1, max_size=4)
 
 
-def _element(q: Quiver, terms) -> Element:
-    a = Element.zero(q)
+def _element(R: ReductionSystem, terms) -> Element:
+    """An element in the ring of R's right sides: at their order, with
+    hbar a parameter."""
+    a = Element.zero(R.quiver)
     for start, choices, c, hdeg in terms:
-        # the rules' coefficients carry the truncation order
         coeff = PolyScalar({(("hbar", hdeg),) if hdeg else (): Fraction(c)},
-                           params=frozenset({"hbar"}))
-        a = a + Element.from_path(_walk(q, start, choices), coeff)
+                           R.trunc, frozenset({"hbar"}))
+        a = a + Element.from_path(_walk(R.quiver, start, choices), coeff)
     return a
 
 
@@ -146,7 +147,7 @@ def _element(q: Quiver, terms) -> Element:
 @given(terms=terms)
 def test_worklist_matches_lifo_reference(name, terms):
     q, R = SYSTEMS[name]
-    a = _element(q, terms)
+    a = _element(R, terms)
     assert reduce_full(a, R) == lifo_normal_form(a, R)
 
 
@@ -167,7 +168,7 @@ def test_rewrite_record_replays_the_normal_form(name, terms, budget):
     normal form; the record changes neither the result nor the raise point.
     Each call gets a fresh copy of the system, so no ranks are shared."""
     q, R = SYSTEMS[name]
-    a = _element(q, terms)
+    a = _element(R, terms)
     rewrites: list = []
     try:
         got = reduce_full(a, ReductionSystem(q, R.rules), budget, rewrites)
@@ -193,12 +194,14 @@ def test_rewrite_record_replays_the_normal_form(name, terms, budget):
 @pytest.mark.parametrize("trunc", [None, 1])
 def test_overlap_record_replays_the_defect(name, trunc):
     """From uvw - uvw, the rewrites that resolve an overlap sum to its
-    defect; passing the record changes no defect."""
+    defect, with the system entered at ``trunc``; passing the record changes
+    no defect."""
     q, R = SYSTEMS[name]
+    R = R.truncated(trunc)
     for amb in overlaps(R.lhs_set()):
         rewrites: list = []
-        defect = resolve_overlap(amb, R, trunc, 10_000, rewrites)
-        assert defect == resolve_overlap(amb, R, trunc, 10_000)
+        defect = resolve_overlap(amb, R, 10_000, rewrites)
+        assert defect == resolve_overlap(amb, R, 10_000)
         replay = Element.zero(q)
         for record, c in rewrites:
             head, s, tail = _split_paths(q, record)

@@ -153,14 +153,12 @@ class TestMaurerCartan:
 class TestGauge:
     def test_identity_gauge_preserves_cochain(self, deformed_two_cycle):
         q, R, coc = deformed_two_cycle
-        psi = GaugeOnArrows(R, {}, trunc=coc.trunc)
+        psi = GaugeOnArrows(R, {})
         assert gauge_check(psi, coc, coc)
 
     def test_nontrivial_gauge_detects_mismatch(self, deformed_two_cycle):
         q, R, coc = deformed_two_cycle
-        psi = GaugeOnArrows(R, {q.path("a"):
-                                Element.from_path(q.path("a"), _t())},
-                            trunc=coc.trunc)
+        psi = GaugeOnArrows(R, {q.path("a"): Element.from_path(q.path("a"), _t())})
         assert not gauge_check(psi, coc, coc)
 
     def test_gauge_values_must_be_arrows(self, deformed_two_cycle):
@@ -397,6 +395,6 @@ def test_gauge_verdicts_match_reference(deformed_two_cycle):
         trunc=coc.trunc)
     for values, cochain_prime, verdict in [({}, coc, True), (scaled, coc, False),
                                            (scaled, primed, True)]:
-        psi = GaugeOnArrows(R, values, trunc=coc.trunc)
+        psi = GaugeOnArrows(R, values)
         assert gauge_check(psi, coc, cochain_prime) is verdict
         assert reference_gauge_check(psi, R, coc, cochain_prime) is verdict
