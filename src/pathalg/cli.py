@@ -38,6 +38,7 @@ from fractions import Fraction
 from .cohomology import hh2
 from .quantization import (
     HBAR,
+    MAX_STRATUM,
     PoissonBivector,
     enumerate_graphs,
     monomial,
@@ -576,7 +577,7 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
         raise UsageError("quantize needs a subcommand: "
                          "jacobi | check | graphs k | compare")
     sub = args[0]
-    cap = 4 if flags.cap is None else flags.cap
+    cap = MAX_STRATUM if flags.cap is None else flags.cap
     if cap < 1:
         raise UsageError("--cap must be >= 1 for quantize")
     if sub == "graphs":

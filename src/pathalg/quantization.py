@@ -54,6 +54,10 @@ HBAR = "hbar"  # the quantization parameter
 F_SLOT = -1
 G_SLOT = -2
 
+# the largest stratum that is enumerated: stratum 4 (1,754 graphs) takes about
+# 0.5 s, and stratum 5 has 15^5 target choices against 10^4
+MAX_STRATUM = 4
+
 
 @lru_cache(maxsize=None)
 def commutator_system(d: int) -> tuple[Quiver, ReductionSystem]:
@@ -223,11 +227,13 @@ def quantize_check(cochain: DeformationCochain, *, budget: int = DEFAULT_BUDGET)
 
 
 def quantize_compare(cochain: DeformationCochain, factors: list[Element],
-                     trunc: int, cap: int = 4, budget: int = DEFAULT_BUDGET
+                     trunc: int | None, cap: int = MAX_STRATUM,
+                     budget: int = DEFAULT_BUDGET
                      ) -> list[tuple[Element, Element]]:
     """The pairs (f, g) of ``factors`` whose graph expansion up to stratum
     ``cap`` (``graphical_star``) differs from the reduction star, both at
-    the lowest of ``trunc`` and the orders of the cochain and the factors.
+    the lowest of ``trunc`` (the cochain's order if None) and the orders of
+    the cochain and the factors.
 
     Each factor's exponent form and its two reaches are read once, and the
     two sides of a pair are compared as exponent forms.  That is exact on the
@@ -238,7 +244,7 @@ def quantize_compare(cochain: DeformationCochain, factors: list[Element],
     exhausted budget) is the one the first failing pair meets.
     """
     d = len(cochain.system.quiver.arrow_names())
-    strata, (rows, mgs) = _summed_table(d, trunc, cap)
+    strata, (rows, mgs) = _summed_table(cochain, trunc, cap)
     cochain, *entered = _entered(cochain, trunc, *factors)
     forms = [_exponents(f, d) for f in entered]
     reach_f = [_reach(fe, rows) for fe in forms]
@@ -327,18 +333,13 @@ def _discovery_key(orders) -> tuple:
     return tuple(key)
 
 
-# the largest stratum that is enumerated: stratum 4 (1,754 graphs) takes about
-# 0.5 s, and stratum 5 has 15^5 target choices against 10^4
-MAX_STRATUM = 4
-
-
 def _check_stratum(k: int) -> None:
     if k > MAX_STRATUM:
         raise UsageError(f"graph stratum {k} is above the limit {MAX_STRATUM}: "
                          f"strata above {MAX_STRATUM} are not enumerated")
 
 
-def enumerate_graphs(k: int, cap: int = 4) -> list[KGraph]:
+def enumerate_graphs(k: int, cap: int = MAX_STRATUM) -> list[KGraph]:
     """All graphs in the k-th stratum, canonical and isomorphism-free."""
     if k < 1:
         raise UsageError("k must be at least 1")
@@ -389,7 +390,6 @@ def _enumerate_graphs_cached(k: int) -> tuple[KGraph, ...]:
 # the star product.
 
 
-@lru_cache(maxsize=None)
 def _history_count(k: int, out_j: tuple[int, ...], out_i: tuple[int, ...],
                    orders: tuple, labels: tuple[tuple[int, int], ...]) -> int:
     order_map = dict(orders)
@@ -427,24 +427,23 @@ def _history_count(k: int, out_j: tuple[int, ...], out_i: tuple[int, ...],
 # graph evaluation
 
 
-@lru_cache(maxsize=None)
-def _label_weights(graph: KGraph, d: int) -> tuple:
-    """The integer part of a graph's operator in d variables.
+def _add_weights(weights: dict, graph: KGraph, d: int) -> None:
+    """Add the integer part of a graph's operator in d variables to
+    ``weights``, a dict {mf: {mg: {factors: weight}}}.
 
-    A table (rows, mgs): ``rows[mf][mg]`` is ((factors, weight), ...) for the
-    label counts mf and mg on the edges into f and g, and ``mgs`` is the set
-    of every mg.  ``factors`` is the sorted ((j, i), incoming label counts)
-    of the internal vertices, and the weight sums the replay multiplicities
-    over the insertion placements and the index labelings (i_v < j_v at each
-    vertex, labels weakly increasing along each incoming order) with that
-    key.  It depends on no cochain.
+    mf and mg are the label counts on the edges into f and g, ``factors`` is
+    the sorted ((j, i), incoming label counts) of the internal vertices, and
+    the weight sums the replay multiplicities over the insertion placements
+    and the index labelings (i_v < j_v at each vertex, labels weakly
+    increasing along each incoming order) with that key.  It depends on no
+    cochain.
     """
     k = graph.k
     order_map = dict(graph.orders)
     placements = [tuple(zip(*(pair if (mask >> v) & 1 else pair[::-1]
                               for v, pair in enumerate(graph.targets))))
                   for mask in range(2 ** k)]
-    weights: dict = {}
+    none = (0,) * d
     for pairs in itertools.product(
             itertools.combinations(range(1, d + 1), 2), repeat=k):
         labels = tuple((j, i) for i, j in pairs)
@@ -459,34 +458,37 @@ def _label_weights(graph: KGraph, d: int) -> tuple:
             else:
                 mult = _history_count(k, out_j, out_i, graph.orders, labels)
                 if mult:
-                    none = (0,) * d
                     row = weights.setdefault(counts.get(F_SLOT, none), {}) \
                         .setdefault(counts.get(G_SLOT, none), {})
                     factors = tuple(sorted((labels[v], counts.get(v, none))
                                            for v in range(k)))
                     row[factors] = row.get(factors, 0) + mult
-    return _table(weights)
 
 
 def _table(weights: dict) -> tuple:
-    """{mf: {mg: {factors: weight}}} as a table (rows, mgs)."""
+    """{mf: {mg: {factors: weight}}} as a table (rows, mgs): ``rows[mf][mg]``
+    is ((factors, weight), ...) and ``mgs`` is the set of every mg."""
     rows = {mf: {mg: tuple(row.items()) for mg, row in by_mg.items()}
             for mf, by_mg in weights.items()}
     return rows, frozenset(mg for by_mg in rows.values() for mg in by_mg)
 
 
 @lru_cache(maxsize=None)
+def _label_weights(graph: KGraph, d: int) -> tuple:
+    """The table of one graph's operator in d variables (``eval_graph``)."""
+    weights: dict = {}
+    _add_weights(weights, graph, d)
+    return _table(weights)
+
+
+@lru_cache(maxsize=None)
 def _stratum_weights(d: int, strata: int) -> tuple:
-    """The tables of all graphs of strata 1..strata, summed row by row (the
-    operator is linear in its rows, so the sum over the graphs is kept)."""
+    """The table of all graphs of strata 1..strata, their weights added in
+    one pass (the operator is linear in its rows, so only the sum is kept)."""
     weights: dict = {}
     for k in range(1, strata + 1):
         for graph in enumerate_graphs(k, cap=strata):
-            for mf, by_mg in _label_weights(graph, d)[0].items():
-                for mg, items in by_mg.items():
-                    row = weights.setdefault(mf, {}).setdefault(mg, {})
-                    for factors, w in items:
-                        row[factors] = row.get(factors, 0) + w
+            _add_weights(weights, graph, d)
     return _table(weights)
 
 
@@ -516,34 +518,10 @@ def _graph_operator(items: tuple, cochain: DeformationCochain) -> dict:
     return {e: c for e, c in row.items() if not c.is_zero()}
 
 
-def _divided(e: tuple[int, ...], m: tuple[int, ...]) -> tuple:
-    """(m, e - m, C(e, m)): the divided derivative by m of x^e, for m <= e."""
-    return (m, tuple(ei - mi for ei, mi in zip(e, m)),
-            prod(comb(ei, mi) for ei, mi in zip(e, m)))
-
-
-@lru_cache(maxsize=256)
-def _lower_set(e: tuple[int, ...]) -> tuple:
-    """``_divided(e, m)`` for every m <= e.  Asked for only when it is no
-    longer than a table's list of label counts."""
-    return tuple(_divided(e, m)
-                 for m in itertools.product(*[range(ei + 1) for ei in e]))
-
-
 def _reach(a: dict, counts) -> dict:
     """{m: _derive(a, m)} over the label counts m in ``counts`` where it is
-    not empty.  A term x^e reaches exactly the m <= e, so it tries the
-    shorter of its lower set and ``counts``."""
-    out: dict = {}
-    for e, c in a.items():
-        if prod(ei + 1 for ei in e) <= len(counts):
-            hits = [hit for hit in _lower_set(e) if hit[0] in counts]
-        else:
-            hits = [_divided(e, m) for m in counts
-                    if all(mi <= ei for mi, ei in zip(m, e))]
-        for m, rest, b in hits:
-            out.setdefault(m, {})[rest] = c.scale(b)
-    return out
+    not empty."""
+    return {m: der for m in counts if (der := _derive(a, m))}
 
 
 def _apply_operator(cochain: DeformationCochain, key, rows: dict, df: dict,
@@ -582,16 +560,21 @@ def eval_graph(graph: KGraph, cochain: DeformationCochain, f: Element,
         _reach(_exponents(g, d), mgs), {}))
 
 
-def _summed_table(d: int, trunc: int, cap: int) -> tuple[int, tuple]:
-    """(strata, table) of the graph expansion at order ``trunc``: strata
-    beyond the order cannot contribute, and none may be above MAX_STRATUM."""
-    strata = min(trunc, cap)
+def _summed_table(cochain: DeformationCochain, trunc: int | None,
+                  cap: int) -> tuple[int, tuple]:
+    """(strata, table) of the graph expansion at order ``trunc``, or at the
+    cochain's if it is None: strata beyond the order cannot contribute, and
+    none may be above MAX_STRATUM."""
+    n = cochain.trunc if trunc is None else trunc
+    if n is None:
+        raise UsageError("the graph star needs a finite truncation order")
+    strata = min(n, cap)
     _check_stratum(strata)
-    return strata, _stratum_weights(d, strata)
+    return strata, _stratum_weights(len(cochain.system.quiver.arrow_names()), strata)
 
 
 def graphical_star(f: Element, g: Element, cochain: DeformationCochain,
-                   trunc: int | None = None, cap: int = 4) -> Element:
+                   trunc: int | None = None, cap: int = MAX_STRATUM) -> Element:
     """f * g as the graph expansion: sum over k and all graphs of stratum k.
 
     The deformation part has strictly positive parameter degree, so strata
@@ -599,13 +582,10 @@ def graphical_star(f: Element, g: Element, cochain: DeformationCochain,
     1..min(trunc, cap) are applied as one summed table, added to f*g; that
     stratum may not be above MAX_STRATUM.
     """
-    trunc = cochain.trunc if trunc is None else trunc
-    if trunc is None:
-        raise UsageError("graphical_star needs a finite truncation order")
+    strata, (rows, mgs) = _summed_table(cochain, trunc, cap)
+    cochain, f, g = _entered(cochain, trunc, f, g)
     quiver = cochain.system.quiver
     d = len(quiver.arrow_names())
-    strata, (rows, mgs) = _summed_table(d, trunc, cap)
-    cochain, f, g = _entered(cochain, trunc, f, g)
     fe, ge = _exponents(f, d), _exponents(g, d)
     return _element(quiver, _apply_operator(
         cochain, strata, rows, _reach(fe, rows), _reach(ge, mgs), _exp_mul(fe, ge)))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from pathalg.quantization import (
+    _label_weights,
     _stratum_weights,
     F_SLOT,
     G_SLOT,
@@ -24,11 +25,12 @@ from pathalg.quantization import (
     poisson_to_cochain,
     poly_diff,
     quantize_check,
+    quantize_compare,
     schouten_jacobi_check,
 )
 from pathalg.quiver_core import Element, PolyScalar, UsageError
 from pathalg.reduction_engine import reduce_full
-from pathalg.star_product import star, star_k
+from pathalg.star_product import DeformationCochain, star, star_k
 
 
 def _hbar(trunc):
@@ -357,6 +359,27 @@ class TestWeightTables:
             _, fresh = self._cochains()[1]
             assert graphical_star(x1x2, x1x2, fresh, cap=cap) == expected
         assert _stratum_weights.cache_info().misses == misses
+
+    def test_stratum_table_builds_no_graph_table(self):
+        # the stratum table adds each graph's weights straight into one dict
+        _label_weights.cache_clear()
+        _stratum_weights.__wrapped__(2, 3)
+        assert _label_weights.cache_info().currsize == 0
+
+    def test_compare_without_an_order_runs_at_the_cochain_order(self):
+        _, cochain = self._cochains()[1]
+        q = cochain.system.quiver
+        monos = [monomial(q, e) for e in itertools.product(range(3), repeat=3)
+                 if sum(e) <= 2]
+        assert quantize_compare(cochain, monos, None) == []
+        # --cap 1: the pairs that need strata 2 and 3 differ, as at order 3
+        assert quantize_compare(cochain, monos, None, cap=1) == quantize_compare(
+            cochain, monos, 3, cap=1) != []
+        order_less = DeformationCochain(cochain.system, {}, trunc=None, formal=False)
+        for call in (lambda: quantize_compare(order_less, monos, None),
+                     lambda: graphical_star(monos[0], monos[1], order_less)):
+            with pytest.raises(UsageError, match="finite truncation order"):
+                call()
 
     def test_non_monomial_factors_with_parameter(self):
         # f = x1 + hbar*x2, g = x_d^2 + 2*x1*x2: coefficients and binomials

@@ -18,10 +18,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_brauer
-from pathalg.cohomology import cocycle_space
+from pathalg.cohomology import coboundary_space, cocycle_space
 from pathalg.quantization import commutator_system
 from pathalg.quiver_core import AdmissibleOrder, Element, Quiver
-from pathalg.reduction_engine import ReductionSystem, Rule
+from pathalg.reduction_engine import ReductionSystem, Rule, reduce_full
 from pathalg.star_product import two_cochain_basis
 from pathalg.variety import STRICT, cochain_basis, mc_equations, order_condition
 
@@ -100,3 +100,55 @@ def test_tangent_space_of_the_variety_is_the_cocycle_space(name, kind):
     assert tangent == rref(cocycle_rows(R, cond))
     if name.startswith("brauer"):  # the ranks of the prototype at n = 4, 5, 6
         assert len(tangent) == int(name[-1]) - 2
+
+
+def rescaling_column(R: ReductionSystem, basis, arrow: str) -> dict:
+    """The coboundary of the gauge x -> x on the arrow x, by hand: it takes a
+    path p to n*p, n the number of x in p, so on the rule s -> phi_s it is
+    the sum over the terms c*p of s - phi_s of c*n*red(p)."""
+    column: dict = {}
+    for rule in R.rules:
+        for p, c in (Element.from_path(rule.lhs) - rule.rhs).terms.items():
+            n = c.as_rational() * p.arrows.count(arrow)
+            for w, b in reduce_full(Element.from_path(p), R).terms.items():
+                j = basis.index((rule.lhs, w))
+                column[j] = column.get(j, 0) + n * b.as_rational()
+    return {j: v for j, v in column.items() if v}
+
+
+# the number of nonzero coboundary columns supported on the condition's basis
+# (the gauge of one arrow by one arrow); every other case has none
+INSIDE = {("brauer n=4", "order"): 4, ("brauer n=5", "order"): 6,
+          ("brauer n=6", "order"): 8}
+
+
+@pytest.mark.parametrize("name, kind", [
+    *[(f"brauer n={n}", kind) for n in (4, 5, 6) for kind in ("strict", "order")],
+    ("two-vertex", "strict"), ("two-vertex", "order")])
+def test_coboundaries_in_the_condition_lie_in_the_tangent_space(name, kind):
+    """The gauge side: a first-order coboundary is a cocycle, so each column
+    of ``coboundary_space`` supported on the condition's basis satisfies the
+    degree-1 parts of the variety equations.
+
+    Under the strict condition no nonzero column is supported there: a gauge
+    of an arrow by a parallel arrow keeps every length.  In the two-vertex
+    quiver the one nonzero column, a -> c, has the value b*c on b*a, which the
+    order does not admit.
+    """
+    q, R = SYSTEMS[name]()
+    cond = STRICT if kind == "strict" else order_condition(AdmissibleOrder(q))
+    space = coboundary_space(R, max(len(rule.lhs) for rule in R.rules))
+    for (x, u), column in zip(space.domain, space.columns):
+        if u == x:
+            assert column == rescaling_column(R, space.basis, x.arrows[0])
+    position = {space.basis.index(pair): k
+                for k, pair in enumerate(cochain_basis(R, cond))}
+    inside = [column for column in space.columns
+              if column and set(column) <= set(position)]
+    assert len(inside) == INSIDE.get((name, kind), 0)
+    rows = tangent_rows(R, cond)
+    for column in inside:
+        vec = [Fraction(0)] * len(position)
+        for j, c in column.items():
+            vec[position[j]] = Fraction(c)
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
