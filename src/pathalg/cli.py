@@ -471,8 +471,6 @@ def _cmd_irr(problem: ProblemFile, args, flags, report: Report):
 
 
 def _cmd_star(problem: ProblemFile, args, flags, report: Report):
-    if len(args) != 2:
-        raise UsageError("star takes exactly two element arguments")
     cochain = problem.cochain(flags.trunc)
     parser = problem.parser(cochain.trunc)
     a = parser.parse_element(args[0])
@@ -493,8 +491,6 @@ def _cmd_mc(problem: ProblemFile, args, flags, report: Report):
 
 
 def _cmd_gauge(problem: ProblemFile, args, flags, report: Report):
-    if len(args) != 1:
-        raise UsageError("gauge takes one psi-file argument")
     text = _read_input(args[0])
     cochain = problem.cochain(flags.trunc)
     if not cochain.formal:
@@ -550,8 +546,6 @@ def _cmd_variety(problem: ProblemFile, args, flags, report: Report):
 
 
 def _cmd_complete(problem: ProblemFile, args, flags, report: Report):
-    if len(args) != 1:
-        raise UsageError("complete takes one relations-file argument")
     if problem.order is None:
         raise UsageError("complete needs an order block in the file")
     parser = problem.parser(None)
@@ -581,8 +575,6 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
     if cap < 1:
         raise UsageError("--cap must be >= 1 for quantize")
     if sub == "graphs":
-        if len(args) != 2:
-            raise UsageError("quantize graphs takes the stratum k")
         graphs = enumerate_graphs(_int_arg(args[1], "quantize graphs k"),
                                   cap=cap)
         report.say(f"count: {len(graphs)}")
@@ -623,6 +615,38 @@ def _monomials_up_to(quiver: Quiver, d: int, degree: int) -> list[Element]:
     return [monomial(quiver, e)
             for e in itertools.product(range(degree + 1), repeat=d)
             if sum(e) <= degree]
+
+
+# the positional arguments of each command, and of each quantize subcommand
+# after its name: (fewest, most, what they are); reduce reads all of its
+# arguments as one element, so it takes any number
+_ARITY = {
+    "diamond": (0, 0, "no arguments"),
+    "ambiguities": (0, 1, "at most one argument, n"),
+    "irr": (0, 0, "no arguments"),
+    "star": (2, 2, "exactly two element arguments"),
+    "mc": (0, 0, "no arguments"),
+    "gauge": (1, 1, "one psi-file argument"),
+    "hh2": (0, 0, "no arguments"),
+    "variety": (0, 0, "no arguments"),
+    "complete": (1, 1, "one relations-file argument"),
+    "quantize graphs": (1, 1, "the stratum k"),
+    "quantize jacobi": (0, 0, "no further arguments"),
+    "quantize check": (0, 0, "no further arguments"),
+    "quantize compare": (0, 0, "no further arguments"),
+}
+
+
+def _check_arity(command: str, args: list[str]) -> None:
+    """Raise the usage error naming the command (or quantize subcommand)
+    when it is given too few or too many positional arguments.  A quantize
+    without a known subcommand is left to ``_cmd_quantize``."""
+    if command == "quantize" and args and f"quantize {args[0]}" in _ARITY:
+        command, args = f"quantize {args[0]}", args[1:]
+    if command in _ARITY:
+        fewest, most, what = _ARITY[command]
+        if not fewest <= len(args) <= most:
+            raise UsageError(f"{command} takes {what}")
 
 
 _COMMANDS = {
@@ -699,6 +723,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         problem = parse_problem(_read_input(flags.file))
         if flags.budget is not None:
             problem.budget = flags.budget
+        _check_arity(command, flags.args)
         _COMMANDS[flags.command](problem, flags.args, flags, report)
     except (ParseError, UsageError, OSError) as exc:
         code, text, doc = EXIT_USAGE, f"error: {exc}", {"error": str(exc)}

@@ -24,8 +24,8 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .quiver_core import Element, Path, PolyScalar, Quiver, UsageError, lowest_order
-from .reduction_engine import DEFAULT_BUDGET, ReductionSystem, Rule, reduce_full
-from .star_product import DefectReport, DeformationCochain, _entered, mc_check, star
+from .reduction_engine import DEFAULT_BUDGET, ReductionSystem, Rule, _reduce_words, reduce_full
+from .star_product import DefectReport, DeformationCochain, _entered, mc_check
 
 __all__ = [
     "HBAR",
@@ -93,10 +93,17 @@ def _names(d: int) -> tuple[str, ...]:
 
 def _exponents(a: Element, d: int) -> dict[tuple[int, ...], PolyScalar]:
     """A polynomial in x1..xd as {exponent tuple: coefficient}."""
+    return _forms(a.terms.items(), d)
+
+
+def _forms(terms, d: int) -> dict[tuple[int, ...], PolyScalar]:
+    """The exponent form of (key, coefficient) pairs, a key a path or an
+    engine word (an arrow tuple, or a trivial path): exponent i counts x{i}."""
     names = _names(d)
     out: dict[tuple[int, ...], PolyScalar] = {}
-    for p, c in a.terms.items():
-        e = tuple(map(p.arrows.count, names))
+    for w, c in terms:
+        w = w if type(w) is tuple else w.arrows
+        e = tuple(map(w.count, names))
         out[e] = out[e] + c if e in out else c
     return out
 
@@ -235,25 +242,38 @@ def quantize_compare(cochain: DeformationCochain, factors: list[Element],
     the lowest of ``trunc`` (the cochain's order if None) and the orders of
     the cochain and the factors.
 
-    Each factor's exponent form and its two reaches are read once, and the
-    two sides of a pair are compared as exponent forms.  That is exact on the
-    commutator system, the only one ``quantize`` admits (see
-    ``cli._commutator_dimension``): its normal words are the sorted words
-    ``_element`` builds, one per exponent tuple.  The pairs run f by f, then
-    g by g, graph side first, so an error (a stratum above MAX_STRATUM, an
-    exhausted budget) is the one the first failing pair meets.
+    Each factor's exponent form, its two reaches and its terms as (arrow
+    word, path, coefficient) are read once, and the two sides of a pair are
+    compared as exponent forms.  That is exact on the commutator system, the
+    only one ``quantize`` admits (see ``cli._commutator_dimension``): its
+    normal words are the sorted words ``_element`` builds, one per exponent
+    tuple.  On its one vertex, f*g is the concatenation of words, so the
+    reduction side is ``star`` on engine words: the product's words go to
+    ``_reduce_words`` on the deformed system, which the cochain and the
+    factors are already entered into.  The pairs run f by f, then g by g,
+    graph side first, so an error (a stratum above MAX_STRATUM, an exhausted
+    budget) is the one the first failing pair meets.
     """
     d = len(cochain.system.quiver.arrow_names())
     strata, (rows, mgs) = _summed_table(cochain, trunc, cap)
     cochain, *entered = _entered(cochain, trunc, *factors)
+    deformed = cochain._deformed
+    words = [[(p.arrows, p, c) for p, c in f.terms.items()] for f in entered]
     forms = [_exponents(f, d) for f in entered]
     reach_f = [_reach(fe, rows) for fe in forms]
     reach_g = [_reach(ge, mgs) for ge in forms]
     mismatches = []
-    for f, fn, fe, df in zip(factors, entered, forms, reach_f):
-        for g, gn, ge, dg in zip(factors, entered, forms, reach_g):
+    for f, fw, fe, df in zip(factors, words, forms, reach_f):
+        for g, gw, ge, dg in zip(factors, words, forms, reach_g):
             lhs = _apply_operator(cochain, strata, rows, df, dg, _exp_mul(fe, ge))
-            if lhs != _exponents(star(fn, gn, cochain, budget), d):
+            product: dict = {}  # f*g as Element.__mul__ builds it, keyed by engine words
+            for u, p, cu in fw:
+                for v, _, cv in gw:
+                    w, c = u + v or p, cu * cv
+                    product[w] = product[w] + c if w in product else c
+            normal = _reduce_words({w: c for w, c in product.items() if not c.is_zero()},
+                                   deformed, budget)
+            if lhs != _forms(normal.items(), d):
                 mismatches.append((f, g))
     return mismatches
 

@@ -368,9 +368,10 @@ class PolyScalar:
 
     def __mul__(self, other: "PolyScalar") -> "PolyScalar":
         tr, ps = self._ring(other)
-        if self.terms == _UNIT:  # the rational 1 times x is x
+        # the rational 1 times x is x, if x is in the ring of the product
+        if self.terms == _UNIT and other.trunc == tr and other.params == ps:
             return other
-        if other.terms == _UNIT:
+        if other.terms == _UNIT and self.trunc == tr and self.params == ps:
             return self
         outer, inner = self.terms, other.terms
         if len(inner) == 1 < len(outer):

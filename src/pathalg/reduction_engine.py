@@ -276,9 +276,20 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET,
                 rewrites: list | None = None) -> Element:
     """Iterate right-most reductions to the normal form (or raise BudgetExceeded).
 
+    The element's terms go through ``_reduce_words`` keyed by their arrow
+    words (a trivial path by itself), and the normal words come back as paths.
+    """
+    done = _reduce_words({p.arrows or p: c for p, c in a.terms.items()}, R, budget, rewrites)
+    return Element(a.quiver, {_path(a.quiver, w): c for w, c in done.items()})
+
+
+def _reduce_words(terms: dict, R: ReductionSystem, budget: int,
+                  rewrites: list | None = None) -> dict:
+    """The normal form of ``terms``, {word: PolyScalar}, as the same dict.
+
     A word is its arrow tuple here, or its trivial path if it has length 0 (a
-    rule term that empties the word); paths are built only for the result
-    and BudgetExceeded.  Reducible words wait in ``pending``
+    rule term that empties the word); paths are built only for
+    BudgetExceeded.  Reducible words wait in ``pending``
     with their lowest parameter degree, and a heap hands them out lowest
     degree first and, within a degree, by descending rank (``_rank``).
     Degree-0 rule terms lead to lower ranks and the other terms to higher
@@ -295,7 +306,7 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET,
     if budget <= 0:
         raise UsageError("budget must be positive")
     S = R.lhs_set()
-    quiver = a.quiver
+    quiver = R.quiver
     ranks, graded, order = R.ranks, R.graded, R.trunc
     limit = len(ranks) + budget
     done: dict = {}  # word -> PolyScalar
@@ -328,8 +339,8 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET,
                 pending[w] = (c, level)
                 heapq.heappush(heap, (level, -rank, w))
 
-    for p, c in a.terms.items():
-        add(p.arrows or p, c)
+    for w, c in terms.items():
+        add(w, c)
     steps = 0
     while heap:
         level, _, w = heapq.heappop(heap)
@@ -356,7 +367,7 @@ def reduce_full(a: Element, R: ReductionSystem, budget: int = DEFAULT_BUDGET,
             coeff = cm * c
             if not coeff.is_zero():
                 add(head + m + tail or p, coeff)
-    return Element(quiver, {_path(quiver, w): c for w, c in done.items()})
+    return done
 
 
 # ---------------------------------------------------------------------------

@@ -657,6 +657,77 @@ def test_compare_takes_any_name_for_the_one_vertex(tmp_path):
     assert "compare (36 pairs, order 3): pass" in out.splitlines()
 
 
+# the d=3 file of the CI compare rows, line for line: at order 3 its pairs
+# need strata 2 and 3
+CI_D3 = "\n".join(
+    ["vertex 0"] + [f"arrow x{i} : 0 -> 0" for i in (1, 2, 3)]
+    + ["param hbar", "set trunc 3"]
+    + [f"rule x{j}*x{i} -> x{i}*x{j}" for j in (2, 3) for i in range(1, j)]
+    + ["deform x2*x1 -> hbar*x3", "deform x3*x1 -> hbar*x2*x2",
+       "deform x3*x2 -> hbar*x1*x2"]) + "\n"
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5])
+def test_compare_budget_bounds_the_reduction_side(tmp_path, budget):
+    """--budget bounds the rewrite steps of each pair's reduction star: the
+    first pair that needs more than that many ends the compare with exit 3."""
+    p = tmp_path / "d3.txt"
+    p.write_text(CI_D3)
+    assert run([str(p), "quantize", "compare"])[0] == 0
+    code, out = run([str(p), "quantize", "compare", "--budget", str(budget)])
+    assert code == 3
+    assert out.splitlines() == [
+        f"budget exhausted after {budget} reductions",
+        '{"command": "quantize", "error": "budget exhausted", '
+        f'"steps": {budget}}}']
+
+
+# one call of every command but reduce (which reads all its arguments as one
+# element) and of every quantize subcommand with too many or too few
+# positional arguments, and the usage error it gives
+ARITY_ERRORS = [
+    (["diamond", "x1"], "diamond takes no arguments"),
+    (["ambiguities", "1", "2"], "ambiguities takes at most one argument, n"),
+    (["irr", "x1", "--max-len", "1"], "irr takes no arguments"),
+    (["star", "x1"], "star takes exactly two element arguments"),
+    (["star", "x1", "x2", "x3"], "star takes exactly two element arguments"),
+    (["mc", "x1"], "mc takes no arguments"),
+    (["gauge"], "gauge takes one psi-file argument"),
+    (["gauge", "psi.txt", "psi.txt"], "gauge takes one psi-file argument"),
+    (["hh2", "x1", "--cap", "1"], "hh2 takes no arguments"),
+    (["variety", "x1"], "variety takes no arguments"),
+    (["complete"], "complete takes one relations-file argument"),
+    (["complete", "rels.txt", "rels.txt"],
+     "complete takes one relations-file argument"),
+    (["quantize", "graphs"], "quantize graphs takes the stratum k"),
+    (["quantize", "graphs", "1", "2"], "quantize graphs takes the stratum k"),
+    (["quantize", "jacobi", "extra"], "quantize jacobi takes no further arguments"),
+    (["quantize", "check", "extra"], "quantize check takes no further arguments"),
+    (["quantize", "compare", "extra"],
+     "quantize compare takes no further arguments"),
+]
+
+
+def test_arity_cases_cover_every_command():
+    assert {args[0] for args, _ in ARITY_ERRORS} | {"reduce"} == set(cli._COMMANDS)
+    assert {args[1] for args, _ in ARITY_ERRORS if args[0] == "quantize"} == {
+        "graphs", "jacobi", "check", "compare"}
+
+
+@pytest.mark.parametrize("args, error", ARITY_ERRORS,
+                         ids=[" ".join(args) for args, _ in ARITY_ERRORS])
+def test_wrong_number_of_arguments_exits_2(tmp_path, args, error):
+    """A surplus or missing positional argument is a usage error naming the
+    command, not an argument quietly ignored."""
+    p = tmp_path / "d3.txt"
+    p.write_text(CI_D3)
+    code, out = run([str(p), *args])
+    assert code == 2
+    assert out.splitlines() == [
+        f"error: {error}",
+        json.dumps({"command": args[0], "error": error}, sort_keys=True)]
+
+
 @pytest.mark.parametrize("psi", ["deform a*b -> lam*e1\ndeform b*a -> lam*e2\n", ""],
                          ids=["deform lines", "empty"])
 def test_gauge_needs_a_formal_deform_block(tmp_path, psi):

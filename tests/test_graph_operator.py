@@ -361,3 +361,27 @@ def test_compare_returns_the_pairs_whose_stars_differ(case, cap):
             if graphical_star(a, b, other, trunc, cap)
             != star(a, b, other).truncated(trunc)]
     assert quantize_compare(cochain, [f, g], trunc, cap) == want
+
+
+def test_compare_merges_cancelling_words_and_keys_the_empty_word():
+    """The reduction side of quantize_compare multiplies f and g on arrow
+    words.  In (x1 + x1^2) * (x1*x2 - x2) the words x1.x1x2 and x1x1.x2
+    cancel, and the factors with a constant term make the empty word, which
+    the rule x2*x1 -> x1*x2 + hbar*(1 + x1*x2) also makes: in
+    (x2 + hbar) * (x1 - 1) the two constants cancel.  At cap 4 every pair
+    agrees, so a zero coefficient kept or an empty word keyed apart from the
+    rule's shows as a mismatch; at cap 1 some pairs differ."""
+    q, _ = commutator_system(2)
+    hbar = PolyScalar.var(HBAR, is_param=True, trunc=3)
+    factors = [monomial(q, (1, 0)) + monomial(q, (2, 0)),
+               monomial(q, (1, 1)) - monomial(q, (0, 1)),
+               monomial(q, (0, 1)) + monomial(q, (0, 0), hbar),
+               monomial(q, (1, 0)) - monomial(q, (0, 0))]
+    eta = PoissonBivector(2, {(2, 1): monomial(q, (0, 0)) + monomial(q, (1, 1))})
+    for cap in (4, 1):
+        cochain, other = (poisson_to_cochain(eta, trunc=3) for _ in range(2))
+        want = [(a, b) for a in factors for b in factors
+                if graphical_star(a, b, other, 3, cap)
+                != star(a, b, other).truncated(3)]
+        assert bool(want) == (cap == 1)
+        assert quantize_compare(cochain, factors, 3, cap) == want

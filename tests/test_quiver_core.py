@@ -372,15 +372,22 @@ _TWO_PLUS_T = PolyScalar({(("t", 1),): 1, (): 2}, *_T_RING)
 @example((_T_RING, PolyScalar.rational(1, *_T_RING), _TWO_PLUS_T))
 @example((_T_RING, _TWO_PLUS_T, PolyScalar.rational(1)))
 def test_graded_scalar_product_matches_reference(case):
-    """The product against the reference in the operands' one ring, and the
-    rational 1 times x is x itself."""
+    """The product against the reference in the operands' one ring, with
+    that ring's order and params, and the rational 1 times x is x itself
+    when x has them (otherwise a copy of x in the ring)."""
     r, a, b = case
     a.min_param_degree(), b.min_param_degree()  # known, so a product may carry them
     ab = a * b
     assert ab.terms == _reference_mul(a, b, r)
     assert _in_ring(ab, r)
     assert ab.min_param_degree() == _ref_low(ab.terms, r[1])
-    assert (ab is a or ab is b) == any(one.terms == {(): 1} for one in (a, b))
+    # the order both operands have, params joined, or that of the one with one
+    ring = ((a.trunc, a.params | b.params) if a.trunc == b.trunc
+            else (b.trunc, b.params) if a.trunc is None else (a.trunc, a.params))
+    assert (ab.trunc, ab.params) == ring
+    assert (ab is a or ab is b) == any(
+        one.terms == {(): 1} and (x.trunc, x.params) == ring
+        for one, x in ((a, b), (b, a)))
 
 
 @settings(max_examples=100, deadline=None)
