@@ -211,6 +211,8 @@ class ElementParser:
             elif name in self.params or name in self.unknowns:
                 powers[name] = powers.get(name, 0) + power
             elif name.startswith("e") and name[1:] in self.quiver._vertex_index:
+                if vertex not in (None, name[1:]):
+                    raise ParseError(f"term {chunk!r} names two vertices", line)
                 vertex = name[1:]
             else:
                 raise ParseError(f"undeclared symbol {name!r}", line)
@@ -409,6 +411,8 @@ def _bivector_from_deform(problem: ProblemFile, d: int) -> PoissonBivector:
     param = HBAR if HBAR in params else params[0]
     entries: dict[tuple[int, int], Element] = {}
     for s, v in problem.deform_values.items():
+        if s not in problem.system.by_lhs:
+            raise UsageError(f"{s!r} is not a rule left side")
         j, i = int(s.arrows[0][1:]), int(s.arrows[1][1:])
         entries[(j, i)] = v.coefficient_of(param, 1)
     return PoissonBivector(d, entries, quiver=problem.quiver,

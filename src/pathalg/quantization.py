@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, prod
 
 from .quiver_core import Element, Path, PolyScalar, Quiver, UsageError, lowest_order
 from .reduction_engine import DEFAULT_BUDGET, ReductionSystem, Rule, _reduce_words, reduce_full
@@ -33,7 +32,6 @@ __all__ = [
     "G_SLOT",
     "commutator_system",
     "monomial",
-    "poly_diff",
     "PoissonBivector",
     "schouten_jacobi_check",
     "poisson_to_cochain",
@@ -44,8 +42,6 @@ __all__ = [
     "enumerate_graphs",
     "eval_graph",
     "graphical_star",
-    "moyal",
-    "gauge_phi",
 ]
 
 HBAR = "hbar"  # the quantization parameter
@@ -149,12 +145,6 @@ def _unit(d: int, *indices: int) -> tuple[int, ...]:
     return tuple(indices.count(n) for n in range(1, d + 1))
 
 
-def poly_diff(a: Element, i: int) -> Element:
-    """d/dx_i of a normal-form polynomial."""
-    m = _unit(len(a.quiver.arrow_names()), i)  # all 0 if i is no index
-    return _element(a.quiver, _derive(_exponents(a, len(m)), m) if any(m) else {})
-
-
 class PoissonBivector:
     """eta = sum_{i<j} eta_ji d/dx_j ^ d/dx_i with polynomial coefficients.
 
@@ -183,9 +173,6 @@ class PoissonBivector:
         if j > i:
             return self.entries.get((j, i), Element.zero(self.quiver))
         return -self.entries.get((i, j), Element.zero(self.quiver))
-
-    def is_constant(self) -> bool:
-        return all(p.is_trivial for v in self.entries.values() for p in v.paths())
 
     def __repr__(self):
         body = ", ".join(f"eta_{j}{i}={v!r}" for (j, i), v in sorted(self.entries.items()))
@@ -609,62 +596,3 @@ def graphical_star(f: Element, g: Element, cochain: DeformationCochain,
     fe, ge = _exponents(f, d), _exponents(g, d)
     return _element(quiver, _apply_operator(
         cochain, strata, rows, _reach(fe, rows), _reach(ge, mgs), _exp_mul(fe, ge)))
-
-
-# ---------------------------------------------------------------------------
-# Moyal product and gauge transformation for constant Poisson structures
-
-
-def _constant_entries(eta: PoissonBivector, trunc: int, *factors: Element):
-    """(order, {(j, i): constant entry}, factors) entered at the lowest of
-    ``trunc`` and the orders the entries and the factors carry."""
-    if not eta.is_constant():
-        raise UsageError("this operation needs a constant Poisson bivector")
-    n = lowest_order(trunc, *(a.order() for a in (*eta.entries.values(), *factors)))
-    return (n, {ji: next(iter(v.terms.values())).truncated(n) for ji, v in eta.entries.items()},
-            [a.truncated(n) for a in factors])
-
-
-def _exp_series(form: dict, ops: list, trunc: int) -> dict:
-    """exp((hbar/2) D) of an exponent form, cut after hbar^trunc: the sum over
-    n <= trunc of (1/n!) ((hbar/2) D)^n form, where D is the sum of c times
-    the divided derivative m over ``ops`` (c, m)."""
-    hbar_half = PolyScalar.var(HBAR, is_param=True, trunc=trunc).scale(Fraction(1, 2))
-    ops = [(hbar_half * c, m) for c, m in ops]
-    total: dict = {}
-    for n in range(trunc + 1):
-        for e, c in form.items():
-            c = c.scale(Fraction(1, factorial(n)))
-            total[e] = total[e] + c if e in total else c
-        nxt: dict = {}
-        for h, m in ops:
-            for e, c in _derive(form, m).items():
-                nxt[e] = nxt[e] + c * h if e in nxt else c * h
-        form = {e: c for e, c in nxt.items() if not c.is_zero()}
-        if not form:
-            break
-    return total
-
-
-def moyal(f: Element, g: Element, eta: PoissonBivector, trunc: int = 4) -> Element:
-    """The Moyal product exp((hbar/2) sum eta_ji (d_j x d_i - d_i x d_j)), as
-    a series on f x g in 2d variables, each term multiplied out at the end."""
-    d = eta.d
-    trunc, consts, (f, g) = _constant_entries(eta, trunc, f, g)
-    ops = [(c.scale(sign), _unit(d, a) + _unit(d, b))
-           for (j, i), c in consts.items()
-           for sign, a, b in ((1, j, i), (-1, i, j))]
-    fg = {a + b: ca * cb for a, ca in _exponents(f, d).items()
-          for b, cb in _exponents(g, d).items()}
-    total: dict = {}
-    for ab, c in _exp_series(fg, ops, trunc).items():
-        e = tuple(x + y for x, y in zip(ab[:d], ab[d:]))
-        total[e] = total[e] + c if e in total else c
-    return _element(eta.quiver, total)
-
-
-def gauge_phi(f: Element, eta: PoissonBivector, trunc: int = 4) -> Element:
-    """Phi(f) = exp((hbar/2) sum eta_ji d^2/dx_i dx_j)(f)."""
-    trunc, consts, (f,) = _constant_entries(eta, trunc, f)
-    ops = [(c, _unit(eta.d, i, j)) for (j, i), c in consts.items()]
-    return _element(eta.quiver, _exp_series(_exponents(f, eta.d), ops, trunc))

@@ -494,10 +494,6 @@ class Element:
     def from_path(p: Path, coeff: PolyScalar | None = None) -> "Element":
         return Element(p.quiver, {p: coeff if coeff is not None else PolyScalar.rational(1)})
 
-    @staticmethod
-    def unit(quiver: Quiver) -> "Element":
-        return Element(quiver, {e: PolyScalar.rational(1) for e in quiver.idempotents()})
-
     # -- structure --------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms

@@ -1,10 +1,15 @@
-"""Shared fixtures: small algebras used across the test suite."""
+"""Shared fixtures: small algebras used across the test suite, and the
+Element-level references the quantization tests use as oracles."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
-from pathalg.quiver_core import Element, PolyScalar, Quiver
+from pathalg.quantization import HBAR, PoissonBivector
+from pathalg.quiver_core import Element, PolyScalar, Quiver, UsageError
 from pathalg.reduction_engine import ReductionSystem, Rule
 
 
@@ -30,6 +35,11 @@ def substitute(p: PolyScalar, values: dict[str, PolyScalar]) -> PolyScalar:
                 term = term * PolyScalar({((name, e),): 1}, p.trunc, p.params)
         out = out + term
     return out
+
+
+def unit(quiver: Quiver) -> Element:
+    """The sum of the trivial paths, the unit of kQ."""
+    return Element(quiver, {e: PolyScalar.rational(1) for e in quiver.idempotents()})
 
 
 def max_trunc(a: Element) -> int | None:
@@ -98,3 +108,96 @@ def make_deformed3(trunc: int):
         Rule(q.path(f"x{j}", f"x{i}"), Element.from_path(q.path(f"x{i}", f"x{j}"))
              + Element.from_path(q.path(f"x{k}", f"x{k}"), h))
         for j, i, k in ((2, 1, 3), (3, 1, 2), (3, 2, 1))])
+
+
+# -- Element-level polynomial calculus on the commutator system ------------------
+#
+# Products and derivatives are written on paths (the normal form of a
+# commutative monomial is its sorted arrows) and summed one Element addition
+# at a time, so they share no helper with ``pathalg.quantization``.
+
+
+def _path(quiver, arrows):
+    arrows = sorted(arrows, key=lambda x: int(x[1:]))
+    return quiver.path(*arrows) if arrows else quiver.trivial("0")
+
+
+def ref_poly_mul(a: Element, b: Element) -> Element:
+    """The product of normal-form polynomials: the sorted arrows of p*q."""
+    out = Element.zero(a.quiver)
+    for p, cp in a.terms.items():
+        for q, cq in b.terms.items():
+            out = out + Element.from_path(_path(a.quiver, p.arrows + q.arrows),
+                                          cp * cq)
+    return out
+
+
+def ref_poly_diff(a: Element, i: int) -> Element:
+    """d/dx_i: each path loses one x_i, times the number it had."""
+    out = Element.zero(a.quiver)
+    for p, c in a.terms.items():
+        n = p.arrows.count(f"x{i}")
+        if n:
+            arrows = list(p.arrows)
+            arrows.remove(f"x{i}")
+            out = out + Element.from_path(_path(a.quiver, arrows), c.scale(n))
+    return out
+
+
+def _constants(eta: PoissonBivector, trunc: int) -> dict:
+    """The constant entries, entered at the order of the series (the one
+    ring of a computation)."""
+    if not all(p.is_trivial for v in eta.entries.values() for p in v.paths()):
+        raise UsageError("this operation needs a constant Poisson bivector")
+    return {ji: next(iter(v.terms.values())).truncated(trunc)
+            for ji, v in eta.entries.items()}
+
+
+def ref_moyal(f: Element, g: Element, eta: PoissonBivector, trunc: int = 4) -> Element:
+    """The Moyal product exp((hbar/2) sum eta_ji (d_j x d_i - d_i x d_j)) of a
+    constant bivector, expanded one derivative at a time."""
+    consts = _constants(eta, trunc)
+    hbar_half = PolyScalar.var(HBAR, is_param=True, trunc=trunc).scale(Fraction(1, 2))
+    terms = [(PolyScalar.rational(1, trunc=trunc), f, g)]
+    total = Element.zero(eta.quiver)
+    for n in range(trunc + 1):
+        for c, a, b in terms:
+            total = total + ref_poly_mul(a, b).scale(
+                c.scale(Fraction(1, factorial(n))))
+        nxt = []
+        for c, a, b in terms:
+            for (j, i), e in consts.items():
+                coeff = c * hbar_half * e
+                if coeff.is_zero():
+                    continue
+                nxt.append((coeff, ref_poly_diff(a, j), ref_poly_diff(b, i)))
+                nxt.append((coeff.scale(-1), ref_poly_diff(a, i),
+                            ref_poly_diff(b, j)))
+        terms = [(c, a, b) for c, a, b in nxt
+                 if not (c.is_zero() or a.is_zero() or b.is_zero())]
+        if not terms:
+            break
+    return total.truncated(trunc)
+
+
+def ref_gauge_phi(f: Element, eta: PoissonBivector, trunc: int = 4) -> Element:
+    """Phi(f) = exp((hbar/2) sum eta_ji d^2/dx_i dx_j)(f) of a constant
+    bivector, expanded one derivative at a time."""
+    consts = _constants(eta, trunc)
+    hbar_half = PolyScalar.var(HBAR, is_param=True, trunc=trunc).scale(Fraction(1, 2))
+    total = Element.zero(eta.quiver)
+    current = [(PolyScalar.rational(1, trunc=trunc), f)]
+    for n in range(trunc + 1):
+        for c, a in current:
+            total = total + a.scale(c.scale(Fraction(1, factorial(n))))
+        nxt = []
+        for c, a in current:
+            for (j, i), e in consts.items():
+                coeff = c * hbar_half * e
+                da = ref_poly_diff(ref_poly_diff(a, i), j)
+                if not (coeff.is_zero() or da.is_zero()):
+                    nxt.append((coeff, da))
+        current = nxt
+        if not current:
+            break
+    return total.truncated(trunc)

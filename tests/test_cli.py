@@ -626,6 +626,21 @@ def test_quantize_jacobi_needs_hbar_or_one_parameter(tmp_path, params, named):
         f"the file declares {named}")
 
 
+@pytest.mark.parametrize("side", ["x2 -> hbar*x1", "x2*x1*x1 -> hbar*x1*x1*x1",
+                                  "x1*x1 -> hbar*e0"])
+def test_quantize_refuses_a_deform_side_that_is_no_rule_left_side(tmp_path, side):
+    """jacobi reads each side as an entry (j, i) only once it is a rule left
+    side, and says what check says about it."""
+    p = tmp_path / "problem.txt"
+    p.write_text(COMM3 + f"param hbar\ndeform {side}\n")
+    lhs = side.split(" -> ")[0]
+    for command in ("jacobi", "check"):
+        code, out = run([str(p), "quantize", command])
+        assert code == 2
+        assert last_json(out) == {"command": "quantize",
+                                  "error": f"{lhs} is not a rule left side"}
+
+
 STRATUM_LIMIT = ("graph stratum 5 is above the limit 4: strata above 4 are "
                  "not enumerated")
 

@@ -13,6 +13,7 @@ import re
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,6 +77,8 @@ class RefParser(ElementParser):
             elif name in self.params or name in self.unknowns:
                 coeff = coeff * self._symbol(name, power)
             elif name.startswith("e") and name[1:] in self.quiver._vertex_index:
+                if vertex not in (None, name[1:]):
+                    raise ParseError(f"term {chunk!r} names two vertices", line)
                 vertex = name[1:]
             else:
                 raise ParseError(f"undeclared symbol {name!r}", line)
@@ -131,6 +134,22 @@ def test_parser_matches_the_term_by_term_reference(text, trunc):
     new = ElementParser(QUIVER, PARAMS, UNKNOWNS, trunc)
     ref = RefParser(QUIVER, PARAMS, UNKNOWNS, trunc)
     assert outcome(new, text) == outcome(ref, text)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("e0*e1", "line 3: term 'e0*e1' names two vertices"),
+    ("e1*e0", "line 3: term 'e1*e0' names two vertices"),
+    ("x1 - 2*e0*hbar*e1", "line 3: term '2*e0*hbar*e1' names two vertices"),
+    ("e0*e0", "e0"),
+    ("e0^2", "e0"),
+    ("3*e1*e1^2", "3*e1"),
+])
+def test_a_term_names_at_most_one_vertex(text, want):
+    """A product of two different trivial paths is 0 in kQ, not the last of
+    them: the parser refuses it, as it refuses a vertex times arrows."""
+    for parser in (ElementParser, RefParser):
+        got = outcome(parser(QUIVER, PARAMS, UNKNOWNS, None), text)
+        assert (got[1] if got[0] == "error" else repr(got[1])) == want
 
 
 def test_cancelled_path_re_enters_last():

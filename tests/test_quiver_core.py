@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import substitute
+from conftest import substitute, unit
 from pathalg.quiver_core import (
     AdmissibleOrder,
     Element,
@@ -212,14 +212,14 @@ class TestElement:
         assert (a * a).is_zero()
 
     def test_unit_is_multiplicative_identity(self, kronecker):
-        one = Element.unit(kronecker)
+        one = unit(kronecker)
         a = Element.from_path(kronecker.path("a"))
         assert one * a == a and a * one == a
 
     def test_cross_quiver_addition_rejected(self, kronecker):
         other = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
         with pytest.raises(UsageError):
-            Element.unit(kronecker) + Element.unit(other)
+            unit(kronecker) + unit(other)
 
     def test_uniformity(self, kronecker):
         a = Element.from_path(kronecker.path("a"))

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_brauer, make_deformed3
+from conftest import make_brauer, make_deformed3, unit
 from pathalg.cli import main
 from pathalg.quiver_core import (
     AdmissibleOrder,
@@ -76,7 +76,7 @@ class TestReduce:
     def test_budget_must_be_positive(self, commutator2):
         q, R = commutator2
         with pytest.raises(UsageError):
-            reduce_full(Element.unit(q), R, budget=0)
+            reduce_full(unit(q), R, budget=0)
 
 
 def _growing():

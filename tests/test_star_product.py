@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_brauer, make_deformed3, substitute
+from conftest import make_brauer, make_deformed3, substitute, unit
 from pathalg.quantization import commutator_system
 from pathalg.quiver_core import Element, Path, PolyScalar, Quiver, UsageError
 from pathalg.reduction_engine import (
@@ -113,7 +113,7 @@ class TestStar:
 
     def test_unit_is_star_identity(self, deformed_two_cycle):
         q, R, coc = deformed_two_cycle
-        one = Element.unit(q)
+        one = unit(q)
         for p in irreducible_paths(R.lhs_set(), q):
             a = Element.from_path(p)
             assert star(one, a, coc) == a
