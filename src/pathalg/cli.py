@@ -211,6 +211,8 @@ class ElementParser:
             elif name in self.params or name in self.unknowns:
                 powers[name] = powers.get(name, 0) + power
             elif name.startswith("e") and name[1:] in self.quiver._vertex_index:
+                if not power:  # e^0, like a^0, is the empty product
+                    continue
                 if vertex not in (None, name[1:]):
                     raise ParseError(f"term {chunk!r} names two vertices", line)
                 vertex = name[1:]
@@ -421,20 +423,20 @@ def _bivector_from_deform(problem: ProblemFile, d: int) -> PoissonBivector:
 
 def _cmd_reduce(problem: ProblemFile, args, flags, report: Report):
     elem = problem.parser(None).parse_element(" ".join(args))
-    nf = reduce_full(elem, problem.system, problem.budget)
-    report.say(f"normal form: {nf!r}")
-    report.doc["normal_form"] = repr(nf)
+    nf = repr(reduce_full(elem, problem.system, problem.budget))
+    report.say(f"normal form: {nf}")
+    report.doc["normal_form"] = nf
 
 
 def _cmd_diamond(problem: ProblemFile, args, flags, report: Report):
     result = check_diamond(problem.system, problem.budget)
     report.verdict("diamond", result.verdict)
     for amb, status, defect in result.statuses:
+        word, defect = repr(amb.word), None if defect is None else repr(defect)
         report.doc.setdefault("ambiguities", []).append(
-            {"word": repr(amb.word), "status": status,
-             "defect": None if defect is None else repr(defect)})
+            {"word": word, "status": status, "defect": defect})
         if status == "failed":
-            report.say(f"  {amb.word!r}: defect {defect!r}")
+            report.say(f"  {word}: defect {defect}")
 
 
 def _cmd_ambiguities(problem: ProblemFile, args, flags, report: Report):
@@ -445,9 +447,9 @@ def _cmd_ambiguities(problem: ProblemFile, args, flags, report: Report):
     report.doc["count"] = len(ambs)
     report.doc["words"] = []
     for amb in ambs:
-        factors = " | ".join(repr(f) for f in amb.factors)
-        report.say(f"  {amb.word!r}  ({factors})")
-        report.doc["words"].append(repr(amb.word))
+        word, factors = repr(amb.word), " | ".join(repr(f) for f in amb.factors)
+        report.say(f"  {word}  ({factors})")
+        report.doc["words"].append(word)
 
 
 def _name_the_bound(flag: str, run):
@@ -469,9 +471,9 @@ def _cmd_irr(problem: ProblemFile, args, flags, report: Report):
         problem.system.lhs_set(), problem.quiver, max_len=flags.max_len))
     report.say(f"count: {len(paths)}")
     report.doc["count"] = len(paths)
-    report.doc["paths"] = [repr(p) for p in paths]
-    for p in paths:
-        report.say(f"  {p!r}")
+    report.doc["paths"] = names = [repr(p) for p in paths]
+    for name in names:
+        report.say(f"  {name}")
 
 
 def _cmd_star(problem: ProblemFile, args, flags, report: Report):
@@ -479,9 +481,9 @@ def _cmd_star(problem: ProblemFile, args, flags, report: Report):
     parser = problem.parser(cochain.trunc)
     a = parser.parse_element(args[0])
     b = parser.parse_element(args[1])
-    result = star(a, b, cochain, problem.budget)
-    report.say(f"star: {result!r}")
-    report.doc["star"] = repr(result)
+    result = repr(star(a, b, cochain, problem.budget))
+    report.say(f"star: {result}")
+    report.doc["star"] = result
 
 
 def _cmd_mc(problem: ProblemFile, args, flags, report: Report):
@@ -490,8 +492,9 @@ def _cmd_mc(problem: ProblemFile, args, flags, report: Report):
     report.doc["defects"] = []
     for w, d in result.defects:
         if not d.is_zero():
-            report.say(f"  {w!r}: defect {d!r}")
-            report.doc["defects"].append({"word": repr(w), "defect": repr(d)})
+            w, d = repr(w), repr(d)
+            report.say(f"  {w}: defect {d}")
+            report.doc["defects"].append({"word": w, "defect": d})
 
 
 def _cmd_gauge(problem: ProblemFile, args, flags, report: Report):
@@ -565,9 +568,9 @@ def _cmd_complete(problem: ProblemFile, args, flags, report: Report):
     report.say(f"rules: {len(system.rules)}")
     report.doc["rules"] = []
     for rule in sorted(system.rules, key=lambda r: r.lhs.sort_key()):
-        report.say(f"  {rule.lhs!r} -> {rule.rhs!r}")
-        report.doc["rules"].append({"lhs": repr(rule.lhs),
-                                    "rhs": repr(rule.rhs)})
+        lhs, rhs = repr(rule.lhs), repr(rule.rhs)
+        report.say(f"  {lhs} -> {rhs}")
+        report.doc["rules"].append({"lhs": lhs, "rhs": rhs})
 
 
 def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
@@ -594,9 +597,9 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
         report.doc["defects"] = []
         for ijk, v in result.defects:
             if not v.is_zero():
-                report.say(f"  {ijk}: {v!r}")
-                report.doc["defects"].append({"indices": list(ijk),
-                                              "defect": repr(v)})
+                v = repr(v)
+                report.say(f"  {ijk}: {v}")
+                report.doc["defects"].append({"indices": list(ijk), "defect": v})
     elif sub == "check":
         result = quantize_check(problem.cochain(flags.trunc),
                                 budget=problem.budget)

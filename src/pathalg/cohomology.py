@@ -24,8 +24,8 @@ from .reduction_engine import (
     DEFAULT_BUDGET,
     ReductionSystem,
     _path,
+    _reduce_words,
     overlaps,
-    reduce_full,
     resolve_overlap,
 )
 from .star_product import one_cochain_basis, two_cochain_basis
@@ -152,15 +152,17 @@ def _first_order_map(R: ReductionSystem, basis, budget: int,
 
     R is entered at order 0 by the callers, so no coefficient holds a
     parameter.  Each distinct word is reduced once per ``normal_forms`` memo
-    (a fresh one if None), keyed as in ``reduce_full``: by arrow word, or by
-    the trivial path u for a word of length 0.  An entry that is not
-    rational raises a usage error naming ``where``.
+    (a fresh one if None), straight by the engine's ``_reduce_words`` and
+    keyed as there: by arrow word, or by the trivial path u for a word of
+    length 0.  An entry that is not rational raises a usage error naming
+    ``where``.
     """
     by_side: dict[tuple, list[tuple[int, Path]]] = {}
     for j, (s, u) in enumerate(basis):
         by_side.setdefault(s.arrows, []).append((j, u))
     if normal_forms is None:
         normal_forms = {}  # word -> [(path, coefficient terms)]
+    one = PolyScalar.rational(1)
 
     def image(rewrites, where: str):
         sums: dict[tuple[Path, int], dict] = {}  # (target, j) -> monomials
@@ -168,8 +170,8 @@ def _first_order_map(R: ReductionSystem, basis, budget: int,
             for j, u in by_side.get(side, ()):
                 w = head + u.arrows + tail or u  # u is parallel to the side
                 if w not in normal_forms:
-                    red = reduce_full(Element.from_path(_path(R.quiver, w)), R, budget)
-                    normal_forms[w] = [(p, a.terms) for p, a in red.terms.items()]
+                    red = _reduce_words({w: one}, R, budget)
+                    normal_forms[w] = [(_path(R.quiver, v), a.terms) for v, a in red.items()]
                 for target, a in normal_forms[w]:
                     entry = sums.setdefault((target, j), {})
                     for m1, q1 in c.terms.items():

@@ -264,18 +264,15 @@ class PolyScalar:
     ``params`` names the symbols whose total degree is capped by ``trunc``
     (None = unbounded); all other symbols are unknowns and never truncated.
     The operands of an operation lie in one ring (``_ring``), or it raises
-    ``RingError``.  Instances are never changed after construction, so the
-    lowest parameter degree is worked out at most once (``_low``, None until
-    asked for).
+    ``RingError``.  Instances are never changed after construction.
     """
 
-    __slots__ = ("terms", "trunc", "params", "_low")
+    __slots__ = ("terms", "trunc", "params")
 
     def __init__(self, terms: Mapping[Mono, int | Fraction] | None = None,
                  trunc: int | None = None, params: frozenset[str] = frozenset()):
         self.trunc = trunc
         self.params = frozenset(params)
-        self._low = None
         exact = {m: _q(c) for m, c in (terms or {}).items()}
         self.terms = {m: c for m, c in exact.items()
                       if c and (trunc is None or _mono_deg(m, self.params) <= trunc)}
@@ -289,7 +286,6 @@ class PolyScalar:
         ps.trunc = trunc
         ps.params = params
         ps.terms = terms
-        ps._low = None
         return ps
 
     # -- constructors -----------------------------------------------------
@@ -323,10 +319,8 @@ class PolyScalar:
         return Fraction(self.terms[_ONE])
 
     def min_param_degree(self) -> int:
-        if self._low is None:
-            ps = self.params
-            self._low = min((_mono_deg(m, ps) for m in self.terms), default=0) if ps else 0
-        return self._low
+        ps = self.params
+        return min((_mono_deg(m, ps) for m in self.terms), default=0) if ps else 0
 
     def _uses(self, params: frozenset[str]) -> bool:
         """Whether a term holds a symbol of ``params``."""
@@ -391,10 +385,7 @@ class PolyScalar:
                 d[m] = c = d.get(m, 0) + c1 * c2
                 if not c:
                     del d[m]
-        out = PolyScalar._exact(d, tr, ps)
-        if d and self._low is not None and other._low is not None:
-            out._low = self._low + other._low  # Q[symbols] is a domain
-        return out
+        return PolyScalar._exact(d, tr, ps)
 
     def scale(self, q) -> "PolyScalar":
         q = _q(q)

@@ -22,7 +22,10 @@ from .quiver_core import (
     Path,
     PolyScalar,
     Quiver,
+    RingError,
     UsageError,
+    _mono_deg,
+    _mono_mul,
     lowest_order,
 )
 
@@ -149,6 +152,43 @@ def _windows(w: tuple, lengths):
     return (w[i:i + n] for n in lengths for i in range(len(w) - n + 1))
 
 
+def _one_ring(scalars: list[PolyScalar]) -> tuple[int | None, frozenset[str]]:
+    """The one ring of ``scalars``, (order, params): their lowest order on the
+    union of the params of those at that order.  Each must join it by
+    ``PolyScalar._ring``'s rule, or it raises ``RingError``: one at the order
+    may use no other's param, one with no order no param at all."""
+    if not scalars:
+        return None, frozenset()
+    first = scalars[0]
+    for c in scalars:
+        if c.trunc != first.trunc or c.params is not first.params:
+            break
+    else:
+        return first.trunc, first.params  # all in one ring already
+    n = lowest_order(*(c.trunc for c in scalars))
+    ring = PolyScalar._exact({}, n, frozenset().union(
+        *(c.params for c in scalars if c.trunc == n)))
+    for c in scalars:
+        try:
+            ring._ring(c)
+        except RingError:
+            raise RingError(f"{c!r} at order {c.trunc} in {sorted(c.params)} is not "
+                            f"in the ring at order {n} in {sorted(ring.params)}") from None
+    return ring.trunc, ring.params
+
+
+def _graded(p: Path, c: PolyScalar, params: frozenset[str]):
+    """The right-side term c*p as (lowest parameter degree, arrow word, path,
+    rational, pairs, terms): a c with no symbol is the rational, any other
+    comes as pairs (monomial, parameter degree, rational) sorted by degree
+    and as its terms {monomial: rational}."""
+    if len(c.terms) == 1 and () in c.terms:  # a rational
+        return 0, p.arrows, p, c.terms[()], (), None
+    terms = sorted(((m, _mono_deg(m, params), q) for m, q in c.terms.items()),
+                   key=lambda term: term[1])
+    return terms[0][1], p.arrows, p, None, tuple(terms), c.terms
+
+
 class ReductionSystem:
     def __init__(self, quiver: Quiver, rules: list[Rule], validate: bool = True):
         self.quiver = quiver
@@ -159,14 +199,19 @@ class ReductionSystem:
                 raise UsageError(f"duplicate rule for {rule.lhs!r}")
             self.by_lhs[rule.lhs] = rule
         self._sides = LeftSides(rule.lhs for rule in self.rules)
-        # each right side as (lowest parameter degree, arrow word, path, coefficient)
-        # terms sorted by degree, so that rewriting stops before a term over the trunc;
-        # the path keys the word of length 0 that a trivial term makes of the side
-        self.graded = {r.lhs: sorted(((c.min_param_degree(), p.arrows, p, c)
+        # the one ring the right sides lie in: its order (None: exact) and params
+        self.trunc, self.params = _one_ring(
+            [c for r in self.rules for c in r.rhs.terms.values()])
+        # each right side as _graded terms sorted by degree, so that rewriting
+        # stops before a term over the trunc; the path keys the word of length
+        # 0 that a trivial term makes of the side
+        self.graded = {r.lhs: sorted((_graded(p, c, self.params)
                                       for p, c in r.rhs.terms.items()),
                                      key=lambda term: term[0]) for r in self.rules}
-        # the order of the ring the right sides lie in (None: exact)
-        self.trunc = lowest_order(*(t[3].trunc for ts in self.graded.values() for t in ts))
+        # monomial -> parameter degree: the right sides', and the products'
+        # that reduce_full makes in this ring
+        self.degs = {(): 0, **{m: deg for ts in self.graded.values()
+                               for t in ts for m, deg, _ in t[4]}}
         # word -> (rank, right-most split (i, j, side) or None), filled by reduce_full
         self.ranks: dict = {}
         # bound -> sorted irreducible paths up to it, filled by star_product
@@ -254,7 +299,7 @@ def _rank(w, R: ReductionSystem, S: LeftSides, limit: int):
         kids = ()
         if split is not None and len(ranks) + len(stack) < limit:
             i, j, s = split
-            kids = [w[:i] + m + w[j:] or p for low, m, p, _ in graded[s] if low == 0]
+            kids = [w[:i] + t[1] + w[j:] or t[2] for t in graded[s] if t[0] == 0]
         stack.append((w, split, iter(kids)))
         on_stack.add(w)
 
@@ -289,9 +334,14 @@ def _reduce_words(terms: dict, R: ReductionSystem, budget: int,
 
     A word is its arrow tuple here, or its trivial path if it has length 0 (a
     rule term that empties the word); paths are built only for
-    BudgetExceeded.  Reducible words wait in ``pending``
-    with their lowest parameter degree, and a heap hands them out lowest
-    degree first and, within a degree, by descending rank (``_rank``).
+    BudgetExceeded.  The call works in one ring: R's, joined by the inputs'
+    (``_one_ring``, which raises ``RingError`` here for an input that cannot
+    join it).  Inside, a coefficient is a plain {monomial: rational} dict, the
+    parameter degree of each monomial is worked out once per system and ring
+    (``R.degs``), and PolyScalars are built only for the results, the rewrite
+    records and BudgetExceeded, all in the call's ring.  Reducible words wait in
+    ``pending`` with their lowest parameter degree, and a heap hands them out
+    lowest degree first and, within a degree, by descending rank (``_rank``).
     Degree-0 rule terms lead to lower ranks and the other terms to higher
     degrees, so when the degree-0 rules terminate, every (word, degree) state
     is rewritten once, after all its mass has arrived.  The normal form is
@@ -307,40 +357,59 @@ def _reduce_words(terms: dict, R: ReductionSystem, budget: int,
         raise UsageError("budget must be positive")
     S = R.lhs_set()
     quiver = R.quiver
-    ranks, graded, order = R.ranks, R.graded, R.trunc
+    ranks, graded = R.ranks, R.graded
+    tr, ps = R.trunc, R.params
+    for c in terms.values():
+        # an input in R's ring, or with no order and no parameter term, keeps it
+        if c.trunc == tr and c.params == ps or (
+                c.trunc is None and (tr is not None or c.params <= ps)
+                and not (c._uses(ps) or c._uses(c.params))):
+            continue
+        tr, ps = _one_ring([x for r in R.rules for x in r.rhs.terms.values()]
+                           + list(terms.values()))
+        break
+    top = math.inf if tr is None else tr
     limit = len(ranks) + budget
-    done: dict = {}  # word -> PolyScalar
-    pending: dict = {}  # word -> (coefficient, level)
+    # monomial -> its parameter degree in the call's ring: the right sides'
+    # are the same in it as in R's
+    degs = R.degs if ps == R.params else dict(R.degs)
+    done: dict = {}  # word -> {monomial: rational}
+    pending: dict = {}  # word -> ({monomial: rational}, level)
     heap: list = []  # (level, -rank, word): ranks are unique, so no word is ever ordered
 
-    def add(w, c: PolyScalar):
+    def add(w, c: dict, level: int):
+        """Add the terms c, of lowest parameter degree ``level``, at w."""
         entry = pending.get(w)
         if entry is not None:
-            c = entry[0] + c
-            if c.is_zero():
+            c = _plus(entry[0], c)
+            if not c:
                 del pending[w]  # its heap entries are skipped when popped
                 return
-            level = c.min_param_degree()
+            level = min(map(degs.__getitem__, c))
             if level != entry[1]:
                 heapq.heappush(heap, (level, -ranks[w][0], w))
             pending[w] = (c, level)
         elif w in done:
-            c = done[w] + c
-            if c.is_zero():
-                del done[w]
-            else:
+            c = _plus(done[w], c)
+            if c:
                 done[w] = c
+            else:
+                del done[w]
         else:
             rank, split = ranks.get(w) or _rank(w, R, S, limit)
             if split is None:
                 done[w] = c
             else:
-                level = c.min_param_degree()
                 pending[w] = (c, level)
                 heapq.heappush(heap, (level, -rank, w))
 
     for w, c in terms.items():
-        add(w, c)
+        c = c.terms
+        for m in c:
+            if m not in degs:
+                degs[m] = _mono_deg(m, ps)
+        if c:
+            add(w, c, 0 if () in c else min(map(degs.__getitem__, c)))
     steps = 0
     while heap:
         level, _, w = heapq.heappop(heap)
@@ -353,21 +422,57 @@ def _reduce_words(terms: dict, R: ReductionSystem, budget: int,
         steps += 1
         if steps > budget:
             rest = {**done, **{u: cu for u, (cu, _) in pending.items()}, w: c}
-            partial = Element(quiver, {_path(quiver, u): cu for u, cu in rest.items()})
+            partial = Element(quiver, {_path(quiver, u): PolyScalar._exact(cu, tr, ps)
+                                       for u, cu in rest.items()})
             raise BudgetExceeded(partial, steps - 1, _path(quiver, w), s)
         head, tail = w[:i], w[j:]
         if rewrites is not None:
-            rewrites.append(((head, s.arrows, tail), c))
+            rewrites.append(((head, s.arrows, tail), PolyScalar._exact(c, tr, ps)))
         # c * head * phi_s * tail; the graded terms stop at the first whose
-        # lowest parameter degree exceeds the ring's order less low(c), the level
-        room = math.inf if order is None else order - level
-        for low, m, p, cm in graded[s]:
+        # lowest parameter degree exceeds the ring's order less the level
+        room = top - level
+        unit = len(c) == 1 and c.get(()) == 1
+        for low, m, p, q, pairs, whole in graded[s]:
             if low > room:
                 break
-            coeff = cm * c
-            if not coeff.is_zero():
-                add(head + m + tail or p, coeff)
-    return done
+            if q is not None:  # a rational: c scaled, at c's level
+                add(head + m + tail or p, c if q == 1 else {u: v * q for u, v in c.items()},
+                    level)
+                continue
+            if unit:  # 1 times the coefficient, which lies in the ring
+                add(head + m + tail or p, whole, low)
+                continue
+            # pair two monomials only if their parameter degrees sum to at most
+            # the order; the lowest terms always pair, and Q[symbols] is a
+            # domain, so the product is nonzero at level + low
+            d: dict = {}
+            for m1, q1 in c.items():
+                d1 = degs[m1]
+                for m2, d2, q2 in pairs:
+                    if d1 + d2 > top:
+                        break
+                    u = _mono_mul(m1, m2)
+                    degs[u] = d1 + d2
+                    v = d.get(u, 0) + q1 * q2
+                    if v:
+                        d[u] = v
+                    else:
+                        del d[u]
+            add(head + m + tail or p, d, level + low)
+    return {w: PolyScalar._exact(c, tr, ps) for w, c in done.items()}
+
+
+def _plus(a: dict, b: dict) -> dict:
+    """The sum of two {monomial: rational} dicts as a new dict, with no zero
+    term (a and b may be shared, so neither is changed)."""
+    s = a.copy()
+    for m, q in b.items():
+        q += s.get(m, 0)
+        if q:
+            s[m] = q
+        else:
+            del s[m]
+    return s
 
 
 # ---------------------------------------------------------------------------

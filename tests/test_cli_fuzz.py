@@ -15,7 +15,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathalg.cli import main
 
@@ -51,19 +51,25 @@ line = st.one_of(
 # files on the d-variable commutator system, so that `quantize` gets past
 # its shape check and reaches the graph expansion; the deform sides after
 # the valid x_j*x_i are no rule left side
-commutator = st.integers(2, 3).flatmap(lambda d: st.lists(
-    st.tuples(st.sampled_from([f"x{j}*x{i}" for j in range(2, d + 1)
-                               for i in range(1, j)]
-                              + ["x2", "x1*x1", "x2*x1*x1"]),
-              st.sampled_from(["hbar*x1", "-hbar*e0", "1/2*hbar*x1*x2",
-                               "hbar*x1 + lam*hbar*e0", "hbar*x2*x2",
-                               "3/0*hbar*x1", "hbar*x9", "x1"])),
-    max_size=3).map(lambda deforms: "\n".join(
+BAD_SIDES = ["x2", "x1*x1", "x2*x1*x1"]
+
+
+def _commutator_file(d: int, deforms: dict[str, str]) -> str:
+    return "\n".join(
         ["vertex 0", "param hbar", "unknown lam", "set trunc 2"]
         + [f"arrow x{i} : 0 -> 0" for i in range(1, d + 1)]
         + [f"rule x{j}*x{i} -> x{i}*x{j}" for j in range(2, d + 1)
            for i in range(1, j)]
-        + [f"deform {s} -> {v}" for s, v in dict(deforms).items()])))
+        + [f"deform {s} -> {v}" for s, v in deforms.items()])
+
+
+commutator = st.integers(2, 3).flatmap(lambda d: st.lists(
+    st.tuples(st.sampled_from([f"x{j}*x{i}" for j in range(2, d + 1)
+                               for i in range(1, j)] + BAD_SIDES),
+              st.sampled_from(["hbar*x1", "-hbar*e0", "1/2*hbar*x1*x2",
+                               "hbar*x1 + lam*hbar*e0", "hbar*x2*x2",
+                               "3/0*hbar*x1", "hbar*x9", "x1"])),
+    max_size=3).map(lambda deforms: _commutator_file(d, dict(deforms))))
 
 
 def _file(header, arrows, lines):
@@ -115,6 +121,20 @@ flags = st.tuples(
         lambda f: ["--budget", f[0], *f[1], *f[2], *f[3], *f[4]])
 
 
+def _bad_side_examples(test):
+    """Every run sends each quantize command that reads the deform block a
+    commutator file whose deform side is no rule left side, next to a valid
+    one; drawn, that takes a commutator file, the command and a --cap other
+    than 0 or -1 at once, which 150 examples rarely meet."""
+    for side in BAD_SIDES:
+        text = _commutator_file(2, {"x2*x1": "hbar*x1", side: "hbar*x2"})
+        for sub in ("jacobi", "check", "compare"):
+            test = example(text=text, cmd=["quantize", sub], side="",
+                           opts=["--budget", "400", "--max-len", "3"])(test)
+    return test
+
+
+@_bad_side_examples
 @settings(max_examples=150, deadline=None)
 @given(text=st.one_of(random_file, commutator), cmd=command, side=side_file,
        opts=flags)

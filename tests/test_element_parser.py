@@ -77,6 +77,8 @@ class RefParser(ElementParser):
             elif name in self.params or name in self.unknowns:
                 coeff = coeff * self._symbol(name, power)
             elif name.startswith("e") and name[1:] in self.quiver._vertex_index:
+                if not power:
+                    continue
                 if vertex not in (None, name[1:]):
                     raise ParseError(f"term {chunk!r} names two vertices", line)
                 vertex = name[1:]
@@ -102,7 +104,7 @@ PARAMS, UNKNOWNS = ["hbar", "t"], ["lam", "mu"]
 # non-composable words and bad tokens; valid ones first and more often
 factor = st.sampled_from([
     "x1", "x2", "a", "b", "x1", "x2", "x1", "hbar", "lam", "2", "3", "1/3",
-    "e0", "e1", "t^2", "hbar^3", "hbar^0", "mu^0", "lam^2", "x1^2", "a^0", "0",
+    "e0", "e1", "t^2", "hbar^3", "hbar^0", "mu^0", "lam^2", "x1^2", "a^0", "e1^0", "0",
     "0/5", "3/6", "1/0", "7/0", "2.5", "q", "e9", "x1^", "^2", "", "λ", "ħ"])
 term = st.lists(factor, min_size=1, max_size=4).map("*".join)
 
@@ -147,6 +149,24 @@ def test_parser_matches_the_term_by_term_reference(text, trunc):
 def test_a_term_names_at_most_one_vertex(text, want):
     """A product of two different trivial paths is 0 in kQ, not the last of
     them: the parser refuses it, as it refuses a vertex times arrows."""
+    for parser in (ElementParser, RefParser):
+        got = outcome(parser(QUIVER, PARAMS, UNKNOWNS, None), text)
+        assert (got[1] if got[0] == "error" else repr(got[1])) == want
+
+
+@pytest.mark.parametrize("text, want", [
+    ("e0^0", "line 3: term 'e0^0' has no path part (use e<vertex> for scalars)"),
+    ("2*hbar*e1^0", "line 3: term '2*hbar*e1^0' has no path part "
+                    "(use e<vertex> for scalars)"),
+    ("e0*e0^0", "e0"),
+    ("e1^0*e0", "e0"),
+    ("x1*e0^0*x2", "x1*x2"),
+    ("e0*e0", "e0"),
+    ("e0^2", "e0"),
+])
+def test_a_vertex_to_the_power_0_adds_nothing(text, want):
+    """e^0 is the empty product, as a^0 is: it is no trivial path, so a term
+    of nothing else has no path part, and it names no vertex."""
     for parser in (ElementParser, RefParser):
         got = outcome(parser(QUIVER, PARAMS, UNKNOWNS, None), text)
         assert (got[1] if got[0] == "error" else repr(got[1])) == want

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_brauer, make_deformed3, max_trunc
-from pathalg.quiver_core import Element, Path, PolyScalar, Quiver
+from pathalg.quiver_core import Element, Path, PolyScalar, Quiver, RingError
 from pathalg.reduction_engine import (
     BudgetExceeded,
     ReductionSystem,
@@ -149,6 +149,100 @@ def test_worklist_matches_lifo_reference(name, terms):
     q, R = SYSTEMS[name]
     a = _element(R, terms)
     assert reduce_full(a, R) == lifo_normal_form(a, R)
+
+
+def _unknowns_and_hbar(trunc: int = 2):
+    """x_j x_i -> x_i x_j + lam*hbar*x_k x_k + (mu^2 - 2*hbar^2)*x_i on the
+    d=3 commutator quiver, hbar a parameter at order ``trunc`` and lam, mu
+    unknowns, which no order cuts."""
+    q = Quiver(["0"], [(f"x{i}", "0", "0") for i in (1, 2, 3)])
+    ring = trunc, frozenset({"hbar"})
+    lam_hbar = PolyScalar({(("hbar", 1), ("lam", 1)): 1}, *ring)
+    mu2 = PolyScalar({(("mu", 2),): 1, (("hbar", 2),): -2}, *ring)
+    return q, ReductionSystem(q, [
+        Rule(q.path(f"x{j}", f"x{i}"), Element.from_path(q.path(f"x{i}", f"x{j}"))
+             + Element.from_path(q.path(f"x{k}", f"x{k}"), lam_hbar)
+             + Element.from_path(q.path(f"x{i}"), mu2))
+        for j, i, k in ((2, 1, 3), (3, 1, 2), (3, 2, 1))])
+
+
+# name -> (system, the ring of its inputs, or None for inputs with no order
+# and no parameter term, the symbols the inputs use)
+RING_CASES = {
+    "criterion-03 lam, mu at order 8": (_formal_lam_mu(8), (8, frozenset({"lam", "mu"})),
+                                        ("lam", "mu")),
+    "unknowns and hbar at order 2": (_unknowns_and_hbar(2), (2, frozenset({"hbar"})),
+                                     ("hbar", "lam", "mu")),
+    "order-less inputs, deformed system": (_deformed_commutator(3), None, ("lam", "mu")),
+}
+
+
+@st.composite
+def ring_inputs(draw, name):
+    """An element of the case's system whose coefficients each have up to
+    three terms, of mixed degrees in the case's symbols."""
+    (q, R), ring, symbols = RING_CASES[name]
+    exponents = st.tuples(*[st.integers(0, 5)] * len(symbols))
+    a = Element.zero(q)
+    for _ in range(draw(st.integers(1, 4))):
+        path = _walk(q, draw(st.integers(0, 5)), draw(st.lists(st.integers(0, 3), max_size=6)))
+        terms = {tuple((n, e) for n, e in zip(symbols, exps) if e): draw(
+            st.sampled_from([-3, -1, 1, 2, Fraction(1, 2)]))
+            for exps in draw(st.lists(exponents, min_size=1, max_size=3))}
+        coeff = (PolyScalar(terms, *ring) if ring is not None else
+                 PolyScalar(terms, None, draw(st.sampled_from([frozenset(), R.params]))))
+        if not coeff.is_zero():
+            a = a + Element.from_path(path, coeff)
+    return a
+
+
+@pytest.mark.parametrize("name", sorted(RING_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_lifo_reference_in_the_calls_ring(name, data):
+    """``reduce_full`` against ``lifo_normal_form``, which rewrites with
+    PolyScalar arithmetic: the same normal form, and every coefficient of it
+    in the call's ring (the system's, which every input here joins)."""
+    (_, R), ring, _ = RING_CASES[name]
+    a = data.draw(ring_inputs(name))
+    got = reduce_full(a, R)
+    assert got == lifo_normal_form(a, R)
+    want = (R.trunc, R.params) if ring is None else ring
+    assert {(c.trunc, c.params) for c in got.terms.values()} <= {want}
+
+
+@pytest.mark.parametrize("coeff", [
+    PolyScalar.rational(1, 2, frozenset({"hbar"})),
+    PolyScalar.rational(1, 4, frozenset({"hbar"})),
+    PolyScalar.var("hbar", is_param=True, trunc=4),
+    PolyScalar.var("hbar", is_param=True),  # no order, but a parameter term
+    PolyScalar.rational(1, 3, frozenset({"lam"}))
+    + PolyScalar.var("hbar", trunc=3, params=frozenset({"lam"})),  # hbar no param
+], ids=["order 2", "order 4", "hbar at order 4", "hbar with no order",
+        "hbar an unknown at order 3"])
+@pytest.mark.parametrize("word", [("x1", "x2"), ("x2", "x1")], ids=["irreducible", "reducible"])
+def test_an_input_outside_the_ring_raises_at_entry(coeff, word):
+    """The deformed d=3 commutator system lies at order 3 in hbar: an input
+    of another order, or with a parameter term and no order, or using hbar
+    as an unknown, meets it in no ring, even on a word no rule rewrites."""
+    q, R = SYSTEMS["commutator-3"]
+    assert (R.trunc, R.params) == (3, frozenset({"hbar"}))
+    with pytest.raises(RingError):
+        reduce_full(Element.from_path(q.path(*word), coeff), R)
+
+
+def test_right_sides_in_two_rings_raise_when_the_system_is_built():
+    """A system works in the one ring of its right sides: hbar at orders 2
+    and 3, or hbar at order 3 next to hbar with no order, lie in none."""
+    q = Quiver(["0"], [("x1", "0", "0"), ("x2", "0", "0")])
+    for other in (PolyScalar.var("hbar", is_param=True, trunc=2),
+                  PolyScalar.var("hbar", is_param=True)):
+        rules = [Rule(q.path("x2", "x1"), Element.from_path(q.path("x1", "x2"), _hbar(3))),
+                 Rule(q.path("x2", "x2"), Element.from_path(q.path("x1", "x1"), other))]
+        with pytest.raises(RingError):
+            ReductionSystem(q, rules)
+        assert (ReductionSystem(q, rules[:1]).trunc, ReductionSystem(q, rules[1:]).trunc) == (
+            3, other.trunc)
 
 
 def _split_paths(q: Quiver, record):
