@@ -18,7 +18,7 @@ arithmetic that would mix two orders raises ``RingError``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "UsageError",
@@ -326,33 +326,22 @@ class PolyScalar:
         """Whether a term holds a symbol of ``params``."""
         return any(n in params for m in self.terms for n, _ in m)
 
-    def _ring(self, other: "PolyScalar") -> tuple[int | None, frozenset[str]]:
-        """The one ring of self and other: their order on the union of their
-        params (no symbol a parameter of one and an unknown of the other), or
-        the ring of one side if the other has no order and no parameter term."""
-        a, b = self, other
-        if a.trunc == b.trunc:
-            if a.params == b.params:
-                return a.trunc, a.params
-            if not (a._uses(b.params - a.params) or b._uses(a.params - b.params)):
-                return a.trunc, a.params | b.params
-        else:
-            if a.trunc is not None:
-                a, b = b, a
-            if a.trunc is None and not a._uses(a.params | b.params):
-                return b.trunc, b.params
-        raise RingError(f"{self!r} at order {self.trunc} in {sorted(self.params)} meets "
-                        f"{other!r} at order {other.trunc} in {sorted(other.params)}")
+    def _joins(self, n: int | None, params: frozenset[str]) -> bool:
+        """Whether self lies in the ring (n, params): at order n with its
+        params among them and no term using another of them (as an unknown),
+        or, in a ring with an order, with no order and no parameter term."""
+        if self.trunc == n:
+            return self.params == params or (
+                self.params < params and not self._uses(params - self.params))
+        return self.trunc is None and not self._uses(self.params | params)
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other: "PolyScalar") -> "PolyScalar":
-        tr, ps = self._ring(other)
-        d = dict(self.terms)
-        for m, c in other.terms.items():
-            d[m] = c = d.get(m, 0) + c
-            if not c:
-                del d[m]
-        return PolyScalar._exact(d, tr, ps)
+        if self.trunc == other.trunc and self.params == other.params:
+            tr, ps = self.trunc, self.params
+        else:
+            tr, ps = _ring((self, other))
+        return PolyScalar._exact(_plus(self.terms, other.terms), tr, ps)
 
     def __sub__(self, other: "PolyScalar") -> "PolyScalar":
         return self + (-other)
@@ -361,24 +350,22 @@ class PolyScalar:
         return PolyScalar._exact({m: -c for m, c in self.terms.items()}, self.trunc, self.params)
 
     def __mul__(self, other: "PolyScalar") -> "PolyScalar":
-        tr, ps = self._ring(other)
+        if self.trunc == other.trunc and self.params == other.params:
+            tr, ps = self.trunc, self.params
+        else:
+            tr, ps = _ring((self, other))
         # the rational 1 times x is x, if x is in the ring of the product
         if self.terms == _UNIT and other.trunc == tr and other.params == ps:
             return other
         if other.terms == _UNIT and self.trunc == tr and self.params == ps:
             return self
-        outer, inner = self.terms, other.terms
-        if len(inner) == 1 < len(outer):
-            # a one-term operand goes outside, so the other is walked once; the
-            # products are distinct and come out in the same order
-            outer, inner = inner, outer
         # pair two monomials only if their parameter degrees sum to at most
         # the truncation
         cut = tr is not None and bool(ps)
         d: dict[Mono, int | Fraction] = {}
-        for m1, c1 in outer.items():
+        for m1, c1 in self.terms.items():
             room = tr - _mono_deg(m1, ps) if cut else 0
-            for m2, c2 in inner.items():
+            for m2, c2 in other.terms.items():
                 if cut and _mono_deg(m2, ps) > room:
                     continue
                 m = _mono_mul(m1, m2)
@@ -455,6 +442,32 @@ def _joined(bits: list[str]) -> str:
 def lowest_order(*orders: int | None) -> int | None:
     """The lowest of ``orders`` that is not None (None if none is)."""
     return min((n for n in orders if n is not None), default=None)
+
+
+def _ring(scalars: Sequence[PolyScalar]) -> tuple[int | None, frozenset[str]]:
+    """The one ring of ``scalars``, (order, params): their lowest order on the
+    union of the params of those at that order, if each joins it
+    (``PolyScalar._joins``); else ``RingError``."""
+    n = lowest_order(*(c.trunc for c in scalars))
+    ps = frozenset().union(*(c.params for c in scalars if c.trunc == n))
+    for c in scalars:
+        if not c._joins(n, ps):
+            raise RingError(f"{c!r} at order {c.trunc} in {sorted(c.params)} is not "
+                            f"in the ring at order {n} in {sorted(ps)}")
+    return n, ps
+
+
+def _plus(a: dict, b: dict) -> dict:
+    """The sum of two {monomial: rational} dicts as a new dict, with no zero
+    term (a and b may be shared, so neither is changed)."""
+    s = a.copy()
+    for m, q in b.items():
+        q += s.get(m, 0)
+        if q:
+            s[m] = q
+        else:
+            del s[m]
+    return s
 
 
 # ---------------------------------------------------------------------------

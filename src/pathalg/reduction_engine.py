@@ -22,11 +22,11 @@ from .quiver_core import (
     Path,
     PolyScalar,
     Quiver,
-    RingError,
     UsageError,
     _mono_deg,
     _mono_mul,
-    lowest_order,
+    _plus,
+    _ring,
 )
 
 __all__ = [
@@ -152,31 +152,6 @@ def _windows(w: tuple, lengths):
     return (w[i:i + n] for n in lengths for i in range(len(w) - n + 1))
 
 
-def _one_ring(scalars: list[PolyScalar]) -> tuple[int | None, frozenset[str]]:
-    """The one ring of ``scalars``, (order, params): their lowest order on the
-    union of the params of those at that order.  Each must join it by
-    ``PolyScalar._ring``'s rule, or it raises ``RingError``: one at the order
-    may use no other's param, one with no order no param at all."""
-    if not scalars:
-        return None, frozenset()
-    first = scalars[0]
-    for c in scalars:
-        if c.trunc != first.trunc or c.params is not first.params:
-            break
-    else:
-        return first.trunc, first.params  # all in one ring already
-    n = lowest_order(*(c.trunc for c in scalars))
-    ring = PolyScalar._exact({}, n, frozenset().union(
-        *(c.params for c in scalars if c.trunc == n)))
-    for c in scalars:
-        try:
-            ring._ring(c)
-        except RingError:
-            raise RingError(f"{c!r} at order {c.trunc} in {sorted(c.params)} is not "
-                            f"in the ring at order {n} in {sorted(ring.params)}") from None
-    return ring.trunc, ring.params
-
-
 def _graded(p: Path, c: PolyScalar, params: frozenset[str]):
     """The right-side term c*p as (lowest parameter degree, arrow word, path,
     rational, pairs, terms): a c with no symbol is the rational, any other
@@ -200,8 +175,7 @@ class ReductionSystem:
             self.by_lhs[rule.lhs] = rule
         self._sides = LeftSides(rule.lhs for rule in self.rules)
         # the one ring the right sides lie in: its order (None: exact) and params
-        self.trunc, self.params = _one_ring(
-            [c for r in self.rules for c in r.rhs.terms.values()])
+        self.trunc, self.params = _ring([c for r in self.rules for c in r.rhs.terms.values()])
         # each right side as _graded terms sorted by degree, so that rewriting
         # stops before a term over the trunc; the path keys the word of length
         # 0 that a trivial term makes of the side
@@ -334,10 +308,11 @@ def _reduce_words(terms: dict, R: ReductionSystem, budget: int,
 
     A word is its arrow tuple here, or its trivial path if it has length 0 (a
     rule term that empties the word); paths are built only for
-    BudgetExceeded.  The call works in one ring: R's, joined by the inputs'
-    (``_one_ring``, which raises ``RingError`` here for an input that cannot
-    join it).  Inside, a coefficient is a plain {monomial: rational} dict, the
-    parameter degree of each monomial is worked out once per system and ring
+    BudgetExceeded.  The call works in one ring: R's, if every input joins it
+    (``PolyScalar._joins``), else the one ring of R's right sides and the
+    inputs (``_ring``, which raises ``RingError`` here if there is none).
+    Inside, a coefficient is a plain {monomial: rational} dict, the parameter
+    degree of each monomial is worked out once per system and ring
     (``R.degs``), and PolyScalars are built only for the results, the rewrite
     records and BudgetExceeded, all in the call's ring.  Reducible words wait in
     ``pending`` with their lowest parameter degree, and a heap hands them out
@@ -359,15 +334,8 @@ def _reduce_words(terms: dict, R: ReductionSystem, budget: int,
     quiver = R.quiver
     ranks, graded = R.ranks, R.graded
     tr, ps = R.trunc, R.params
-    for c in terms.values():
-        # an input in R's ring, or with no order and no parameter term, keeps it
-        if c.trunc == tr and c.params == ps or (
-                c.trunc is None and (tr is not None or c.params <= ps)
-                and not (c._uses(ps) or c._uses(c.params))):
-            continue
-        tr, ps = _one_ring([x for r in R.rules for x in r.rhs.terms.values()]
-                           + list(terms.values()))
-        break
+    if not all(c.trunc == tr and c.params == ps or c._joins(tr, ps) for c in terms.values()):
+        tr, ps = _ring([x for r in R.rules for x in r.rhs.terms.values()] + list(terms.values()))
     top = math.inf if tr is None else tr
     limit = len(ranks) + budget
     # monomial -> its parameter degree in the call's ring: the right sides'
@@ -460,19 +428,6 @@ def _reduce_words(terms: dict, R: ReductionSystem, budget: int,
                         del d[u]
             add(head + m + tail or p, d, level + low)
     return {w: PolyScalar._exact(c, tr, ps) for w, c in done.items()}
-
-
-def _plus(a: dict, b: dict) -> dict:
-    """The sum of two {monomial: rational} dicts as a new dict, with no zero
-    term (a and b may be shared, so neither is changed)."""
-    s = a.copy()
-    for m, q in b.items():
-        q += s.get(m, 0)
-        if q:
-            s[m] = q
-        else:
-            del s[m]
-    return s
 
 
 # ---------------------------------------------------------------------------

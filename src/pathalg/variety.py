@@ -89,13 +89,11 @@ def cochain_basis(R: ReductionSystem, cond: DegreeCondition):
 def symbolic_cochain(R: ReductionSystem, basis, names=None):
     """The generic cochain sum(unknown * (s -> u)) over the basis.
 
-    ``names`` may be a list matching the basis order or a mapping from basis
-    pairs to symbol names; by default unknowns are named c1, c2, ...
+    ``names`` is a list of symbol names in the basis order; by default
+    unknowns are named c1, c2, ...
     """
     if names is None:
         names = [f"c{i + 1}" for i in range(len(basis))]
-    if isinstance(names, dict):
-        names = [names[pair] for pair in basis]
     seen = set()
     for name in names:
         if name in seen:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import operator
 from decimal import Decimal
 from fractions import Fraction
@@ -21,6 +22,7 @@ from pathalg.quiver_core import (
     UsageError,
     _mono_deg,
     _mono_mul,
+    _ring,
     compose,
     lowest_order,
 )
@@ -405,6 +407,57 @@ def test_scalars_of_two_orders_raise(low, gap, params, data):
             op(a, b)
         with pytest.raises(RingError):
             op(b, a)
+
+
+def _ref_ring(scalars):
+    """The one ring of ``scalars`` by README's rule, or None if there is
+    none.  The ring has their lowest order.  Scalars at that order lie in
+    the ring on the union of their params, unless a symbol is a parameter of
+    one and appears as an unknown in another.  A scalar with no order lies
+    in a ring with one only if it has no parameter term, of its own params
+    or the ring's.  Two orders never meet."""
+    used = [{n for m in x.terms for n, _ in m} for x in scalars]
+    n = min((x.trunc for x in scalars if x.trunc is not None), default=None)
+    at_n = [(x, u) for x, u in zip(scalars, used) if x.trunc == n]
+    if any(u & (y.params - x.params) for x, u in at_n for y, _ in at_n):
+        return None
+    params = frozenset().union(*(x.params for x, _ in at_n))
+    for x, u in zip(scalars, used):
+        if x.trunc != n and (x.trunc is not None or u & (x.params | params)):
+            return None
+    return n, params
+
+
+# a scalar at any order or none, in params {t, h} or fewer, over t, h and lam
+_any_ring_scalar = st.builds(
+    PolyScalar,
+    st.dictionaries(st.lists(st.integers(0, 2), min_size=3, max_size=3).map(
+        lambda exps: tuple((n, e) for n, e in zip(("h", "lam", "t"), exps) if e)),
+        coefficient.filter(bool), max_size=3),
+    st.one_of(st.none(), st.integers(0, 3)),
+    st.frozensets(st.sampled_from(["t", "h"])))
+_H_AS_UNKNOWN = PolyScalar({(("h", 1), ("t", 1)): 1}, 1, frozenset({"t"}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_any_ring_scalar, min_size=1, max_size=4))
+# h is an unknown of one scalar at order 1 and a parameter of another there
+@example([_H_AS_UNKNOWN, PolyScalar.rational(1, 1, frozenset({"h"}))])
+# the 1 with no order and param h leaves h out of the ring at order 1
+@example([_H_AS_UNKNOWN, PolyScalar.rational(1, None, frozenset({"h"}))])
+def test_one_ring_rule_for_any_scalars(scalars):
+    """``_ring`` raises exactly when the README rule finds no ring, returns
+    its ring otherwise, in every order of the scalars, and every scalar then
+    joins that ring."""
+    want = _ref_ring(scalars)
+    for perm in itertools.permutations(scalars):
+        if want is None:
+            with pytest.raises(RingError):
+                _ring(perm)
+        else:
+            assert _ring(perm) == want
+    if want is not None:
+        assert all(x._joins(*want) for x in scalars)
 
 
 @settings(max_examples=60, deadline=None)

@@ -98,13 +98,6 @@ class TestSymbolicCochain:
         with pytest.raises(UsageError):
             symbolic_cochain(R, basis, names=["c", "c"])
 
-    def test_mapping_names(self, two_cycle):
-        _, R = two_cycle
-        basis = cochain_basis(R, STRICT)
-        _, names = symbolic_cochain(R, basis, names={pair: f"u{i}"
-                                                     for i, pair in enumerate(basis)})
-        assert names == ["u0", "u1"]
-
 
 class TestCanonicalPoly:
     def test_clears_denominators_and_content(self):
