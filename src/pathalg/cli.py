@@ -249,6 +249,15 @@ def _split_rule(line_no: int, rest: str) -> tuple[str, str]:
     return lhs.strip(), rhs.strip()
 
 
+def _put(values: dict[Path, Element], head: str, parser: ElementParser,
+         line_no: int, lhs: str, rhs: str) -> None:
+    """Enter ``<head> <lhs> -> <rhs>`` into values, one line per side."""
+    side = parser.parse_path(lhs, line_no)
+    if side in values:
+        raise ParseError(f"duplicate {head} for {side!r}", line_no)
+    values[side] = parser.parse_element(rhs, line_no)
+
+
 def _setting(value: str, least: int, what: str, line: int) -> int:
     try:
         n = int(value)
@@ -320,16 +329,14 @@ def parse_problem(text: str) -> ProblemFile:
         order = AdmissibleOrder(quiver, order_names) if order_names else None
     except UsageError as exc:
         raise ParseError(str(exc)) from exc
-    # one meaning per name: e<V> is the trivial path at V, and an arrow is no
-    # coefficient symbol (a name both param and unknown is read as a param)
+    # one meaning per name: e<V> is the trivial path at V, and a name is at
+    # most one of an arrow, a param and an unknown
     meaning = {f"e{v}": f"the trivial path at vertex {v}" for v in vertices}
     for role, names in (("an arrow", quiver.arrow_names()),
                         ("a param", params), ("an unknown", unknowns)):
         for name in names:
-            if name in meaning:
+            if meaning.setdefault(name, role) != role:
                 raise ParseError(f"name {name!r} is both {role} and {meaning[name]}")
-        if role == "an arrow":
-            meaning.update(dict.fromkeys(names, role))
 
     plain = ElementParser(quiver, params, unknowns, trunc=None)
     rules = []
@@ -344,8 +351,7 @@ def parse_problem(text: str) -> ProblemFile:
     deformed = ElementParser(quiver, params, unknowns, trunc=trunc)
     deform_values: dict[Path, Element] = {}
     for line_no, lhs, rhs in deform_lines:
-        deform_values[deformed.parse_path(lhs, line_no)] = \
-            deformed.parse_element(rhs, line_no)
+        _put(deform_values, "deform", deformed, line_no, lhs, rhs)
 
     return ProblemFile(quiver=quiver, system=system, order=order,
                        params=params, unknowns=unknowns, trunc=trunc,
@@ -511,8 +517,7 @@ def _cmd_gauge(problem: ProblemFile, args, flags, report: Report):
         if head not in values:
             raise ParseError(f"unknown directive {head!r} in psi file",
                              line_no)
-        values[head][parser.parse_path(lhs, line_no)] = \
-            parser.parse_element(rhs, line_no)
+        _put(values[head], head, parser, line_no, lhs, rhs)
     psi = GaugeOnArrows(problem.system, values["gauge"])
     primed = DeformationCochain(problem.system, values["deform"],
                                 trunc=cochain.trunc)

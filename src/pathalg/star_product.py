@@ -2,10 +2,9 @@
 
 The star product of two normal forms is computed by multiplying them in the
 path algebra and rewriting with the deformed rules s -> phi_s + phitilde_s.
-The strata are read off a second system s -> phi_s + z*phitilde_s, built only
-when ``star_k`` asks for it, where z is an internal bookkeeping symbol
-counting how often the deformation part was used: the coefficient of z^k is
-the k-th stratum, and setting z = 1 gives the full product.  A cochain
+``star_k`` reads the strata off the star product of the cochain with every
+value scaled by z, a symbol no input uses, counting how often the deformation
+part was used: the coefficient of z^k is the k-th stratum.  A cochain
 carries its reduction system, so every product and check here takes only the
 cochain.  The Maurer-Cartan defects are the overlap resolutions of the
 deformed system (``resolve_overlap``), the same kernel as the diamond check.
@@ -33,7 +32,6 @@ from .reduction_engine import (
 )
 
 __all__ = [
-    "Z_SYMBOL",
     "two_cochain_basis",
     "one_cochain_basis",
     "generic_values",
@@ -46,9 +44,6 @@ __all__ = [
     "mc_check",
     "gauge_check",
 ]
-
-Z_SYMBOL = "_z"  # reserved internal bookkeeping symbol
-
 
 def _parallel_pairs(R: ReductionSystem, bound: int | None, sides):
     """Pairs (s, u): each path s of ``sides`` with every parallel irreducible
@@ -82,6 +77,18 @@ def generic_values(R: ReductionSystem, basis, names) -> dict[Path, Element]:
     return {s: Element(R.quiver, value) for s, value in terms.items()}
 
 
+def _check_value(kind: str, key: Path, v: Element, system: ReductionSystem, positive: bool):
+    """Check that every term of the value at ``key`` is parallel to it and
+    irreducible, and of positive parameter degree if ``positive``."""
+    for p, c in v.terms.items():
+        if (p.source, p.target) != (key.source, key.target):
+            raise UsageError(f"{kind} value for {key!r} not parallel: {p!r}")
+        if not is_irreducible(p, system.lhs_set()):
+            raise UsageError(f"{kind} value for {key!r} has reducible term {p!r}")
+        if positive and c.min_param_degree() < 1:
+            raise UsageError(f"{kind} value for {key!r} has a parameter-degree-0 term")
+
+
 class DeformationCochain:
     """A map s -> phitilde_s on the rule left sides, with truncation order.
 
@@ -97,29 +104,22 @@ class DeformationCochain:
         self.system = system
         self.trunc = lowest_order(trunc, system.trunc, *(v.order() for v in values.values()))
         self.formal = formal
-        S = system.lhs_set()
         vals: dict[Path, Element] = {}
         for s, v in values.items():
             if s not in system.by_lhs:
                 raise UsageError(f"{s!r} is not a rule left side")
-            for p, c in v.terms.items():
-                if (p.source, p.target) != (s.source, s.target):
-                    raise UsageError(f"cochain value for {s!r} not parallel: {p!r}")
-                if not is_irreducible(p, S):
-                    raise UsageError(f"cochain value for {s!r} has reducible term {p!r}")
-                if c._uses((Z_SYMBOL,)):
-                    raise UsageError(f"symbol {Z_SYMBOL!r} is reserved")
-                if formal and c.min_param_degree() < 1:
-                    raise UsageError(
-                        f"cochain value for {s!r} has a parameter-degree-0 term")
+            _check_value("cochain", s, v, system, formal)
             v = v.truncated(self.trunc)
             if not v.is_zero():
                 vals[s] = v
         self.values = vals
         if formal and trunc is None:
             raise UsageError("formal deformations need a finite truncation order")
-        self._deformed = self._build_deformed()
-        self._tagged: ReductionSystem | None = None  # built by star_k
+        # the rules s -> phi_s + phitilde_s at the cochain's order: the base
+        # system's sides and right sides, plus values checked above
+        self._deformed = ReductionSystem(system.quiver, [
+            Rule(rule.lhs, rule.rhs.truncated(self.trunc) + self.value(rule.lhs))
+            for rule in system.rules], validate=False)
 
     def value(self, s: Path) -> Element:
         return self.values.get(s, Element.zero(self.system.quiver))
@@ -129,17 +129,6 @@ class DeformationCochain:
         if n is None or self.trunc is not None and n >= self.trunc:
             return self
         return DeformationCochain(self.system, self.values, n, self.formal)
-
-    def _build_deformed(self, tag: PolyScalar | None = None) -> ReductionSystem:
-        """The rules s -> phi_s + phitilde_s at the cochain's order, each value
-        scaled by ``tag`` if given."""
-        rules = []
-        for rule in self.system.rules:
-            value = self.value(rule.lhs)
-            rhs = rule.rhs.truncated(self.trunc) + (value if tag is None else value.scale(tag))
-            rules.append(Rule(rule.lhs, rhs))
-        # the base system's sides and right sides, plus values checked in __init__
-        return ReductionSystem(self.system.quiver, rules, validate=False)
 
     def __repr__(self):
         return f"DeformationCochain({len(self.values)} values, trunc={self.trunc})"
@@ -151,18 +140,11 @@ class GaugeOnArrows:
 
     def __init__(self, system: ReductionSystem, values: dict[Path, Element]):
         self.system = system
-        S = system.lhs_set()
         vals: dict[Path, Element] = {}
         for x, v in values.items():
             if len(x) != 1:
                 raise UsageError(f"gauge values are indexed by arrows, got {x!r}")
-            for p, c in v.terms.items():
-                if (p.source, p.target) != (x.source, x.target):
-                    raise UsageError(f"gauge value for {x!r} not parallel: {p!r}")
-                if not is_irreducible(p, S):
-                    raise UsageError(f"gauge value for {x!r} has reducible term {p!r}")
-                if c.min_param_degree() < 1:
-                    raise UsageError(f"gauge value for {x!r} has a parameter-degree-0 term")
+            _check_value("gauge", x, v, system, True)
             if not v.is_zero():
                 vals[x] = v
         self.values = vals
@@ -186,13 +168,20 @@ def star(a: Element, b: Element, cochain: DeformationCochain,
 
 def star_k(a: Element, b: Element, cochain: DeformationCochain, k: int,
            budget: int = DEFAULT_BUDGET) -> Element:
-    """The stratum of the star product using the deformation part exactly k times."""
+    """The stratum of the star product using the deformation part exactly k
+    times: the coefficient of z^k in a*b starred with every value scaled by z,
+    z the first of _z, _z_, _z__, ... that no coefficient of the inputs uses."""
     if k < 0:
         raise UsageError("k must be >= 0")
-    cochain, a, b = _entered(cochain, None, a, b)
-    if cochain._tagged is None:
-        cochain._tagged = cochain._build_deformed(PolyScalar.var(Z_SYMBOL))
-    return reduce_full(a * b, cochain._tagged, budget).coefficient_of(Z_SYMBOL, k)
+    scalars = [c for e in (a, b, *cochain.values.values(), *(r.rhs for r in cochain.system.rules))
+               for c in e.terms.values()]
+    used = {n for c in scalars for m in c.terms for n, _ in m}.union(*(c.params for c in scalars))
+    z = "_z"
+    while z in used:
+        z += "_"
+    values = {s: v.scale(PolyScalar.var(z)) for s, v in cochain.values.items()}
+    tagged = DeformationCochain(cochain.system, values, cochain.trunc, cochain.formal)
+    return star(a, b, tagged, budget).coefficient_of(z, k)
 
 
 @dataclass

@@ -760,6 +760,42 @@ def test_gauge_needs_a_formal_deform_block(tmp_path, psi):
         "value of positive parameter degree)")
 
 
+def test_a_deform_side_given_twice_exits_2(tmp_path):
+    """One deform line per side, as one rule per side: the second is refused."""
+    p = tmp_path / "weyl.txt"
+    p.write_text(WEYL.format(trunc=3) + "deform x2*x1 -> 2*hbar*x1\n")
+    code, out = run([str(p), "star", "x2", "x1"])
+    assert code == 2
+    assert last_json(out)["error"] == "line 9: duplicate deform for x2*x1"
+
+
+@pytest.mark.parametrize("psi, error", [
+    ("gauge a -> t*a\ngauge a -> 2*t*a\n", "line 2: duplicate gauge for a"),
+    (GAUGE_SAME + "deform b*a -> 2*t*e2\n", "line 3: duplicate deform for b*a"),
+], ids=["gauge", "deform"])
+def test_a_psi_key_given_twice_exits_2(tmp_path, psi, error):
+    """One psi-file line per gauge arrow and per deform side."""
+    p = tmp_path / "problem.txt"
+    p.write_text(TWO_CYCLE.format(ba="t*e2"))
+    (tmp_path / "psi.txt").write_text(psi)
+    code, out = run([str(p), "gauge", str(tmp_path / "psi.txt")])
+    assert code == 2
+    assert last_json(out)["error"] == error
+
+
+def test_an_unknown_named_z_runs_star_and_mc(tmp_path):
+    """No symbol is reserved: _z is an unknown like any other."""
+    p = tmp_path / "z.txt"
+    p.write_text(COMM3 + "param hbar\nunknown _z\nset trunc 3\n"
+                 "deform x2*x1 -> _z*hbar*e0\n")
+    code, out = run([str(p), "star", "x2", "x1"])
+    assert code == 0
+    assert last_json(out)["star"] == "_z*hbar*e0 + x1*x2"
+    code, out = run([str(p), "mc"])
+    assert code == 0
+    assert last_json(out)["verdict"] == "pass"
+
+
 class TestInternalErrors:
     """Bad input exits 2; only a fault in pathalg itself exits 4."""
 
@@ -873,8 +909,8 @@ rule a*c -> e2
 
 
 class TestNameCollisions:
-    """A name has one meaning: e<V> is the trivial path at vertex V, and an
-    arrow is no coefficient symbol."""
+    """A name has one meaning: e<V> is the trivial path at vertex V, and a
+    name is at most one of an arrow, a param and an unknown."""
 
     def test_arrow_named_like_a_trivial_path_exits_2(self, tmp_path):
         p = tmp_path / "double.txt"
@@ -893,6 +929,7 @@ class TestNameCollisions:
          "name 'e0' is both an unknown and the trivial path at vertex 0"),
         ("param x1", "name 'x1' is both a param and an arrow"),
         ("unknown hbar x2", "name 'x2' is both an unknown and an arrow"),
+        ("param hbar\nunknown hbar", "name 'hbar' is both an unknown and a param"),
     ])
     def test_symbol_named_like_a_path_exits_2(self, tmp_path, decl, error):
         p = tmp_path / "symbol.txt"
@@ -901,11 +938,3 @@ class TestNameCollisions:
         assert code == 2
         assert out.splitlines()[0] == f"error: {error}"
         assert last_json(out) == {"command": "reduce", "error": error}
-
-    def test_a_name_may_be_both_param_and_unknown(self, tmp_path):
-        p = tmp_path / "both.txt"
-        p.write_text(COMM3 + "param t\nunknown t\nset trunc 1\n"
-                     "deform x2*x1 -> t*x1*x2 + t^2*x1*x2\n")
-        code, out = run([str(p), "star", "x2", "x1"])
-        assert code == 0
-        assert last_json(out)["star"] == "(1 + t)*x1*x2"  # t^2 is cut: a param

@@ -1,11 +1,11 @@
 """Property test: every CLI run keeps the exit-code contract.
 
 Problem files are drawn from a small grammar (vertices, arrows, params,
-unknowns, orders, rules, deforms and settings) with bad tokens mixed in:
-zero denominators, negative and non-integer settings, unknown arrows and
-vertices, undeclared symbols.  Commands, their arguments and the flags are
-drawn too.  Every run through ``cli.main`` must return 0, 1, 2 or 3, print a
-last line that parses as JSON, and raise nothing.
+unknowns with ``_z`` among them, orders, rules, deforms and settings) with
+bad tokens mixed in: zero denominators, negative and non-integer settings,
+unknown arrows and vertices, undeclared symbols.  Commands, their arguments
+and the flags are drawn too.  Every run through ``cli.main`` must return 0,
+1, 2 or 3, print a last line that parses as JSON, and raise nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ BAD_LINES = ["arrow c : 0 -> 7", "arrow x1 0 0", "frobnicate x1",
 letters = st.sampled_from(["x1", "x2", "x3", "x1", "x2", "a", "b", "zz"])
 word = st.lists(letters, min_size=1, max_size=3).map("*".join)
 coeff = st.sampled_from(["", "", "", "2", "-1", "1/3", "hbar", "hbar", "lam",
-                         "t^2", "1/0", "7/0", "0/5", "q", "2.5", "mu^0"])
+                         "_z", "t^2", "1/0", "7/0", "0/5", "q", "2.5", "mu^0"])
 term = st.tuples(coeff, st.one_of(word, st.sampled_from(["e0", "e1", "e9"])))
 element = st.one_of(
     st.just("0"),
@@ -56,7 +56,7 @@ BAD_SIDES = ["x2", "x1*x1", "x2*x1*x1"]
 
 def _commutator_file(d: int, deforms: dict[str, str]) -> str:
     return "\n".join(
-        ["vertex 0", "param hbar", "unknown lam", "set trunc 2"]
+        ["vertex 0", "param hbar", "unknown lam _z", "set trunc 2"]
         + [f"arrow x{i} : 0 -> 0" for i in range(1, d + 1)]
         + [f"rule x{j}*x{i} -> x{i}*x{j}" for j in range(2, d + 1)
            for i in range(1, j)]
@@ -67,7 +67,7 @@ commutator = st.integers(2, 3).flatmap(lambda d: st.lists(
     st.tuples(st.sampled_from([f"x{j}*x{i}" for j in range(2, d + 1)
                                for i in range(1, j)] + BAD_SIDES),
               st.sampled_from(["hbar*x1", "-hbar*e0", "1/2*hbar*x1*x2",
-                               "hbar*x1 + lam*hbar*e0", "hbar*x2*x2",
+                               "hbar*x1 + lam*hbar*e0", "_z*hbar*x1", "hbar*x2*x2",
                                "3/0*hbar*x1", "hbar*x9", "x1"])),
     max_size=3).map(lambda deforms: _commutator_file(d, dict(deforms))))
 
@@ -81,7 +81,7 @@ def _file(header, arrows, lines):
 
 random_file = st.builds(
     _file,
-    st.sampled_from([["vertex 0 1", "param hbar t", "unknown lam mu"]] * 3
+    st.sampled_from([["vertex 0 1", "param hbar t", "unknown lam mu _z"]] * 3
                     + [[], ["vertex 0"], ["vertex 0 1", "param hbar"]]),
     st.lists(st.sampled_from(sorted(ARROWS)), min_size=1, max_size=5,
              unique=True),

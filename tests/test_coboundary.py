@@ -164,7 +164,7 @@ def test_parameters_and_unknowns_in_rules():
     R = parse_problem(text).system
     assert check_diamond(R).verdict == "pass"
     assert check_agrees(R, 2) is UsageError  # lam*t*psi is not rational
-    R = parse_problem(text.replace("lam", "hbar")).system
+    R = parse_problem(text.replace("lam*", "hbar*")).system
     assert check_diamond(R).verdict == "pass"
     assert check_agrees(R, 2) == ([(0, 0)] * 2, [])
 

@@ -25,7 +25,6 @@ from pathalg.reduction_engine import (
 from pathalg.star_product import (
     DeformationCochain,
     GaugeOnArrows,
-    Z_SYMBOL,
     associator_defects,
     gauge_check,
     mc_check,
@@ -71,12 +70,6 @@ class TestCochainValidation:
         const = Element.from_path(Path(q, vertex="1"))
         with pytest.raises(UsageError):
             DeformationCochain(R, {q.path("a", "b"): const})
-
-    def test_reserved_symbol_rejected(self, two_cycle):
-        q, R = two_cycle
-        z = Element.from_path(Path(q, vertex="1"), PolyScalar.var(Z_SYMBOL))
-        with pytest.raises(UsageError):
-            DeformationCochain(R, {q.path("a", "b"): z})
 
     def test_formal_needs_finite_trunc(self, two_cycle):
         q, R = two_cycle
@@ -224,16 +217,19 @@ class TestNonFormal:
 # star on the untagged deformed system against the z-tagged reference
 
 
+TAG = "zeta"  # the reference's stratum counter: no input of these tests uses it
+
+
 def _tagged_system(R, cochain):
-    """Reference: the rules s -> phi_s + z*phitilde_s, z counting strata."""
-    z = PolyScalar.var(Z_SYMBOL)
+    """Reference: the rules s -> phi_s + z*phitilde_s, z = TAG counting strata."""
+    z = PolyScalar.var(TAG)
     return ReductionSystem(R.quiver, [
         Rule(rule.lhs, (rule.rhs + cochain.value(rule.lhs).scale(z))
              .truncated(cochain.trunc)) for rule in R.rules])
 
 
 def _set_z_to_one(a):
-    one = {Z_SYMBOL: PolyScalar.rational(1)}
+    one = {TAG: PolyScalar.rational(1)}
     return Element(a.quiver, {p: substitute(c, one) for p, c in a.terms.items()})
 
 
@@ -398,3 +394,65 @@ def test_gauge_verdicts_match_reference(deformed_two_cycle):
         psi = GaugeOnArrows(R, values)
         assert gauge_check(psi, coc, cochain_prime) is verdict
         assert reference_gauge_check(psi, R, coc, cochain_prime) is verdict
+
+
+# ---------------------------------------------------------------------------
+# star_k against the tagged reference, on inputs whose coefficients use _z
+# and _z_, the first names star_k tries for its own tag
+
+_symbol_coeff = st.tuples(st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+                          st.lists(st.sampled_from(["_z", "_z_", "u"]), max_size=2))
+
+
+def _scalar(drawn, pdeg=0):
+    """A drawn rational times a drawn monomial, times hbar^pdeg at order 3."""
+    c = PolyScalar.rational(drawn[0])
+    for name in drawn[1]:
+        c = c * PolyScalar.var(name)
+    for _ in range(pdeg):
+        c = c * PolyScalar.var("hbar", is_param=True, trunc=3)
+    return c
+
+
+def _drawn_system(name, rhs):
+    """The two-cycle with ab -> c1*e1 and ba -> c2*e2, or k[x1..xd] with
+    x_j x_i -> c*x_i x_j, the c drawn in ``rhs``."""
+    if name == "two-cycle":
+        q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+        sides = [(q.path("a", "b"), q.trivial("1")), (q.path("b", "a"), q.trivial("2"))]
+    else:
+        q, R = commutator_system(int(name[-1]))
+        sides = [(rule.lhs, *rule.rhs.terms) for rule in R.rules]
+    return q, ReductionSystem(q, [Rule(s, Element.from_path(u, _scalar(c)))
+                                  for (s, u), c in zip(sides, rhs)])
+
+
+def _drawn_element(q, terms, paths):
+    return sum((Element.from_path(paths(path), _scalar(c, pdeg)) for path, c, pdeg in terms),
+               Element.zero(q))
+
+
+_factor = st.lists(st.tuples(st.tuples(st.integers(0, 1), st.lists(st.integers(0, 2), max_size=4)),
+                             _symbol_coeff, st.integers(0, 1)), min_size=1, max_size=3)
+_value = st.lists(st.tuples(st.integers(0, 5), _symbol_coeff, st.integers(1, 2)), max_size=2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["two-cycle", "commutator-2", "commutator-3"]),
+       rhs=st.lists(_symbol_coeff, min_size=3, max_size=3),
+       values=st.lists(_value, min_size=3, max_size=3), left=_factor, right=_factor)
+def test_star_k_strata_match_tagged_reference(name, rhs, values, left, right):
+    """Each stratum is the reference's coefficient of TAG^k, and the strata
+    sum to star, whatever symbols the inputs use."""
+    q, R = _drawn_system(name, rhs)
+    basis = irreducible_paths(R.lhs_set(), q, max_len=2)
+    vals = {}
+    for rule, terms in zip(R.rules, values):
+        parallel = [u for u in basis if (u.source, u.target) == (rule.lhs.source, rule.lhs.target)]
+        vals[rule.lhs] = _drawn_element(q, terms, lambda i: parallel[i % len(parallel)])
+    cochain = DeformationCochain(R, vals, trunc=3)
+    a, b = (_drawn_element(q, f, lambda walk: _walk(q, *walk)) for f in (left, right))
+    reference = reduce_full((a * b).truncated(3), _tagged_system(R, cochain))
+    strata = [star_k(a, b, cochain, k) for k in range(5)]
+    assert strata == [reference.coefficient_of(TAG, k) for k in range(5)]
+    assert sum(strata, Element.zero(q)) == star(a, b, cochain)
