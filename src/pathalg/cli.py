@@ -93,7 +93,7 @@ _SYMBOL = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(\^(\d+))?$")
 
 
 class ParseError(Exception):
-    """A problem-file or element syntax error, with a line reference."""
+    """A syntax error in an input file or argument, with its line if it has one."""
 
     def __init__(self, message: str, line: int | None = None):
         where = f"line {line}: " if line is not None else ""
@@ -138,11 +138,17 @@ def _ascii(text: str) -> str:
     return text
 
 
-def _logical_lines(text: str):
+def _directives(text: str, heads, where: str = ""):
+    """(line number, head, rest) for each line of text that is not blank once
+    its comment is cut; a head not in heads is a ParseError that names the
+    line and, after it, the file (``where``)."""
     for i, raw in enumerate(_ascii(text).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield i, line
+        head, _, rest = raw.split("#", 1)[0].strip().partition(" ")
+        if not head:
+            continue
+        if head not in heads:
+            raise ParseError(f"unknown directive {head!r}{where}", i)
+        yield i, head, rest.strip()
 
 
 class ElementParser:
@@ -258,26 +264,25 @@ def _put(values: dict[Path, Element], head: str, parser: ElementParser,
     values[side] = parser.parse_element(rhs, line_no)
 
 
-def _setting(value: str, least: int, what: str, line: int) -> int:
+def _integer(value: str, what: str, least: int | None = None,
+             line: int | None = None) -> int:
     try:
         n = int(value)
     except ValueError:
-        raise ParseError(f"{what} needs an integer, got {value.strip()!r}",
-                         line) from None
-    if n < least:
+        raise ParseError(f"{what} needs an integer, got {value!r}", line) from None
+    if least is not None and n < least:
         raise ParseError(f"{what} must be >= {least}", line)
     return n
 
 
-def _int_arg(value: str, what: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise UsageError(f"{what} needs an integer, got {value!r}") from None
+_PROBLEM_HEADS = {"vertex", "arrow", "order", "rule", "deform", "param",
+                  "unknown", "set"}
 
 
 def parse_problem(text: str) -> ProblemFile:
-    """Parse a problem file into a ProblemFile, raising ParseError on errors."""
+    """Parse a problem file into a ProblemFile.  Syntax errors and repeated
+    sides are ParseErrors naming their line; a quiver, order or rule the
+    library refuses raises its UsageError as is."""
     vertices: list[str] = []
     arrow_decls: list[tuple[str, str, str]] = []
     order_names: list[str] | None = None
@@ -285,12 +290,9 @@ def parse_problem(text: str) -> ProblemFile:
     unknowns: list[str] = []
     trunc = 4
     budget = DEFAULT_BUDGET
-    rule_lines: list[tuple[int, str, str]] = []
-    deform_lines: list[tuple[int, str, str]] = []
+    sides: dict[str, list[tuple[int, str, str]]] = {"rule": [], "deform": []}
 
-    for line_no, line in _logical_lines(text):
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for line_no, head, rest in _directives(text, _PROBLEM_HEADS):
         if head == "vertex":
             vertices.extend(rest.split())
         elif head == "arrow":
@@ -303,32 +305,25 @@ def parse_problem(text: str) -> ProblemFile:
             order_names = [n.strip() for n in rest.split("<")]
             if any(not n for n in order_names):
                 raise ParseError("expected 'order a < b < ...'", line_no)
-        elif head == "rule":
-            rule_lines.append((line_no, *_split_rule(line_no, rest)))
-        elif head == "deform":
-            deform_lines.append((line_no, *_split_rule(line_no, rest)))
+        elif head in sides:
+            sides[head].append((line_no, *_split_rule(line_no, rest)))
         elif head == "param":
             params.extend(rest.split())
         elif head == "unknown":
             unknowns.extend(rest.split())
-        elif head == "set":
+        else:  # set
             key, _, value = rest.partition(" ")
             if key == "trunc":
-                trunc = _setting(value, 0, "set trunc", line_no)
+                trunc = _integer(value.strip(), "set trunc", 0, line_no)
             elif key == "budget":
-                budget = _setting(value, 1, "set budget", line_no)
+                budget = _integer(value.strip(), "set budget", 1, line_no)
             else:
                 raise ParseError(f"unknown setting {key!r}", line_no)
-        else:
-            raise ParseError(f"unknown directive {head!r}", line_no)
 
     if not vertices:
         raise ParseError("no vertices declared")
-    try:
-        quiver = Quiver(vertices, arrow_decls)
-        order = AdmissibleOrder(quiver, order_names) if order_names else None
-    except UsageError as exc:
-        raise ParseError(str(exc)) from exc
+    quiver = Quiver(vertices, arrow_decls)
+    order = AdmissibleOrder(quiver, order_names) if order_names else None
     # one meaning per name: e<V> is the trivial path at V, and a name is at
     # most one of an arrow, a param and an unknown
     meaning = {f"e{v}": f"the trivial path at vertex {v}" for v in vertices}
@@ -338,19 +333,16 @@ def parse_problem(text: str) -> ProblemFile:
             if meaning.setdefault(name, role) != role:
                 raise ParseError(f"name {name!r} is both {role} and {meaning[name]}")
 
+    # the system is built, and checked, before any deform line is read
     plain = ElementParser(quiver, params, unknowns, trunc=None)
-    rules = []
-    for line_no, lhs, rhs in rule_lines:
-        rules.append(Rule(plain.parse_path(lhs, line_no),
-                          plain.parse_element(rhs, line_no)))
-    try:
-        system = ReductionSystem(quiver, rules)
-    except UsageError as exc:
-        raise ParseError(str(exc)) from exc
+    rules: dict[Path, Element] = {}
+    for line_no, lhs, rhs in sides["rule"]:
+        _put(rules, "rule", plain, line_no, lhs, rhs)
+    system = ReductionSystem(quiver, [Rule(s, v) for s, v in rules.items()])
 
     deformed = ElementParser(quiver, params, unknowns, trunc=trunc)
     deform_values: dict[Path, Element] = {}
-    for line_no, lhs, rhs in deform_lines:
+    for line_no, lhs, rhs in sides["deform"]:
         _put(deform_values, "deform", deformed, line_no, lhs, rhs)
 
     return ProblemFile(quiver=quiver, system=system, order=order,
@@ -447,7 +439,7 @@ def _cmd_diamond(problem: ProblemFile, args, flags, report: Report):
 
 def _cmd_ambiguities(problem: ProblemFile, args, flags, report: Report):
     S = problem.system.lhs_set()
-    ambs = (ambiguities_n(S, _int_arg(args[0], "ambiguities n")) if args
+    ambs = (ambiguities_n(S, _integer(args[0], "ambiguities n")) if args
             else overlaps(S))
     report.say(f"count: {len(ambs)}")
     report.doc["count"] = len(ambs)
@@ -511,13 +503,8 @@ def _cmd_gauge(problem: ProblemFile, args, flags, report: Report):
                          "every deform value of positive parameter degree)")
     parser = problem.parser(cochain.trunc)
     values: dict[str, dict[Path, Element]] = {"gauge": {}, "deform": {}}
-    for line_no, line in _logical_lines(text):
-        head, _, rest = line.partition(" ")
-        lhs, rhs = _split_rule(line_no, rest.strip())
-        if head not in values:
-            raise ParseError(f"unknown directive {head!r} in psi file",
-                             line_no)
-        _put(values[head], head, parser, line_no, lhs, rhs)
+    for line_no, head, rest in _directives(text, values, " in psi file"):
+        _put(values[head], head, parser, line_no, *_split_rule(line_no, rest))
     psi = GaugeOnArrows(problem.system, values["gauge"])
     primed = DeformationCochain(problem.system, values["deform"],
                                 trunc=cochain.trunc)
@@ -561,13 +548,9 @@ def _cmd_complete(problem: ProblemFile, args, flags, report: Report):
     if problem.order is None:
         raise UsageError("complete needs an order block in the file")
     parser = problem.parser(None)
-    generators = []
-    for line_no, line in _logical_lines(_read_input(args[0])):
-        head, _, rest = line.partition(" ")
-        if head != "rel":
-            raise ParseError(f"unknown directive {head!r} in relations file",
-                             line_no)
-        generators.append(parser.parse_element(rest.strip(), line_no))
+    generators = [parser.parse_element(rest, line_no) for line_no, _, rest
+                  in _directives(_read_input(args[0]), {"rel"},
+                                 " in relations file")]
     system = complete(generators, problem.order,
                       budget=problem.budget)
     report.say(f"rules: {len(system.rules)}")
@@ -587,7 +570,7 @@ def _cmd_quantize(problem: ProblemFile, args, flags, report: Report):
     if cap < 1:
         raise UsageError("--cap must be >= 1 for quantize")
     if sub == "graphs":
-        graphs = enumerate_graphs(_int_arg(args[1], "quantize graphs k"),
+        graphs = enumerate_graphs(_integer(args[1], "quantize graphs k"),
                                   cap=cap)
         report.say(f"count: {len(graphs)}")
         report.doc["count"] = len(graphs)

@@ -796,6 +796,76 @@ def test_an_unknown_named_z_runs_star_and_mc(tmp_path):
     assert last_json(out)["verdict"] == "pass"
 
 
+D3_ORDERED = COMM3 + "order x1 < x2 < x3\n"
+D3_RELATIONS = "".join(f"rel x{j}*x{i} - x{i}*x{j}\n" for j in (2, 3)
+                       for i in range(1, j))
+ZERO_ONE = "vertex 0 1\narrow a : 0 -> 1\narrow b : 1 -> 0\n"
+
+# one fault per row, each a validation branch of the command line or its
+# input files: (problem file, arguments, side file or None, exit code, the
+# last line's document after "command")
+VALIDATION_CASES = {
+    "quantize without subcommand": (COMM3, ["quantize"], None, 2, {
+        "error": "quantize needs a subcommand: jacobi | check | graphs k | compare"}),
+    "quantize bogus": (COMM3, ["quantize", "bogus"], None, 2, {
+        "error": "unknown quantize subcommand 'bogus'"}),
+    "psi unknown directive": (TWO_CYCLE.format(ba="t*e2"), ["gauge"],
+                              "foo a -> t*a\n", 2, {
+        "error": "line 1: unknown directive 'foo' in psi file"}),
+    "psi gauge on a vertex": (
+        COMM3 + "param t\nset trunc 2\ndeform x2*x1 -> t*x1*x2\n", ["gauge"],
+        "gauge e0 -> t*e0\n", 2, {
+        "error": "gauge values are indexed by arrows, got e0"}),
+    "relations unknown directive": (D3_ORDERED, ["complete"], "foo x1*x2\n", 2, {
+        "error": "line 1: unknown directive 'foo' in relations file"}),
+    "variety order without order": (COMM3, ["variety", "--cond", "order"],
+                                    None, 2, {
+        "error": "--cond order needs an order block in the file"}),
+    "complete without order": (COMM3, ["complete"], D3_RELATIONS, 2, {
+        "error": "complete needs an order block in the file"}),
+    "quantize missing rule": (
+        COMM3.replace("rule x3*x2 -> x2*x3\n", ""), ["quantize", "jacobi"],
+        None, 2, {"error": "quantize needs the rules x_j*x_i -> x_i*x_j, j > i"}),
+    "quantize scaled rule": (
+        COMM3.replace("rule x2*x1 -> x1*x2", "rule x2*x1 -> 2*x1*x2"),
+        ["quantize", "jacobi"], None, 2, {
+        "error": "quantize needs the rules x_j*x_i -> x_i*x_j"}),
+    "reducible right side": (
+        "vertex 0\narrow x : 0 -> 0\narrow y : 0 -> 0\n"
+        "rule y*x -> x*y\nrule x*y -> x\n", ["diamond"], None, 2, {
+            "error": "rule y*x: right side term x*y is reducible"}),
+    "right side not parallel": (ZERO_ONE + "rule a*b -> e1\n", ["diamond"],
+                                None, 2, {
+        "error": "rule a*b: right side not parallel (e1)"}),
+    "relation not uniform": (ZERO_ONE + "order a < b\n", ["complete"],
+                             "rel a*b + e1\n", 2, {
+        "error": "completion generators must be uniform (parallel paths)"}),
+    "duplicate vertex": ("vertex 0 0\n", ["irr"], None, 2, {
+        "error": "duplicate vertex ids"}),
+    "negative ambiguity level": (COMM3, ["ambiguities", "-1"], None, 2, {
+        "error": "n must be >= 0"}),
+    "complete out of budget": (D3_ORDERED, ["complete", "--budget", "1"],
+                               D3_RELATIONS, 3, {
+        "error": "budget exhausted", "steps": 1}),
+    "duplicate rule": (COMM3 + "rule x2*x1 -> x1*x2\n", ["diamond"], None, 2, {
+        "error": "line 9: duplicate rule for x2*x1"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATION_CASES))
+def test_validation_branch_exit_code_and_error(tmp_path, name):
+    """Each branch exits with its code and names its fault on the last line;
+    a repeated side of any kind, rule included, names its line."""
+    text, args, side, code, doc = VALIDATION_CASES[name]
+    p = tmp_path / "problem.txt"
+    p.write_text(text)
+    if side is not None:
+        (tmp_path / "side.txt").write_text(side)
+        args = [args[0], str(tmp_path / "side.txt"), *args[1:]]
+    got, out = run([str(p), *args])
+    assert (got, last_json(out)) == (code, {"command": args[0], **doc})
+
+
 class TestInternalErrors:
     """Bad input exits 2; only a fault in pathalg itself exits 4."""
 
